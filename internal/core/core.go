@@ -478,7 +478,7 @@ func snapshotFields(s *Snapshot, extra map[string]any) map[string]any {
 
 // snapScratch bundles the reusable buffers one snapshot derivation needs:
 // the greedy-selection scratch (marginals, epoch-marked covered/chosen
-// flags, quickselect buffer) and the epoch-marked coverage kernel used for
+// flags, node order, top-k heap) and the epoch-marked coverage kernel used for
 // the Λ2 queries. One snapScratch per session (or per Maximize run) means
 // repeated snapshots allocate only their Result; it is not safe for
 // concurrent use, matching Online's single-driver contract.

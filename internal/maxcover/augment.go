@@ -51,16 +51,11 @@ func (sc *Scratch) runAugment(c *rrset.Collection, base []int32, k int, mode bou
 			sc.covered[id] = sc.epoch
 		}
 	}
-	if k > free {
-		k = free
-	}
-	if k < 0 {
-		k = 0
-	}
 
-	// cov[v] = residual marginal coverage of v.
+	// cov[v] = residual marginal coverage of v; these are the cov₀ the
+	// shared loop orders by.
 	cov := sc.cov[:n]
-	for v := 0; v < n; v++ {
+	for v := range cov {
 		cov[v] = 0
 		if sc.chosen[v] == sc.epoch {
 			continue
@@ -72,69 +67,13 @@ func (sc *Scratch) runAugment(c *rrset.Collection, base []int32, k int, mode bou
 		}
 	}
 
-	res := &Result{
-		Seeds:          make([]int32, 0, k),
-		PrefixCoverage: make([]int64, 1, k+1),
-	}
-	var top []int64
-	if mode != boundsNone {
-		top = sc.top[:n]
-		res.HasBounds = true
-		res.LambdaU = int64(1) << 62
-	}
-
-	var total int64
 	residualUniverse := int64(0)
 	for id := 0; id < count; id++ {
 		if sc.covered[id] != sc.epoch {
 			residualUniverse++
 		}
 	}
-	for i := 0; i < k; i++ {
-		if mode == boundsAll {
-			if cand := total + topKSum(cov, top, k); cand < res.LambdaU {
-				res.LambdaU = cand
-			}
-		}
-		best := -1
-		var bestCov int64 = -1
-		for v := 0; v < n; v++ {
-			if sc.chosen[v] != sc.epoch && cov[v] > bestCov {
-				best = v
-				bestCov = cov[v]
-			}
-		}
-		if best < 0 {
-			break
-		}
-		sc.chosen[best] = sc.epoch
-		res.Seeds = append(res.Seeds, int32(best))
-		total += bestCov
-		for _, id := range c.SetsCoveringShared(int32(best)) {
-			if sc.covered[id] == sc.epoch {
-				continue
-			}
-			sc.covered[id] = sc.epoch
-			for _, w := range c.Set(id) {
-				cov[w]--
-			}
-		}
-		res.PrefixCoverage = append(res.PrefixCoverage, total)
-	}
-	res.Coverage = total
-
-	if mode != boundsNone {
-		topSum := topKSum(cov, top, k)
-		if cand := total + topSum; cand < res.LambdaU {
-			res.LambdaU = cand
-		}
-		res.LambdaDiamond = total + topSum
-		if res.LambdaU > residualUniverse {
-			res.LambdaU = residualUniverse
-		}
-		if res.LambdaDiamond > residualUniverse {
-			res.LambdaDiamond = residualUniverse
-		}
-	}
-	return res
+	return sc.greedy(cov, clampK(k, free), mode, residualUniverse, func(best int32) {
+		sc.coverCounting(c, best, cov)
+	})
 }

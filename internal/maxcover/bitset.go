@@ -28,9 +28,9 @@ import (
 // The kernel is selection-identical to the counting greedy by construction:
 // both maintain the exact marginal vector cov[v] = Λ1(v|S_i*) at every
 // prefix (the bitset path derives the same integer decrements via
-// popcounts), both run the same smallest-id-wins argmax, and the §5 bound
-// traces (PrefixCoverage, Λ1ᵘ via topKSum, Λ1⋄) are computed from those
-// identical cov arrays by the shared code. TestKernelsIdenticalProperty
+// popcounts), and the shared greedy loop — argmax with its smallest-id
+// tie-break, and the §5 bound traces (PrefixCoverage, Λ1ᵘ via topKSum,
+// Λ1⋄) — runs on those identical cov arrays. TestKernelsIdenticalProperty
 // pins Result equality across models, densities and k.
 
 // Kernel selects the marginal-coverage engine behind the greedy.
@@ -174,18 +174,11 @@ func (sc *Scratch) resetBitset(count, words int) {
 	}
 }
 
-// runBitset is run() on the packed-bitset kernel. It mirrors the counting
-// path statement for statement — same cov initialization, same argmax and
-// tie-break, same bound hooks — replacing only how cov is maintained after
-// each selection.
+// runBitset is run() on the packed-bitset kernel: the same cov
+// initialization and the same shared greedy loop, with only the marginal
+// update after each selection replaced.
 func (sc *Scratch) runBitset(c *rrset.Collection, k int, mode boundsMode) *Result {
 	n := int(c.N())
-	if k > n {
-		k = n
-	}
-	if k < 0 {
-		k = 0
-	}
 	count := c.Count()
 	sc.reset(n, count)
 	words := (count + 63) / 64
@@ -195,51 +188,15 @@ func (sc *Scratch) runBitset(c *rrset.Collection, k int, mode boundsMode) *Resul
 
 	// cov[v] = Λ1(v | S_i*), exactly as in the counting path.
 	cov := sc.cov[:n]
-	for v := 0; v < n; v++ {
+	for v := range cov {
 		cov[v] = int64(c.Degree(int32(v)))
 	}
 
-	res := &Result{
-		Seeds:          make([]int32, 0, k),
-		PrefixCoverage: make([]int64, 1, k+1),
-	}
-
-	var top []int64
-	if mode != boundsNone {
-		top = sc.top[:n]
-		res.HasBounds = true
-		res.LambdaU = int64(1) << 62
-	}
-
-	var total int64
-	for i := 0; i < k; i++ {
-		if mode == boundsAll {
-			cand := total + topKSum(cov, top, k)
-			if cand < res.LambdaU {
-				res.LambdaU = cand
-			}
-		}
-
-		// argmax_v cov[v] over unchosen nodes, smallest id wins ties.
-		best := -1
-		var bestCov int64 = -1
-		for v := 0; v < n; v++ {
-			if sc.chosen[v] != sc.epoch && cov[v] > bestCov {
-				best = v
-				bestCov = cov[v]
-			}
-		}
-		if best < 0 {
-			break
-		}
-		sc.chosen[best] = sc.epoch
-		res.Seeds = append(res.Seeds, int32(best))
-		total += bestCov
-
+	return sc.greedy(cov, clampK(k, n), mode, int64(count), func(best int32) {
 		// D = row[best] AND uncovered: the newly covered sets, as word
 		// deltas. Clear them from uncovered and remember the nonzero words
 		// so the marginal update skips silent regions.
-		row := rows[best*stride : best*stride+words]
+		row := rows[int(best)*stride : int(best)*stride+words]
 		dnz := sc.dnz[:0]
 		dbuf := sc.dbuf
 		for w := 0; w < words; w++ {
@@ -255,7 +212,7 @@ func (sc *Scratch) runBitset(c *rrset.Collection, k int, mode boundsMode) *Resul
 		// the same integer the counting walk subtracts one decrement at a
 		// time (each newly covered set containing v lowers its marginal by
 		// exactly one), so cov stays byte-identical between kernels — which
-		// also keeps topKSum's bound traces identical.
+		// also keeps the bound traces identical.
 		if len(dnz) > 0 {
 			for v, base := 0, 0; v < n; v, base = v+1, base+stride {
 				vrow := rows[base : base+words : base+words]
@@ -266,25 +223,5 @@ func (sc *Scratch) runBitset(c *rrset.Collection, k int, mode boundsMode) *Resul
 				cov[v] -= int64(dec)
 			}
 		}
-		res.PrefixCoverage = append(res.PrefixCoverage, total)
-	}
-	res.Coverage = total
-
-	if mode != boundsNone {
-		topSum := topKSum(cov, top, k)
-		if cand := total + topSum; cand < res.LambdaU {
-			res.LambdaU = cand
-		}
-		res.LambdaDiamond = total + topSum
-		if res.LambdaU > int64(count) {
-			res.LambdaU = int64(count)
-		}
-		if res.LambdaDiamond > int64(count) {
-			res.LambdaDiamond = int64(count)
-		}
-		if mode == boundsDiamond {
-			res.LambdaU = 0
-		}
-	}
-	return res
+	})
 }

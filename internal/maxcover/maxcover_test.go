@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"github.com/reprolab/opim/internal/diffusion"
 	"github.com/reprolab/opim/internal/gen"
@@ -215,51 +214,6 @@ func TestGreedyNoDuplicateSeeds(t *testing.T) {
 		}
 		seen[v] = true
 	}
-}
-
-func TestTopKSumAgainstSort(t *testing.T) {
-	f := func(raw []int16, kRaw uint8) bool {
-		vals := make([]int64, len(raw))
-		for i, r := range raw {
-			vals[i] = int64(r)
-		}
-		k := int(kRaw%16) + 1
-		scratch := make([]int64, len(vals))
-		got := topKSum(vals, scratch, k)
-		sorted := append([]int64(nil), vals...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
-		var want int64
-		for i := 0; i < k && i < len(sorted); i++ {
-			want += sorted[i]
-		}
-		return got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTopKSumEdgeCases(t *testing.T) {
-	scratch := make([]int64, 8)
-	if got := topKSum(nil, scratch, 3); got != 0 {
-		t.Fatalf("empty topKSum = %d", got)
-	}
-	if got := topKSum([]int64{5, 2, 9}, scratch, 0); got != 0 {
-		t.Fatalf("k=0 topKSum = %d", got)
-	}
-	if got := topKSum([]int64{5, 2, 9}, scratch, 10); got != 16 {
-		t.Fatalf("k>n topKSum = %d", got)
-	}
-	if got := topKSum([]int64{7, 7, 7, 7}, scratch, 2); got != 14 {
-		t.Fatalf("constant topKSum = %d", got)
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func BenchmarkGreedyK50(b *testing.B) {

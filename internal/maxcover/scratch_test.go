@@ -36,7 +36,6 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		{"Greedy", Greedy, (*Scratch).Greedy},
 		{"GreedyWithBounds", GreedyWithBounds, (*Scratch).GreedyWithBounds},
 		{"GreedyWithDiamond", GreedyWithDiamond, (*Scratch).GreedyWithDiamond},
-		{"GreedyLazy", GreedyLazy, (*Scratch).GreedyLazy},
 		{"GreedyAugment", func(c *rrset.Collection, k int) *Result {
 			return GreedyAugment(c, []int32{0, 17, 42}, k)
 		}, func(sc *Scratch, c *rrset.Collection, k int) *Result {

@@ -119,7 +119,14 @@ func TestChaosInflightCap(t *testing.T) {
 	go func() {
 		defer close(advDone)
 		c := NewClient(ts.URL)
-		c.AdvanceContext(ctx, 1<<20)
+		// A /status probe below may hold the only slot when the advance
+		// arrives, shedding the advance instead; resend it until it runs.
+		for ctx.Err() == nil {
+			_, err := c.AdvanceContext(ctx, 1<<20)
+			if err == nil || !strings.Contains(err.Error(), "429") {
+				return
+			}
+		}
 	}()
 
 	// While the advance occupies the only slot, /status must be shed.

@@ -160,11 +160,12 @@ func TestAdmitQueueRejectsWithHonestHint(t *testing.T) {
 	}
 }
 
-// TestAdmissionQueueSmoothsBursts: with MaxInflight=1 but the queue
-// enabled, a burst of cheap requests all succeed — the queue absorbs what
-// the old limiter would have shed.
+// TestAdmissionQueueSmoothsBursts: with MaxInflight=1 and a queue as deep
+// as the burst, a burst of cheap requests all succeed — the queue absorbs
+// what the old limiter would have shed. (The default queue, 2×MaxInflight,
+// would have to shed most of a concurrent burst of 10.)
 func TestAdmissionQueueSmoothsBursts(t *testing.T) {
-	_, ts := newSlowServer(t, Config{Batch: 500, MaxInflight: 1})
+	_, ts := newSlowServer(t, Config{Batch: 500, MaxInflight: 1, MaxQueue: 10})
 	var wg sync.WaitGroup
 	errs := make(chan error, 10)
 	for i := 0; i < 10; i++ {
