@@ -114,7 +114,7 @@ func main() {
 		fatalf("writing %s: %v", *out, err)
 	}
 	// The fingerprint lets operators check that a graph registered in an
-	// opimd catalog (or named in an OPIMS3 checkpoint) is this exact file.
+	// opimd catalog (or named in a session checkpoint) is this exact file.
 	fmt.Printf("wrote %s (%s) fingerprint=%s\n", *out, *format, g.Fingerprint())
 }
 

@@ -39,17 +39,21 @@
 //
 // Sessions on the same (graph, model) share one sampler, and
 // -max-loaded-graphs bounds memory by unloading idle graphs (reloaded
-// from their spec on demand). Checkpoints record the graph's fingerprint
-// (OPIMS3), so a resume against the wrong dataset fails loudly instead of
-// silently corrupting guarantees.
+// from their spec on demand). Checkpoints (OPIMS5) record the graph's
+// fingerprint and its position on the mutation epoch chain, so a resume
+// against the wrong dataset fails loudly instead of silently corrupting
+// guarantees, and a resume after mutation batches catches up exactly.
 //
 // Fault tolerance (see docs/ROBUSTNESS.md):
 //
 //   - -checkpoint FILE enables crash-safe checkpointing of the default
 //     session: it is written atomically every -checkpoint-interval
-//     (default 30s), on POST /checkpoint, and on graceful shutdown; at
-//     startup the daemon auto-resumes from the checkpoint (falling back
-//     to FILE.prev when the current generation is corrupt). A resumed
+//     (default 30s), on POST /checkpoint, and on graceful shutdown. At
+//     startup the daemon replays each graph's mutation journal, then
+//     resumes every checkpointed session through one restore path
+//     (server.Resume): current generation, else FILE.prev, placed on the
+//     graph's epoch chain and caught up with the batches it missed. A
+//     checkpoint that exists but cannot be resumed stops startup. A resumed
 //     session continues the exact sample stream — seeds, α and δ
 //     accounting are byte-identical to a never-crashed run. When
 //     resuming, the session parameters (-k, -delta, -seed, …) come from
@@ -79,7 +83,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -200,40 +203,14 @@ func main() {
 	if defaultCk == "" && *ckDir != "" {
 		defaultCk = filepath.Join(*ckDir, server.DefaultSessionID+".ck")
 	}
-
-	// Startup auto-resume: prefer the checkpoint over a fresh session. A
-	// checkpoint that exists but cannot be loaded (both generations bad)
-	// stops startup — silently discarding a session would forget every
-	// spent unit of δ budget, the exact failure mode resume exists to
-	// prevent. The operator must remove the file to start fresh.
-	var session *opim.Online
-	if defaultCk != "" {
-		sess, src, meta, regen, lerr := server.LoadCheckpointMetaLog(defaultCk, sampler, glog)
-		switch {
-		case lerr == nil:
-			session = sess
-			session.SetEvents(flushingSinkOrNil(events))
-			fmt.Printf("opimd: resumed session from %s (num_rr=%d); session parameters come from the checkpoint\n", src, session.NumRR())
-			if regen > 0 {
-				fmt.Printf("opimd: checkpoint predates the latest graph mutation; caught up by regenerating %d RR set(s)\n", regen)
-			}
-			if !meta.Verified() {
-				fmt.Printf("opimd: WARNING: %s is a legacy OPIMS%d checkpoint with no graph fingerprint; cannot verify it matches the configured graph (see docs/ROBUSTNESS.md)\n", src, meta.Format)
-			}
-		case errors.Is(lerr, os.ErrNotExist):
-			// First boot: no checkpoint yet.
-		default:
-			fatalf("cannot resume: %v (remove the checkpoint to start fresh)", lerr)
-		}
-	}
-	if session == nil {
-		session, err = opim.NewOnline(sampler, opim.Options{
-			K: *k, Delta: delta, Variant: variant, Seed: *seed, Workers: *workers, UnionBudget: *union,
-			Events: flushingSinkOrNil(events),
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
+	// A fresh default session on the replayed graph; Resume replaces it
+	// with its checkpoint when one exists.
+	session, err := opim.NewOnline(sampler, opim.Options{
+		K: *k, Delta: delta, Variant: variant, Seed: *seed, Workers: *workers, UnionBudget: *union,
+		Events: flushingSinkOrNil(events),
+	})
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	var coordinator *fleet.Coordinator
@@ -270,9 +247,14 @@ func main() {
 		Events:              flushingSinkOrNil(events),
 		Generator:           generatorOrNil(coordinator),
 	})
-	adopted, err := srv.AdoptCheckpointDir()
+	// Resume every checkpointed session. A checkpoint that exists but
+	// cannot be loaded (both generations bad, or off its graph's epoch
+	// chain) stops startup — silently discarding a session would forget
+	// every spent unit of δ budget, the exact failure mode resume exists
+	// to prevent. The operator must remove the file to start fresh.
+	adopted, err := srv.Resume()
 	if err != nil {
-		fatalf("%v", err)
+		fatalf("cannot resume: %v (remove the checkpoint to start fresh)", err)
 	}
 	if len(adopted) > 0 {
 		fmt.Printf("opimd: adopted %d checkpointed session(s) from %s: %v\n", len(adopted), *ckDir, adopted)

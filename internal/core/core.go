@@ -196,7 +196,7 @@ type Online struct {
 	scratch *snapScratch // persistent selection/coverage buffers, reused per snapshot
 
 	// graphName/graphSpec label which catalog graph this session runs on;
-	// SaveSession records them (with the graph's fingerprint) in OPIMS3 so a
+	// SaveSession records them (with the graph's fingerprint) in OPIMS5 so a
 	// restarted daemon can re-resolve — and verify — the exact instance.
 	// Empty on sessions created outside a catalog (plain library use).
 	graphName string

@@ -21,26 +21,17 @@ import (
 	"github.com/reprolab/opim/internal/rrset"
 )
 
-// sessionMagic is the current OPIMS5 format: the OPIMS4 layout plus one
-// length-prefixed opaque extension blob between the epoch block and the
-// RR collections. The blob is owned by the embedding application (opimd
-// stores per-session learner state there — Beta posteriors and the
-// campaign round machine); core round-trips it without interpretation, so
-// the learning subsystem can evolve without another container version.
-// OPIMS4 files (which predate the extension, so they load with an empty
-// blob), OPIMS3 files (which predate the epoch block, so they load as
-// epoch 0), OPIMS2 files (which predate the identity block) and OPIMS1
-// files (which predate Exact and BaseSeeds) are still readable; V1/V2
-// carry no fingerprint, so loading one cannot verify the graph — callers
-// should surface that as an "unverified graph" warning (the daemon does;
-// see docs/ROBUSTNESS.md).
-const (
-	sessionMagic   = "OPIMS5\n"
-	sessionMagicV4 = "OPIMS4\n"
-	sessionMagicV3 = "OPIMS3\n"
-	sessionMagicV2 = "OPIMS2\n"
-	sessionMagicV1 = "OPIMS1\n"
-)
+// sessionMagic is the OPIMS5 format, the only one written or read. After
+// the magic: the fixed header (n, k, δ, variant, seed, workers, union
+// flag, query count), the Exact flag and base-seed set, the graph-identity
+// block (content fingerprint, spec, catalog name), the epoch block (epoch
+// and lineage on the graph's mutation chain), one length-prefixed opaque
+// extension blob, then the two RR collections (OPIMR3). The blob is owned
+// by the embedding application (opimd stores per-session learner state
+// there — Beta posteriors and the campaign round machine); core
+// round-trips it without interpretation, so the learning subsystem can
+// evolve without another container version.
+const sessionMagic = "OPIMS5\n"
 
 // maxSessionExt bounds the OPIMS5 extension blob (64 MiB): far beyond any
 // realistic posterior table, small enough that a corrupted length field
@@ -50,8 +41,8 @@ const maxSessionExt = 64 << 20
 // ErrBadSession reports a malformed serialized session.
 var ErrBadSession = errors.New("core: bad session format")
 
-// ErrGraphMismatch reports an OPIMS3 session whose recorded graph
-// fingerprint does not match the sampler's graph — the same dataset
+// ErrGraphMismatch reports a session whose recorded graph fingerprint
+// does not match the sampler's graph — the same dataset
 // reweighted, a different scale, or simply the wrong file. Resuming would
 // silently produce guarantees that hold for nothing, so loading refuses.
 var ErrGraphMismatch = errors.New("core: session graph fingerprint mismatch")
@@ -61,27 +52,22 @@ var ErrGraphMismatch = errors.New("core: session graph fingerprint mismatch")
 // hands it to the caller so a multi-graph server can pick (or register)
 // the right sampler before committing to the expensive part of the load.
 type SessionMeta struct {
-	// Format is the container version: 1, 2 (no graph identity), 3 (no
-	// epoch block) or 4.
-	Format int
 	// N is the node count recorded in the header.
 	N int32
-	// GraphFingerprint is graph.Fingerprint() at save time; empty for
-	// OPIMS1/2 files.
+	// GraphFingerprint is graph.Fingerprint() at save time.
 	GraphFingerprint string
 	// GraphSpec is the cliutil.GraphSpec string the graph was loaded from;
-	// empty for OPIMS1/2 files or sessions without SetGraphIdentity.
+	// empty for sessions without SetGraphIdentity.
 	GraphSpec string
 	// GraphName is the catalog name the session referenced; empty outside
 	// a catalog.
 	GraphName string
 	// Epoch is the graph's mutation-batch count at save time, and Lineage
-	// its epoch-chain hash (graph.EpochLineage). Zero/empty for pre-OPIMS4
-	// files, which always describe an epoch-0 graph.
+	// its epoch-chain hash (graph.EpochLineage).
 	Epoch   int64
 	Lineage string
-	// Ext is the OPIMS5 opaque extension blob (nil for earlier formats or
-	// sessions without one). It is also restored onto the loaded Online
+	// Ext is the opaque extension blob (nil for sessions without one). It
+	// is also restored onto the loaded Online
 	// (Extension); the meta copy lets a resolver inspect application state
 	// before committing to the load.
 	Ext []byte
@@ -98,13 +84,9 @@ type SessionMeta struct {
 	AcceptStale bool
 }
 
-// Verified reports whether the file carries a graph fingerprint, i.e.
-// whether LoadSessionResolve can prove the sampler's graph is the one the
-// session was generated on.
-func (m *SessionMeta) Verified() bool { return m.GraphFingerprint != "" }
-
-// SaveSession serializes o in OPIMS3 form, recording the sampler graph's
-// content fingerprint plus the session's SetGraphIdentity labels.
+// SaveSession serializes o in OPIMS5 form, recording the sampler graph's
+// content fingerprint, epoch and lineage plus the session's
+// SetGraphIdentity labels and extension blob.
 // LoadSession must be given a sampler equivalent to the original (same
 // graph, same model); the fingerprint makes "same graph" checkable instead
 // of trusted.
@@ -127,7 +109,7 @@ func SaveSession(w io.Writer, o *Online) error {
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
-	// OPIMS2 extension: Exact flag + base-seed set. Without these a resumed
+	// Exact flag + base-seed set. Without these a resumed
 	// augmentation session would silently report non-residual σˡ/σᵘ/α and a
 	// resumed Exact session would fall back to martingale bounds.
 	var ext [5]byte
@@ -145,17 +127,16 @@ func SaveSession(w io.Writer, o *Online) error {
 			return err
 		}
 	}
-	// OPIMS3 extension: the graph-identity block. The fingerprint is always
-	// present (recomputed from the live sampler, so even a session resumed
-	// from a legacy file upgrades on its next save); name and spec are
-	// whatever SetGraphIdentity recorded, possibly empty.
+	// The graph-identity block. The fingerprint is recomputed from the live
+	// sampler; name and spec are whatever SetGraphIdentity recorded,
+	// possibly empty.
 	for _, s := range []string{o.sampler.Graph().Fingerprint(), o.graphSpec, o.graphName} {
 		if err := writeString16(bw, s); err != nil {
 			return err
 		}
 	}
-	// OPIMS4 extension: the epoch block, read straight off the sampler's
-	// graph — a session repaired onto epoch k checkpoints as epoch k.
+	// The epoch block, read straight off the sampler's graph — a session
+	// repaired onto epoch k checkpoints as epoch k.
 	var eb [8]byte
 	binary.LittleEndian.PutUint64(eb[:], uint64(o.sampler.Graph().Epoch()))
 	if _, err := bw.Write(eb[:]); err != nil {
@@ -164,7 +145,7 @@ func SaveSession(w io.Writer, o *Online) error {
 	if err := writeString16(bw, o.sampler.Graph().EpochLineage()); err != nil {
 		return err
 	}
-	// OPIMS5 extension: the opaque application blob (length 0 when unset).
+	// The opaque application blob (length 0 when unset).
 	if len(o.ext) > maxSessionExt {
 		return fmt.Errorf("core: session extension of %d bytes exceeds format limit", len(o.ext))
 	}
@@ -186,11 +167,9 @@ func SaveSession(w io.Writer, o *Online) error {
 }
 
 // LoadSession restores a session saved by SaveSession onto sampler, which
-// must be built over the same graph and diffusion model as the original.
-// OPIMS3 files carry the source graph's fingerprint, and a sampler over a
-// different graph is refused with ErrGraphMismatch; legacy OPIMS1/2 files
-// load with only the node-count guard (use LoadSessionResolve to learn
-// whether the graph was actually verified).
+// must be built over the same graph and diffusion model as the original:
+// a sampler over a graph with a different fingerprint is refused with
+// ErrGraphMismatch.
 func LoadSession(r io.Reader, sampler *rrset.Sampler) (*Online, error) {
 	o, _, err := LoadSessionResolve(r, func(*SessionMeta) (*rrset.Sampler, error) {
 		return sampler, nil
@@ -200,37 +179,26 @@ func LoadSession(r io.Reader, sampler *rrset.Sampler) (*Online, error) {
 
 // LoadSessionResolve restores a serialized session, letting the caller
 // choose the sampler after seeing the file's graph identity: resolve
-// receives the SessionMeta (format version, node count, graph fingerprint/
-// spec/name) and returns the sampler to load onto — this is how a
+// receives the SessionMeta (node count, graph fingerprint/spec/name,
+// epoch/lineage) and returns the sampler to load onto — this is how a
 // multi-graph server routes each checkpoint to its own graph, or registers
 // a missing one from the recorded spec. An error from resolve aborts the
 // load unchanged.
 //
 // After resolution the sampler's graph is checked against the recorded
-// node count (ErrBadSession) and, when the file is OPIMS3, its content
-// fingerprint (ErrGraphMismatch) — a reweighted or re-scaled graph loads
-// as a hard error, never as silently wrong guarantees.
+// node count (ErrBadSession) and content fingerprint (ErrGraphMismatch,
+// unless the resolver set AcceptStale) — a reweighted or re-scaled graph
+// loads as a hard error, never as silently wrong guarantees.
 func LoadSessionResolve(r io.Reader, resolve func(*SessionMeta) (*rrset.Sampler, error)) (*Online, *SessionMeta, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(sessionMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, nil, fmt.Errorf("%w: short magic: %v", ErrBadSession, err)
 	}
-	meta := &SessionMeta{}
-	switch string(magic) {
-	case sessionMagic:
-		meta.Format = 5
-	case sessionMagicV4:
-		meta.Format = 4
-	case sessionMagicV3:
-		meta.Format = 3
-	case sessionMagicV2:
-		meta.Format = 2
-	case sessionMagicV1:
-		meta.Format = 1
-	default:
+	if string(magic) != sessionMagic {
 		return nil, nil, fmt.Errorf("%w: magic %q", ErrBadSession, magic)
 	}
+	meta := &SessionMeta{}
 	var hdr [45]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, nil, fmt.Errorf("%w: short header: %v", ErrBadSession, err)
@@ -246,67 +214,58 @@ func LoadSessionResolve(r io.Reader, resolve func(*SessionMeta) (*rrset.Sampler,
 		UnionBudget: hdr[36] == 1,
 	}
 	queries := int(binary.LittleEndian.Uint64(hdr[37:45]))
-	if meta.Format >= 2 {
-		var ext [5]byte
-		if _, err := io.ReadFull(br, ext[:]); err != nil {
-			return nil, nil, fmt.Errorf("%w: short OPIMS2 extension: %v", ErrBadSession, err)
+	var ext [5]byte
+	if _, err := io.ReadFull(br, ext[:]); err != nil {
+		return nil, nil, fmt.Errorf("%w: short base-seed header: %v", ErrBadSession, err)
+	}
+	opts.Exact = ext[0] == 1
+	nBase := binary.LittleEndian.Uint32(ext[1:5])
+	if int64(nBase) > int64(n) {
+		return nil, nil, fmt.Errorf("%w: %d base seeds on a graph of n=%d", ErrBadSession, nBase, n)
+	}
+	if nBase > 0 {
+		raw := make([]byte, 4*nBase)
+		if _, err := io.ReadFull(br, raw); err != nil {
+			return nil, nil, fmt.Errorf("%w: short base-seed block: %v", ErrBadSession, err)
 		}
-		opts.Exact = ext[0] == 1
-		nBase := binary.LittleEndian.Uint32(ext[1:5])
-		if int64(nBase) > int64(n) {
-			return nil, nil, fmt.Errorf("%w: %d base seeds on a graph of n=%d", ErrBadSession, nBase, n)
-		}
-		if nBase > 0 {
-			raw := make([]byte, 4*nBase)
-			if _, err := io.ReadFull(br, raw); err != nil {
-				return nil, nil, fmt.Errorf("%w: short base-seed block: %v", ErrBadSession, err)
-			}
-			opts.BaseSeeds = make([]int32, nBase)
-			for i := range opts.BaseSeeds {
-				opts.BaseSeeds[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
-			}
+		opts.BaseSeeds = make([]int32, nBase)
+		for i := range opts.BaseSeeds {
+			opts.BaseSeeds[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
 		}
 	}
-	if meta.Format >= 3 {
-		var err error
-		if meta.GraphFingerprint, err = readString16(br, "graph fingerprint"); err != nil {
-			return nil, nil, err
-		}
-		if meta.GraphSpec, err = readString16(br, "graph spec"); err != nil {
-			return nil, nil, err
-		}
-		if meta.GraphName, err = readString16(br, "graph name"); err != nil {
-			return nil, nil, err
-		}
+	var err error
+	if meta.GraphFingerprint, err = readString16(br, "graph fingerprint"); err != nil {
+		return nil, nil, err
 	}
-	if meta.Format >= 4 {
-		var eb [8]byte
-		if _, err := io.ReadFull(br, eb[:]); err != nil {
-			return nil, nil, fmt.Errorf("%w: short epoch block: %v", ErrBadSession, err)
-		}
-		meta.Epoch = int64(binary.LittleEndian.Uint64(eb[:]))
-		var err error
-		if meta.Lineage, err = readString16(br, "epoch lineage"); err != nil {
-			return nil, nil, err
-		}
-		if meta.Epoch < 0 {
-			return nil, nil, fmt.Errorf("%w: negative epoch %d", ErrBadSession, meta.Epoch)
-		}
+	if meta.GraphSpec, err = readString16(br, "graph spec"); err != nil {
+		return nil, nil, err
 	}
-	if meta.Format >= 5 {
-		var xl [4]byte
-		if _, err := io.ReadFull(br, xl[:]); err != nil {
-			return nil, nil, fmt.Errorf("%w: short extension length: %v", ErrBadSession, err)
-		}
-		extLen := binary.LittleEndian.Uint32(xl[:])
-		if extLen > maxSessionExt {
-			return nil, nil, fmt.Errorf("%w: extension blob of %d bytes exceeds format limit", ErrBadSession, extLen)
-		}
-		if extLen > 0 {
-			meta.Ext = make([]byte, extLen)
-			if _, err := io.ReadFull(br, meta.Ext); err != nil {
-				return nil, nil, fmt.Errorf("%w: short extension blob: %v", ErrBadSession, err)
-			}
+	if meta.GraphName, err = readString16(br, "graph name"); err != nil {
+		return nil, nil, err
+	}
+	var eb [8]byte
+	if _, err := io.ReadFull(br, eb[:]); err != nil {
+		return nil, nil, fmt.Errorf("%w: short epoch block: %v", ErrBadSession, err)
+	}
+	meta.Epoch = int64(binary.LittleEndian.Uint64(eb[:]))
+	if meta.Lineage, err = readString16(br, "epoch lineage"); err != nil {
+		return nil, nil, err
+	}
+	if meta.Epoch < 0 {
+		return nil, nil, fmt.Errorf("%w: negative epoch %d", ErrBadSession, meta.Epoch)
+	}
+	var xl [4]byte
+	if _, err := io.ReadFull(br, xl[:]); err != nil {
+		return nil, nil, fmt.Errorf("%w: short extension length: %v", ErrBadSession, err)
+	}
+	extLen := binary.LittleEndian.Uint32(xl[:])
+	if extLen > maxSessionExt {
+		return nil, nil, fmt.Errorf("%w: extension blob of %d bytes exceeds format limit", ErrBadSession, extLen)
+	}
+	if extLen > 0 {
+		meta.Ext = make([]byte, extLen)
+		if _, err := io.ReadFull(br, meta.Ext); err != nil {
+			return nil, nil, fmt.Errorf("%w: short extension blob: %v", ErrBadSession, err)
 		}
 	}
 
@@ -317,7 +276,7 @@ func LoadSessionResolve(r io.Reader, resolve func(*SessionMeta) (*rrset.Sampler,
 	if got := sampler.Graph().N(); got != n && !(meta.AcceptStale && got > n) {
 		return nil, meta, fmt.Errorf("%w: session is for n=%d, sampler has n=%d", ErrBadSession, n, got)
 	}
-	if meta.Verified() && !meta.AcceptStale {
+	if !meta.AcceptStale {
 		if got := sampler.Graph().Fingerprint(); got != meta.GraphFingerprint {
 			return nil, meta, fmt.Errorf("%w: session was saved on graph %s, sampler has %s",
 				ErrGraphMismatch, meta.GraphFingerprint, got)

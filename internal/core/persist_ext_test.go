@@ -1,9 +1,8 @@
 package core
 
-// OPIMS5 coverage: the opaque extension blob must round-trip byte-for-byte
-// (it carries opimd's learner state across kill −9), an OPIMS4 file must
-// still load — with an empty blob — and a corrupt extension length must be
-// refused instead of driving a huge allocation.
+// Extension-blob coverage: the opaque blob must round-trip byte-for-byte
+// (it carries opimd's learner state across kill −9), and a corrupt
+// extension length must be refused instead of driving a huge allocation.
 
 import (
 	"bytes"
@@ -39,10 +38,7 @@ func TestSaveSessionRoundTripsExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Format != 5 {
-		t.Fatalf("format = %d, want 5", meta.Format)
-	}
-	if !bytes.Equal(restored.Extension(), blob) {
+	if !bytes.Equal(meta.Ext, blob) || !bytes.Equal(restored.Extension(), blob) {
 		t.Fatalf("extension round-tripped as %q, want %q", restored.Extension(), blob)
 	}
 
@@ -76,46 +72,6 @@ func TestSaveSessionEmptyExtension(t *testing.T) {
 	}
 	if meta.Ext != nil || restored.Extension() != nil {
 		t.Fatalf("empty extension loaded as %v / %v, want nil", meta.Ext, restored.Extension())
-	}
-}
-
-// TestLoadSessionReadsOPIMS4 keeps the previous on-disk generation
-// loadable: a V4 file is a V5 file minus the extension block, so rewriting
-// the magic and splicing out the blob yields a valid OPIMS4 checkpoint
-// that must load with Format 4 and an empty extension.
-func TestLoadSessionReadsOPIMS4(t *testing.T) {
-	g := testGraph(t, 200, 95)
-	s := rrset.NewSampler(g, diffusion.IC)
-	o, err := NewOnline(s, Options{K: 3, Delta: 0.1, Seed: 96})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Advance(100)
-	var buf bytes.Buffer
-	if err := SaveSession(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	// Locate the extension length field: it sits right before the first
-	// collection frame ("OPIMR3\n").
-	idx := bytes.Index(raw, []byte("OPIMR"))
-	if idx < 4 {
-		t.Fatal("collection frame not found")
-	}
-	if got := binary.LittleEndian.Uint32(raw[idx-4 : idx]); got != 0 {
-		t.Fatalf("extension length = %d, want 0", got)
-	}
-	v4 := append([]byte("OPIMS4\n"), raw[len("OPIMS5\n"):idx-4]...)
-	v4 = append(v4, raw[idx:]...)
-	restored, meta, err := LoadSessionResolve(bytes.NewReader(v4), func(*SessionMeta) (*rrset.Sampler, error) { return s, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Format != 4 || restored.Extension() != nil {
-		t.Fatalf("V4 load: format=%d ext=%v, want 4/nil", meta.Format, restored.Extension())
-	}
-	if restored.NumRR() != o.NumRR() {
-		t.Fatalf("V4 load lost RR sets: %d vs %d", restored.NumRR(), o.NumRR())
 	}
 }
 

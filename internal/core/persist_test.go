@@ -2,9 +2,7 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"math"
 	"strings"
 	"testing"
 
@@ -145,64 +143,6 @@ func TestSaveLoadRoundTripBaseSeedsExact(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("resumed session state is not byte-identical to the uninterrupted run")
-	}
-}
-
-// saveSessionV1 writes the legacy OPIMS1 format (no Exact, no BaseSeeds),
-// byte-for-byte what the previous SaveSession produced — the fixture for
-// backward-compatibility reads.
-func saveSessionV1(t *testing.T, o *Online) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString("OPIMS1\n")
-	var hdr [45]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(o.sampler.Graph().N()))
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(o.opts.K))
-	binary.LittleEndian.PutUint64(hdr[12:20], math.Float64bits(o.opts.Delta))
-	binary.LittleEndian.PutUint32(hdr[20:24], uint32(o.opts.Variant))
-	binary.LittleEndian.PutUint64(hdr[24:32], o.opts.Seed)
-	binary.LittleEndian.PutUint32(hdr[32:36], uint32(o.opts.Workers))
-	if o.opts.UnionBudget {
-		hdr[36] = 1
-	}
-	binary.LittleEndian.PutUint64(hdr[37:45], uint64(o.queries))
-	buf.Write(hdr[:])
-	if err := rrset.WriteCollection(&buf, o.r1); err != nil {
-		t.Fatal(err)
-	}
-	if err := rrset.WriteCollection(&buf, o.r2); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestLoadSessionReadsOPIMS1 proves checkpoints written before the format
-// bump still resume, with the fields OPIMS1 could not carry at their
-// legacy values.
-func TestLoadSessionReadsOPIMS1(t *testing.T) {
-	g := testGraph(t, 300, 53)
-	s := rrset.NewSampler(g, diffusion.IC)
-	o, err := NewOnline(s, Options{K: 5, Delta: 0.05, Variant: Plus, Seed: 54, UnionBudget: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Advance(800)
-	o.Snapshot()
-
-	restored, err := LoadSession(bytes.NewReader(saveSessionV1(t, o)), s)
-	if err != nil {
-		t.Fatalf("OPIMS1 no longer loads: %v", err)
-	}
-	got := restored.Options()
-	if got.Exact || got.BaseSeeds != nil {
-		t.Fatalf("OPIMS1 load invented Exact=%v BaseSeeds=%v", got.Exact, got.BaseSeeds)
-	}
-	if restored.Queries() != 1 || restored.NumRR() != 800 {
-		t.Fatalf("OPIMS1 load: queries=%d num_rr=%d", restored.Queries(), restored.NumRR())
-	}
-	a, b := o.Snapshot(), restored.Snapshot()
-	if a.Alpha != b.Alpha || a.DeltaSpent != b.DeltaSpent {
-		t.Fatalf("snapshots differ after OPIMS1 restore: %v vs %v", a, b)
 	}
 }
 

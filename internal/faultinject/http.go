@@ -81,7 +81,7 @@ func (t *SlowRoundTripper) RoundTrip(req *http.Request) (*http.Response, error) 
 // body: with probability p the body is truncated after a seed-chosen
 // fraction of reads and the next read returns ErrInjected — the TCP
 // connection dying mid-response. The status line and headers arrive
-// intact, so only integrity checks on the payload (the OPIMR2 CRC
+// intact, so only integrity checks on the payload (the OPIMR3 CRC
 // trailer, say) can tell a torn delivery from a complete one.
 type TornBodyRoundTripper struct {
 	// Next is the underlying transport; nil means http.DefaultTransport.

@@ -808,7 +808,7 @@ func (r *run) generateRPC(w *workerState, l *lease) (*rrset.Collection, error) {
 	}
 	cc, err := rrset.ReadCollection(resp.Body)
 	if err != nil {
-		// Torn or corrupted transfer; the OPIMR2 CRC trailer turns it
+		// Torn or corrupted transfer; the OPIMR3 CRC trailer turns it
 		// into a clean retryable error instead of silent bad data.
 		return nil, fmt.Errorf("fleet: %s: chunk decode: %w", w.url, err)
 	}

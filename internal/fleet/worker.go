@@ -15,7 +15,7 @@
 // Delivery is at-least-once (failed or slow leases are reassigned, possibly
 // racing the original), merge is exactly-once (first completed delivery of
 // a lease wins; duplicates are discarded and counted). Torn or corrupted
-// transfers are caught by the OPIMR2 CRC trailer and retried. A fleet with
+// transfers are caught by the OPIMR3 CRC trailer and retried. A fleet with
 // zero healthy workers degrades to local in-process sampling — generation
 // never fails, it only gets slower and louder (metrics + event + log).
 package fleet
@@ -215,7 +215,7 @@ func (w *Worker) handleGenerate(rw http.ResponseWriter, r *http.Request) {
 
 	// Serialize to memory first so the response carries a Content-Length;
 	// a truncated transfer is then detectable at the TCP layer as well as
-	// by the OPIMR2 CRC trailer.
+	// by the OPIMR3 CRC trailer.
 	var buf bytes.Buffer
 	if err := rrset.WriteCollection(&buf, cc); err != nil {
 		http.Error(rw, "serialize: "+err.Error(), http.StatusInternalServerError)

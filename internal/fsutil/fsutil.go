@@ -33,7 +33,7 @@ const tmpSuffix = ".tmp"
 // current generation at path is left untouched — a torn write can never
 // clobber the last good copy. A crash between steps 2 and 3 leaves no
 // current file but a good path.prev, which is why readers must fall back
-// to the previous generation (see server.LoadCheckpoint).
+// to the previous generation (as the server's checkpoint restore does).
 func WriteAtomic(path string, write func(io.Writer) error) (int64, error) {
 	tmp := path + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)

@@ -108,9 +108,7 @@ func (c *Collection) InvalidatedBy(batches ...[]graph.Mutation) []int32 {
 // handed out via SetsCoveringShared are never written.
 //
 // Sampling work is O(len(invalid)·cost-per-set) across workers (≤ 0 means
-// GOMAXPROCS); a collection without per-set γ (HasPerSetGamma false, a
-// legacy OPIMR1/2 load) silently widens to a full regeneration, which
-// restores tracking. Returns the number of sets regenerated.
+// GOMAXPROCS). Returns the number of sets regenerated.
 func (c *Collection) Repair(s *Sampler, base *rng.Source, invalid []int32, workers int) int {
 	t0 := time.Now()
 	defer func() { mRepairTime.Observe(time.Since(t0)) }()
@@ -126,11 +124,6 @@ func (c *Collection) Repair(s *Sampler, base *rng.Source, invalid []int32, worke
 	count := c.Count()
 	if len(invalid) == 0 {
 		return 0
-	}
-	if !c.HasPerSetGamma() && len(invalid) < count {
-		// Without per-set γ the cumulative count cannot be patched exactly;
-		// widen to a full regeneration (correct, and tracking is restored).
-		invalid = c.allIDs()
 	}
 	mRegenerated.Add(int64(len(invalid)))
 
@@ -164,22 +157,12 @@ func (c *Collection) Repair(s *Sampler, base *rng.Source, invalid []int32, worke
 	}
 	newPool := make([]int32, 0, int64(len(c.pool))-invalidOldSize+int64(len(regenPool)))
 	newOffs := make([]int64, 1, count+1)
-	full := len(invalid) == count
-	if full {
-		c.edgesExamined = 0
-		c.exam = c.exam[:0]
-	}
 	k := 0
 	for id := int32(0); int(id) < count; id++ {
 		if k < len(invalid) && id == invalid[k] {
 			newPool = append(newPool, regenPool[regenOffs[k]:regenOffs[k+1]]...)
-			if full {
-				c.exam = append(c.exam, regenExam[k])
-				c.edgesExamined += regenExam[k]
-			} else {
-				c.edgesExamined += regenExam[k] - c.exam[id]
-				c.exam[id] = regenExam[k]
-			}
+			c.edgesExamined += regenExam[k] - c.exam[id]
+			c.exam[id] = regenExam[k]
 			k++
 		} else {
 			newPool = append(newPool, c.pool[c.offs[id]:c.offs[id+1]]...)
@@ -264,11 +247,6 @@ func (c *Collection) RepairWeightOnly(s *Sampler, base *rng.Source, invalid []in
 	if len(invalid) == 0 {
 		return 0
 	}
-	if !c.HasPerSetGamma() && len(invalid) < count {
-		// Same widening as Repair: without per-set γ the cumulative count
-		// cannot be patched exactly.
-		invalid = c.allIDs()
-	}
 	mRegenerated.Add(int64(len(invalid)))
 
 	regenPool, regenOffs, regenExam := resampleIDs(s, base, invalid, workers)
@@ -286,20 +264,11 @@ func (c *Collection) RepairWeightOnly(s *Sampler, base *rng.Source, invalid []in
 	}
 	mRepairUnchanged.Add(int64(len(invalid) - numChanged))
 
-	// γ tracking always refreshes from the regenerated counts (for an
-	// unchanged set the trace is identical, so this is a no-op in value).
-	if full := len(invalid) == count; full {
-		c.edgesExamined = 0
-		c.exam = c.exam[:0]
-		for k := range invalid {
-			c.exam = append(c.exam, regenExam[k])
-			c.edgesExamined += regenExam[k]
-		}
-	} else {
-		for k, id := range invalid {
-			c.edgesExamined += regenExam[k] - c.exam[id]
-			c.exam[id] = regenExam[k]
-		}
+	// γ always refreshes from the regenerated counts (for an unchanged set
+	// the trace is identical, so this is a no-op in value).
+	for k, id := range invalid {
+		c.edgesExamined += regenExam[k] - c.exam[id]
+		c.exam[id] = regenExam[k]
 	}
 	if numChanged == 0 {
 		// Every invalidated set resampled to its existing bytes: the pool,
@@ -423,8 +392,3 @@ func (c *Collection) allIDs() []int32 {
 	}
 	return ids
 }
-
-// AllIDs is the exported form of allIDs for callers (core's epoch catch-up)
-// that must force a full regeneration, e.g. after a node add or when a
-// legacy checkpoint lost per-set γ tracking.
-func (c *Collection) AllIDs() []int32 { return c.allIDs() }

@@ -167,39 +167,6 @@ func TestRepairNodeAddInvalidatesAll(t *testing.T) {
 	requireIdenticalFull(t, want, c, "node add")
 }
 
-// TestRepairWidensWithoutPerSetGamma: a collection that lost per-set γ
-// tracking (legacy OPIMR1/2 load) cannot patch the cumulative count for a
-// partial repair, so Repair silently widens to a full regeneration — and
-// tracking is restored afterwards.
-func TestRepairWidensWithoutPerSetGamma(t *testing.T) {
-	g := repairTestGraph(t)
-	ms := mutationBatch(t, g)
-	mg, err := g.WithMutations(ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const count = 400
-	c := NewCollection(g.N())
-	Generate(c, NewSampler(g, diffusion.IC), count, rng.New(21), 3)
-	c.exam = nil // simulate a legacy load
-	if c.HasPerSetGamma() {
-		t.Fatal("fixture still tracks per-set gamma")
-	}
-	invalid := c.InvalidatedBy(ms)
-	if len(invalid) >= count {
-		t.Fatalf("invalidation not partial: %d of %d", len(invalid), count)
-	}
-	if n := c.Repair(NewSampler(mg, diffusion.IC), rng.New(21), invalid, 3); n != count {
-		t.Fatalf("Repair regenerated %d, want full %d", n, count)
-	}
-	if !c.HasPerSetGamma() {
-		t.Fatal("full regeneration did not restore per-set gamma tracking")
-	}
-	want := NewCollection(mg.N())
-	Generate(want, NewSampler(mg, diffusion.IC), count, rng.New(21), 3)
-	requireIdenticalFull(t, want, c, "widened repair")
-}
-
 // TestRepairCostProportionalToInvalidated pins the O(f·θ) acceptance bound
 // through the metrics: repairing after a batch that invalidates f% of θ
 // sets advances rrset_regenerated_total by f·θ — not by θ — while a
@@ -288,11 +255,10 @@ func TestSetsCoveringStableAcrossRepair(t *testing.T) {
 	}
 }
 
-// TestSerializePerSetGamma: the OPIMR3 frame round-trips per-set γ, and a
-// collection without tracking falls back to the OPIMR2 frame.
+// TestSerializePerSetGamma: the OPIMR3 frame round-trips per-set γ.
 func TestSerializePerSetGamma(t *testing.T) {
 	c, _ := sampleCollection(t)
-	if !c.HasPerSetGamma() {
+	if len(c.exam) != c.Count() {
 		t.Fatal("generated collection lost per-set gamma")
 	}
 	var buf bytes.Buffer
@@ -300,29 +266,13 @@ func TestSerializePerSetGamma(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.HasPrefix(buf.Bytes(), []byte("OPIMR3\n")) {
-		t.Fatalf("tracking collection wrote magic %q", buf.Bytes()[:7])
+		t.Fatalf("collection wrote magic %q", buf.Bytes()[:7])
 	}
 	got, err := ReadCollection(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.HasPerSetGamma() || !reflect.DeepEqual(got.exam, c.exam) {
+	if !reflect.DeepEqual(got.exam, c.exam) {
 		t.Fatal("per-set gamma did not round-trip")
-	}
-
-	c.exam = nil
-	buf.Reset()
-	if err := WriteCollection(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte("OPIMR2\n")) {
-		t.Fatalf("legacy collection wrote magic %q", buf.Bytes()[:7])
-	}
-	got, err = ReadCollection(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.HasPerSetGamma() {
-		t.Fatal("V2 frame decoded with per-set gamma")
 	}
 }

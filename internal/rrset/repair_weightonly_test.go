@@ -153,33 +153,3 @@ func TestRepairWeightOnlyMultiBatchCatchUp(t *testing.T) {
 	Generate(want, NewSampler(g2, diffusion.LT), count, rng.New(5), 4)
 	requireIdenticalFull(t, want, c, "weight-only two-batch catch-up")
 }
-
-// TestRepairWeightOnlyWidensWithoutPerSetGamma mirrors the general path's
-// widening rule: without per-set γ a partial weight-only repair cannot
-// patch the cumulative count, so it regenerates everything and restores
-// tracking.
-func TestRepairWeightOnlyWidensWithoutPerSetGamma(t *testing.T) {
-	g := repairTestGraph(t)
-	ms := weightOnlyBatch(t, g)
-	mg, err := g.WithMutations(ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const count = 400
-	c := NewCollection(g.N())
-	Generate(c, NewSampler(g, diffusion.IC), count, rng.New(21), 3)
-	c.exam = nil // simulate a legacy load
-	invalid := c.InvalidatedBy(ms)
-	if len(invalid) >= count {
-		t.Fatalf("invalidation not partial: %d of %d", len(invalid), count)
-	}
-	if n := c.RepairWeightOnly(NewSampler(mg, diffusion.IC), rng.New(21), invalid, 3); n != count {
-		t.Fatalf("RepairWeightOnly regenerated %d, want full %d", n, count)
-	}
-	if !c.HasPerSetGamma() {
-		t.Fatal("full regeneration did not restore per-set gamma tracking")
-	}
-	want := NewCollection(mg.N())
-	Generate(want, NewSampler(mg, diffusion.IC), count, rng.New(21), 3)
-	requireIdenticalFull(t, want, c, "widened weight-only repair")
-}

@@ -284,12 +284,8 @@ type Collection struct {
 
 	// exam[id] is the edges-examined count of set id — the per-set γ that
 	// Repair needs to keep the cumulative edgesExamined byte-identical to a
-	// from-scratch resample after replacing individual sets. Tracking is
-	// all-or-nothing: len(exam) == Count() while every set arrived with its
-	// own count (Add, Generate, AppendCollection from a tracking source,
-	// OPIMR3 decode); appending from a legacy source (OPIMR1/2 files) drops
-	// tracking permanently (HasPerSetGamma reports false) and Repair then
-	// falls back to full regeneration.
+	// from-scratch resample after replacing individual sets.
+	// len(exam) == Count() always.
 	exam []int64
 
 	// covPool recycles CoverageScratch values for the allocation-free
@@ -318,18 +314,11 @@ func (c *Collection) TotalSize() int64 { return int64(len(c.pool)) }
 // EdgesExamined returns the cumulative γ across all Add calls.
 func (c *Collection) EdgesExamined() int64 { return c.edgesExamined }
 
-// HasPerSetGamma reports whether every stored set carries its own
-// edges-examined count (see the exam field) — the precondition for
-// Repair's targeted regeneration to reproduce the cumulative γ exactly.
-func (c *Collection) HasPerSetGamma() bool { return len(c.exam) == c.Count() }
-
 // Add appends one RR set (copying nodes) and credits edgesExamined to γ.
 // It returns the new set's id.
 func (c *Collection) Add(nodes []int32, edgesExamined int64) int32 {
 	id := int32(c.Count())
-	if len(c.exam) == int(id) {
-		c.exam = append(c.exam, edgesExamined)
-	}
+	c.exam = append(c.exam, edgesExamined)
 	c.pool = append(c.pool, nodes...)
 	c.offs = append(c.offs, int64(len(c.pool)))
 	for _, v := range nodes {
@@ -345,23 +334,13 @@ func (c *Collection) Add(nodes []int32, edgesExamined int64) int32 {
 // range order produces pool, offsets and index bytes identical to having
 // generated the whole batch locally, no matter which process produced each
 // chunk or how many times a chunk was re-produced before one copy won.
-// Per-set γ tracking survives the merge when src carries it; a legacy src
-// (no per-set counts) drops c's tracking.
 func (c *Collection) AppendCollection(src *Collection) error {
 	if src.n != c.n {
 		return fmt.Errorf("rrset: appending a collection for n=%d onto n=%d", src.n, c.n)
 	}
-	if src.HasPerSetGamma() {
-		for id := int32(0); int(id) < src.Count(); id++ {
-			c.Add(src.Set(id), src.exam[id])
-		}
-		return nil
-	}
 	for id := int32(0); int(id) < src.Count(); id++ {
-		c.Add(src.Set(id), 0)
+		c.Add(src.Set(id), src.exam[id])
 	}
-	c.exam = nil // tracking lost: per-set counts unknown for src's sets
-	c.edgesExamined += src.edgesExamined
 	return nil
 }
 
@@ -569,12 +548,9 @@ func (c *Collection) mergeChunks(chunks []chunk) {
 		copy(c.pool[oldPoolLen+poolBase[w]:], ck.pool)
 		rebaseOffsets(c.offs[1+oldCount+setBase[w]:], oldPoolLen+poolBase[w], ck.offs)
 	})
-	perSet := len(c.exam) == oldCount
 	for w := range chunks {
 		c.edgesExamined += chunks[w].examined
-		if perSet {
-			c.exam = append(c.exam, chunks[w].exam...)
-		}
+		c.exam = append(c.exam, chunks[w].exam...)
 	}
 
 	// Phases 3–4 — inverted index, two-pass counting build:

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 )
@@ -16,23 +15,14 @@ import (
 // uint32 CRC-32C of every byte between the magic and the trailer. The
 // inverted index is rebuilt on load.
 //
-// The per-set γ block is what distinguishes OPIMR3 from OPIMR2: it is the
-// state Repair needs to patch the cumulative edges-examined count exactly
-// when individual RR sets are regenerated after a graph mutation. A
-// collection that lost tracking (appended from a legacy source) writes V2 —
-// same frame minus the block — and a V1/V2 load yields HasPerSetGamma()
-// false, making Repair fall back to full regeneration. The CRC trailer is
-// what distinguishes V2 from V1: the V1 frame detects truncation (every
-// field is length-checked) but an in-range bit flip in the pool passes
-// silently — intolerable once collections travel over a network between
-// fleet workers and their coordinator, or sit in checkpoints for days.
-// All three versions remain readable.
-
-const (
-	collectionMagic   = "OPIMR3\n"
-	collectionMagicV2 = "OPIMR2\n"
-	collectionMagicV1 = "OPIMR1\n"
-)
+// The per-set γ block is the state Repair needs to patch the cumulative
+// edges-examined count exactly when individual RR sets are regenerated
+// after a graph mutation. The CRC trailer catches what length checks
+// cannot: an in-range bit flip in the pool, which matters once
+// collections travel over a network between fleet workers and their
+// coordinator, or sit in checkpoints for days. OPIMR3 is the only frame
+// written or read.
+const collectionMagic = "OPIMR3\n"
 
 // crcTable is Castagnoli, hardware-accelerated on both amd64 and arm64.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -40,16 +30,10 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // ErrBadCollection reports a malformed serialized collection.
 var ErrBadCollection = errors.New("rrset: bad collection format")
 
-// WriteCollection serializes c: OPIMR3 when per-set γ tracking is intact,
-// OPIMR2 otherwise.
+// WriteCollection serializes c as an OPIMR3 frame.
 func WriteCollection(w io.Writer, c *Collection) error {
-	perSet := c.HasPerSetGamma()
-	magic := collectionMagic
-	if !perSet {
-		magic = collectionMagicV2
-	}
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
+	if _, err := bw.WriteString(collectionMagic); err != nil {
 		return err
 	}
 	// Everything between magic and trailer runs through the CRC.
@@ -77,12 +61,10 @@ func WriteCollection(w io.Writer, c *Collection) error {
 			return err
 		}
 	}
-	if perSet {
-		for _, e := range c.exam {
-			binary.LittleEndian.PutUint64(b8[:], uint64(e))
-			if _, err := body.Write(b8[:]); err != nil {
-				return err
-			}
+	for _, e := range c.exam {
+		binary.LittleEndian.PutUint64(b8[:], uint64(e))
+		if _, err := body.Write(b8[:]); err != nil {
+			return err
 		}
 	}
 	binary.LittleEndian.PutUint32(b4[:], sum.Sum32())
@@ -92,10 +74,9 @@ func WriteCollection(w io.Writer, c *Collection) error {
 	return bw.Flush()
 }
 
-// ReadCollection deserializes a collection, rebuilding the inverted index.
-// It accepts OPIMR3 (per-set γ block + CRC-32C trailer), OPIMR2 (CRC only —
-// a flipped bit anywhere in header, offsets or pool is ErrBadCollection)
-// and legacy OPIMR1 (no trailer, truncation-checked only). It reads exactly
+// ReadCollection deserializes an OPIMR3 frame, rebuilding the inverted
+// index; a flipped bit anywhere between magic and trailer is
+// ErrBadCollection. It reads exactly
 // the collection's bytes from r beyond any internal buffering shared with
 // the caller, so collections embedded in a larger stream (session
 // checkpoints) decode back to back.
@@ -105,22 +86,11 @@ func ReadCollection(r io.Reader) (*Collection, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("%w: short magic: %v", ErrBadCollection, err)
 	}
-	perSet := false
-	var sum hash.Hash32
-	var body io.Reader = br
-	switch string(magic) {
-	case collectionMagic:
-		perSet = true
-		sum = crc32.New(crcTable)
-		body = io.TeeReader(br, sum)
-	case collectionMagicV2:
-		sum = crc32.New(crcTable)
-		body = io.TeeReader(br, sum)
-	case collectionMagicV1:
-		// Legacy: no trailer, nothing to verify.
-	default:
+	if string(magic) != collectionMagic {
 		return nil, fmt.Errorf("%w: magic %q", ErrBadCollection, magic)
 	}
+	sum := crc32.New(crcTable)
+	body := io.TeeReader(br, sum)
 	var hdr [28]byte
 	if _, err := io.ReadFull(body, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrBadCollection, err)
@@ -176,32 +146,28 @@ func ReadCollection(r io.Reader) (*Collection, error) {
 		}
 		c.pool = append(c.pool, v)
 	}
-	if perSet {
-		c.exam = make([]int64, 0, clamp(count))
-		var total int64
-		for i := int64(0); i < count; i++ {
-			if _, err := io.ReadFull(body, b8[:]); err != nil {
-				return nil, fmt.Errorf("%w: short per-set gamma block: %v", ErrBadCollection, err)
-			}
-			e := int64(binary.LittleEndian.Uint64(b8[:]))
-			if e < 0 {
-				return nil, fmt.Errorf("%w: negative per-set gamma %d", ErrBadCollection, e)
-			}
-			total += e
-			c.exam = append(c.exam, e)
+	c.exam = make([]int64, 0, clamp(count))
+	var total int64
+	for i := int64(0); i < count; i++ {
+		if _, err := io.ReadFull(body, b8[:]); err != nil {
+			return nil, fmt.Errorf("%w: short per-set gamma block: %v", ErrBadCollection, err)
 		}
-		if total != gamma {
-			return nil, fmt.Errorf("%w: per-set gamma sums to %d, header says %d", ErrBadCollection, total, gamma)
+		e := int64(binary.LittleEndian.Uint64(b8[:]))
+		if e < 0 {
+			return nil, fmt.Errorf("%w: negative per-set gamma %d", ErrBadCollection, e)
 		}
+		total += e
+		c.exam = append(c.exam, e)
 	}
-	if sum != nil {
-		want := sum.Sum32() // finalize before the trailer read (it is not CRC'd)
-		if _, err := io.ReadFull(br, b4[:]); err != nil {
-			return nil, fmt.Errorf("%w: short CRC trailer: %v", ErrBadCollection, err)
-		}
-		if got := binary.LittleEndian.Uint32(b4[:]); got != want {
-			return nil, fmt.Errorf("%w: CRC mismatch: stored %08x, computed %08x (corrupt payload)", ErrBadCollection, got, want)
-		}
+	if total != gamma {
+		return nil, fmt.Errorf("%w: per-set gamma sums to %d, header says %d", ErrBadCollection, total, gamma)
+	}
+	want := sum.Sum32() // finalize before the trailer read (it is not CRC'd)
+	if _, err := io.ReadFull(br, b4[:]); err != nil {
+		return nil, fmt.Errorf("%w: short CRC trailer: %v", ErrBadCollection, err)
+	}
+	if got := binary.LittleEndian.Uint32(b4[:]); got != want {
+		return nil, fmt.Errorf("%w: CRC mismatch: stored %08x, computed %08x (corrupt payload)", ErrBadCollection, got, want)
 	}
 	// Rebuild the inverted index.
 	for id := int64(0); id < count; id++ {

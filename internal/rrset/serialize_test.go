@@ -146,59 +146,9 @@ func TestScratchEpochWraparound(t *testing.T) {
 	}
 }
 
-// writeCollectionV1 emits the legacy OPIMR1 frame (no CRC trailer), so the
-// compat and corruption tests can exercise exactly what old checkpoints
-// contain.
-func writeCollectionV1(t *testing.T, c *Collection) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString("OPIMR1\n")
-	var hdr [28]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(c.n))
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(c.Count()))
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(c.pool)))
-	binary.LittleEndian.PutUint64(hdr[20:28], uint64(c.edgesExamined))
-	buf.Write(hdr[:])
-	var b8 [8]byte
-	for _, off := range c.offs {
-		binary.LittleEndian.PutUint64(b8[:], uint64(off))
-		buf.Write(b8[:])
-	}
-	var b4 [4]byte
-	for _, v := range c.pool {
-		binary.LittleEndian.PutUint32(b4[:], uint32(v))
-		buf.Write(b4[:])
-	}
-	return buf.Bytes()
-}
-
-// TestReadCollectionV1Compat: OPIMR1 streams (old checkpoints) must stay
-// readable even though the writer now emits OPIMR2.
-func TestReadCollectionV1Compat(t *testing.T) {
-	c, _ := sampleCollection(t)
-	got, err := ReadCollection(bytes.NewReader(writeCollectionV1(t, c)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Count() != c.Count() || got.TotalSize() != c.TotalSize() || got.EdgesExamined() != c.EdgesExamined() {
-		t.Fatal("V1 stream decoded to a different shape")
-	}
-	for i := int32(0); int(i) < c.Count(); i++ {
-		a, b := c.Set(i), got.Set(i)
-		if len(a) != len(b) {
-			t.Fatalf("set %d length differs", i)
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("set %d element %d differs", i, j)
-			}
-		}
-	}
-}
-
-// TestCRCDetectsInRangeBitFlip is the reason OPIMR2 exists: a single bit
-// flip in the pool that keeps every node id in range passes every V1
-// structural check, and must be caught by the CRC trailer.
+// TestCRCDetectsInRangeBitFlip: a single bit flip in the pool that keeps
+// every node id in range passes every structural check, and must be
+// caught by the CRC trailer.
 func TestCRCDetectsInRangeBitFlip(t *testing.T) {
 	c, _ := sampleCollection(t)
 	if c.TotalSize() == 0 {
@@ -218,13 +168,6 @@ func TestCRCDetectsInRangeBitFlip(t *testing.T) {
 	}
 	if _, err := ReadCollection(bytes.NewReader(raw)); !errors.Is(err, ErrBadCollection) {
 		t.Fatalf("in-range bit flip accepted: %v", err)
-	}
-	// Sanity: the same flip on a V1 stream IS silently accepted — the gap
-	// OPIMR2 closes. (Documents the motivation; V1 only detects truncation.)
-	v1 := writeCollectionV1(t, c)
-	v1[poolOff] ^= 1
-	if _, err := ReadCollection(bytes.NewReader(v1)); err != nil {
-		t.Fatalf("V1 unexpectedly rejected the flip (update this test): %v", err)
 	}
 }
 

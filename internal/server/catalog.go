@@ -208,6 +208,14 @@ func (s *Server) acquireGraph(e *graphEntry) (*rrset.Sampler, error) {
 	return e.sampler, nil
 }
 
+// current returns e's current sampler; callers hold a loadedRefs
+// reference, so e is resident.
+func (e *graphEntry) current() *rrset.Sampler {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.sampler
+}
+
 // releaseGraph undoes one acquireGraph (the session left memory).
 func (s *Server) releaseGraph(e *graphEntry) {
 	e.loadedRefs.Add(-1)

@@ -409,7 +409,7 @@ func TestAdoptCheckpointDirMultiGraph(t *testing.T) {
 	// The restarted daemon knows nothing about alpha/beta — adoption must
 	// re-register both from the specs recorded in the OPIMS3 checkpoints.
 	srv2, ts2 := newCatalogServer(t, Config{CheckpointDir: dir})
-	adopted, err := srv2.AdoptCheckpointDir()
+	adopted, err := srv2.Resume()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func TestAdoptRejectsMismatchedGraph(t *testing.T) {
 	}
 	srv2 := New(session, Config{Batch: 500, CheckpointDir: dir})
 	defer srv2.Stop()
-	if _, err := srv2.AdoptCheckpointDir(); !errors.Is(err, core.ErrGraphMismatch) {
+	if _, err := srv2.Resume(); !errors.Is(err, core.ErrGraphMismatch) {
 		t.Fatalf("adoption on reweighted graph: err = %v, want ErrGraphMismatch", err)
 	}
 }

@@ -3,7 +3,7 @@ package server
 // Crash-safe checkpointing: each session is periodically (and on
 // shutdown, and on eviction) serialized through core.SaveSession onto an
 // atomic write path (fsutil.WriteAtomic: tmp + fsync + rename, previous
-// generation kept), and LoadCheckpoint restores it — at startup, and
+// generation kept), and restore brings it back — at startup (Resume), and
 // transparently when an evicted session is touched — falling back to the
 // previous generation when the current one is corrupt. Because save →
 // load → Advance is byte-identical to a never-paused session
@@ -13,7 +13,6 @@ package server
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -41,26 +40,21 @@ var (
 	mCkRecoveries = obs.Default().Counter("server_checkpoint_recoveries_total")
 )
 
-// SaveCheckpoint atomically writes the default session to its checkpoint
-// path and returns the checkpoint size — the single-session API kept for
-// existing callers; saveSessionCheckpoint is the per-session form behind
-// it.
-func (s *Server) SaveCheckpoint() (int64, error) {
-	sess := s.lookup(DefaultSessionID)
-	if sess == nil || sess.ckPath == "" {
-		return 0, errors.New("server: no checkpoint path configured")
-	}
-	return s.saveSessionCheckpoint(sess)
-}
-
 // engineFP fingerprints an engine's mutable state: NumRR moves on every
-// Advance and Queries on every Snapshot, so fingerprint equality means
-// "no mutation since the checkpoint bytes were captured". Eviction's
-// serialize-then-verify protocol (evictSession) relies on this to detect
-// a request that slipped in between serialization and unload.
+// Advance, Queries on every Snapshot and the graph epoch on every repair,
+// so fingerprint equality means "no mutation since the checkpoint bytes
+// were captured". Eviction's serialize-then-verify protocol
+// (evictSession) relies on this to detect a request or repair sweep that
+// slipped in between serialization and unload.
 type engineFP struct {
 	numRR   int64
 	queries int
+	epoch   int64
+}
+
+// fingerprint captures o's engineFP; callers hold the session's mu.
+func fingerprint(o *core.Online) engineFP {
+	return engineFP{numRR: o.NumRR(), queries: o.Queries(), epoch: o.Sampler().Graph().Epoch()}
 }
 
 // saveSessionCheckpoint atomically writes one session to its ckPath. The
@@ -96,7 +90,7 @@ func (s *Server) saveSessionCheckpointFP(sess *Session) (int64, engineFP, error)
 		err = fmt.Errorf("server: session %q is not loaded", sess.ID)
 	} else {
 		err = core.SaveSession(&buf, sess.online)
-		fp = engineFP{numRR: sess.online.NumRR(), queries: sess.online.Queries()}
+		fp = fingerprint(sess.online)
 	}
 	sess.mu.Unlock()
 
@@ -227,138 +221,123 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, sess *
 	})
 }
 
-// LoadCheckpoint restores a session from the checkpoint at path, written
-// by saveSessionCheckpoint. Recovery order: the current generation first;
-// if it is missing or corrupt (core.ErrBadSession, a truncated file, a
-// torn write that survived fsync), the previous generation path+".prev" —
-// such a fallback is logged and counted
-// (server_checkpoint_recoveries_total). It returns the restored session
-// and the file it actually came from. OPIMS3 checkpoints carry the source
-// graph's fingerprint; a sampler over a different graph is refused with
-// core.ErrGraphMismatch.
+// restore is the one way a checkpoint becomes a serving engine: Resume
+// runs it for the default session and for every session it adopts from
+// CheckpointDir, and ensureLoaded runs it to reload an evicted session.
+// Callers hold sess.mu. In order:
 //
-// When neither generation exists the error wraps fs.ErrNotExist, which is
-// how a daemon distinguishes "first boot" from "both generations
-// corrupt" — the latter is returned verbatim and should stop startup
-// rather than silently discarding the session's δ/budget accounting.
-func LoadCheckpoint(path string, sampler *rrset.Sampler) (*core.Online, string, error) {
-	online, used, _, err := LoadCheckpointMeta(path, sampler)
-	return online, used, err
-}
-
-// LoadCheckpointMeta is LoadCheckpoint returning also the checkpoint's
-// graph-identity header — how a daemon learns whether the resumed session
-// was fingerprint-verified (meta.Verified()) or came from a legacy
-// OPIMS1/2 file whose graph cannot be checked.
-func LoadCheckpointMeta(path string, sampler *rrset.Sampler) (*core.Online, string, *core.SessionMeta, error) {
-	return loadCheckpointResolve(path, func(*core.SessionMeta) (*rrset.Sampler, error) {
-		return sampler, nil
-	})
-}
-
-// loadCheckpointResolve is the generation-fallback loader under both
-// public forms: each generation attempt streams through
-// core.LoadSessionResolve, so resolve sees the graph identity of the
-// specific file being read (current and .prev may disagree after a graph
-// switch). Load errors name the file and generation that failed — with
-// many graphs sharing one checkpoint dir, "which file, which generation"
-// is the difference between a findable mismatch and guesswork.
-func loadCheckpointResolve(path string, resolve func(*core.SessionMeta) (*rrset.Sampler, error)) (*core.Online, string, *core.SessionMeta, error) {
-	load := func(p string) (*core.Online, *core.SessionMeta, error) {
-		f, err := os.Open(p)
+//  1. read the current generation of sess.ckPath, falling back to .prev
+//     when it is missing or corrupt (logged, and counted in
+//     server_checkpoint_recoveries_total when the file existed);
+//  2. take sess.graph — or, adopting (sess.graph nil), the catalog graph
+//     the checkpoint names, registered from its recorded spec if needed;
+//  3. place the checkpoint's (epoch, lineage) on that graph's epoch chain
+//     (chainSuffix): off the chain is core.ErrGraphMismatch;
+//  4. load it onto the graph's current sampler — AcceptStale when batches
+//     landed since the save — and repair exactly those batches;
+//  5. publish an adopted session, re-check the engine against the
+//     graph's current sampler (catchUp: a batch may have landed during
+//     the load), and install it, replacing any resident engine.
+//
+// On success the session is loaded and holds one loadedRefs reference on
+// sess.graph. On failure nothing is installed (an adopted session that
+// failed the re-check stays registered, unloaded, like an evicted one).
+// When neither generation exists the error wraps fs.ErrNotExist — how
+// Resume tells a first boot from a checkpoint it must refuse.
+func (s *Server) restore(sess *Session) error {
+	// Every registered session has a graph; only one being adopted has
+	// none yet.
+	adopt := sess.graph == nil
+	var e *graphEntry
+	var missed [][]graph.Mutation
+	var cur *rrset.Sampler
+	load := func(path string) (*core.Online, error) {
+		e = nil
+		f, err := os.Open(path)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		defer f.Close()
-		return core.LoadSessionResolve(f, resolve)
+		online, _, err := core.LoadSessionResolve(f, func(meta *core.SessionMeta) (*rrset.Sampler, error) {
+			g := sess.graph
+			if adopt {
+				name := meta.GraphName
+				if name == "" {
+					name = DefaultGraphName
+				}
+				var err error
+				if g, err = s.ensureGraph(name, meta.GraphSpec); err != nil {
+					return nil, err
+				}
+			}
+			if _, err := s.acquireGraph(g); err != nil {
+				return nil, err
+			}
+			ms, sampler, err := g.chainSuffix(meta.Epoch, meta.Lineage)
+			if err != nil {
+				s.releaseGraph(g)
+				return nil, err
+			}
+			e, missed, cur = g, ms, sampler
+			meta.AcceptStale = len(ms) > 0
+			return sampler, nil
+		})
+		if err != nil && e != nil {
+			s.releaseGraph(e)
+		}
+		return online, err
 	}
-	session, meta, err := load(path)
-	if err == nil {
-		return session, path, meta, nil
-	}
-	prev := path + fsutil.PrevSuffix
-	session, prevMeta, prevErr := load(prev)
-	if prevErr == nil {
+	// Load errors name the file and generation that failed — with many
+	// graphs sharing one checkpoint dir, "which file, which generation" is
+	// the difference between a findable mismatch and guesswork.
+	path, prev := sess.ckPath, sess.ckPath+fsutil.PrevSuffix
+	online, err := load(path)
+	if err != nil {
+		var prevErr error
+		if online, prevErr = load(prev); prevErr != nil {
+			switch {
+			case os.IsNotExist(err) && os.IsNotExist(prevErr):
+				return fmt.Errorf("server: no checkpoint at %s: %w", path, err)
+			case os.IsNotExist(err):
+				return fmt.Errorf("server: checkpoint unusable: current generation %s missing; previous generation %s: %w", path, prev, prevErr)
+			}
+			return fmt.Errorf("server: checkpoint unusable: current generation %s: %w; previous generation %s: %v", path, err, prev, prevErr)
+		}
 		if !os.IsNotExist(err) {
 			// The current generation existed but was bad — a genuine
 			// recovery, not a routine crash-between-renames window.
 			mCkRecoveries.Inc()
 		}
 		log.Printf("server: checkpoint current generation %s unusable (%v); recovered from previous generation %s", path, err, prev)
-		return session, prev, prevMeta, nil
 	}
-	if os.IsNotExist(err) && os.IsNotExist(prevErr) {
-		return nil, "", nil, fmt.Errorf("server: no checkpoint at %s: %w", path, err)
-	}
-	return nil, "", nil, fmt.Errorf("server: checkpoint unusable: current generation %s: %w; previous generation %s: %v", path, err, prev, prevErr)
-}
-
-// loadSessionCheckpoint restores a session checkpoint resolving its graph
-// through the catalog: the recorded graph name picks the registered entry,
-// an unregistered name is auto-registered from the recorded spec, and a
-// checkpoint with no identity (OPIMS1/2, or saved outside a catalog) falls
-// back to the default graph with a logged "unverified graph" warning. On
-// success the returned entry holds one loadedRefs reference owned by the
-// restored session.
-func (s *Server) loadSessionCheckpoint(path string) (*core.Online, *graphEntry, error) {
-	var acquired []*graphEntry
-	var missed [][]graph.Mutation
-	var usedSampler *rrset.Sampler
-	resolve := func(meta *core.SessionMeta) (*rrset.Sampler, error) {
-		missed, usedSampler = nil, nil
-		var e *graphEntry
-		if meta.GraphName == "" || meta.GraphName == DefaultGraphName {
-			if e = s.lookupGraph(DefaultGraphName); e == nil {
-				return nil, errors.New("no default graph registered")
-			}
-		} else {
-			var err error
-			if e, err = s.ensureGraph(meta.GraphName, meta.GraphSpec); err != nil {
-				return nil, err
-			}
-		}
-		if !meta.Verified() {
-			log.Printf("server: checkpoint %s is legacy OPIMS%d with no graph fingerprint; resuming on graph %q UNVERIFIED (see docs/ROBUSTNESS.md)",
-				path, meta.Format, e.name)
-		}
-		sampler, err := s.acquireGraph(e)
-		if err != nil {
-			return nil, err
-		}
-		// Place the checkpoint on the graph's epoch chain: recorded at an
-		// earlier epoch → accept it stale and catch up below; recorded off
-		// the chain → release and refuse.
-		ms, err := e.missedBatches(meta, sampler.Graph())
-		if err != nil {
-			s.releaseGraph(e)
-			return nil, err
-		}
-		if ms != nil {
-			missed = ms
-			meta.AcceptStale = true
-		}
-		usedSampler = sampler
-		acquired = append(acquired, e)
-		return sampler, nil
-	}
-	online, _, _, err := loadCheckpointResolve(path, resolve)
-	if err != nil {
-		for _, e := range acquired {
-			s.releaseGraph(e)
-		}
-		return nil, nil, err
-	}
-	// The last acquire belongs to the restored session; earlier ones came
-	// from a generation that resolved but then failed to load.
-	for _, e := range acquired[:len(acquired)-1] {
-		s.releaseGraph(e)
-	}
-	entry := acquired[len(acquired)-1]
 	if len(missed) > 0 {
-		regen := online.RepairForMutations(usedSampler, missed...)
+		regen := online.RepairForMutations(cur, missed...)
 		mSessionsCaughtUp.Inc()
-		log.Printf("server: checkpoint %s caught up %d epoch(s) on graph %q (%d RR sets regenerated)",
-			path, len(missed), entry.name, regen)
+		log.Printf("server: session %q checkpoint caught up %d epoch(s) on graph %q (%d RR sets regenerated)",
+			sess.ID, len(missed), e.name, regen)
 	}
-	return online, entry, nil
+	online.SetEvents(s.cfg.Events)
+	online.SetGenerator(s.cfg.Generator)
+	if adopt {
+		sess.graph = e
+		e.sessions.Add(1)
+		if err := s.addSession(sess); err != nil {
+			sess.graph = nil
+			e.sessions.Add(-1)
+			s.releaseGraph(e)
+			return err
+		}
+	}
+	if err := s.catchUp(online, e); err != nil {
+		s.releaseGraph(e)
+		return err
+	}
+	if sess.online != nil {
+		s.releaseGraph(e) // the replaced engine's residency reference
+	} else {
+		sess.state.Store(int32(stateLoaded))
+		gSessionsLoaded.Set(float64(s.loaded.Add(1)))
+	}
+	sess.setOnlineLocked(online)
+	return nil
 }

@@ -58,6 +58,36 @@ func newCkServer(t *testing.T, sampler *rrset.Sampler, cfg Config) (*Server, *ht
 	return srv, ts
 }
 
+// restart brings a server back the way opimd does after a crash: a fresh
+// default session on sampler, New, then Resume.
+func restart(t *testing.T, sampler *rrset.Sampler, cfg Config) (*Server, []string, error) {
+	t.Helper()
+	srv := New(robustSession(t, sampler), cfg)
+	t.Cleanup(func() {
+		srv.Stop()
+		srv.stopCheckpointer()
+	})
+	adopted, err := srv.Resume()
+	return srv, adopted, err
+}
+
+// engine returns the session's resident engine.
+func engine(t *testing.T, srv *Server, id string) *core.Online {
+	t.Helper()
+	sess := srv.lookup(id)
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.online == nil {
+		t.Fatalf("session %q is not loaded", id)
+	}
+	return sess.online
+}
+
+// saveDefault checkpoints the default session now.
+func saveDefault(srv *Server) (int64, error) {
+	return srv.saveSessionCheckpoint(srv.lookup(DefaultSessionID))
+}
+
 func counters(t *testing.T) obs.Snapshot {
 	t.Helper()
 	return obs.Default().Snapshot()
@@ -79,12 +109,12 @@ func TestCheckpointEndpointRoundTrip(t *testing.T) {
 		t.Fatalf("checkpoint response %+v", resp)
 	}
 
-	restored, src, err := LoadCheckpoint(path, sampler)
+	srv2, _, err := restart(t, sampler, Config{Batch: 500, CheckpointPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src != path || restored.NumRR() != 1000 {
-		t.Fatalf("restored from %s with num_rr=%d", src, restored.NumRR())
+	if restored := engine(t, srv2, DefaultSessionID); restored.NumRR() != 1000 {
+		t.Fatalf("restored with num_rr=%d", restored.NumRR())
 	}
 
 	after := counters(t)
@@ -125,7 +155,7 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	// loses, then die without any shutdown path.
 	srvA, tsA := newCkServer(t, sampler, Config{Batch: 500, CheckpointPath: path})
 	postJSON[Status](t, tsA.URL+"/advance?count=1200")
-	if _, err := srvA.SaveCheckpoint(); err != nil {
+	if _, err := saveDefault(srvA); err != nil {
 		t.Fatal(err)
 	}
 	postJSON[Status](t, tsA.URL+"/advance?count=400")
@@ -133,14 +163,14 @@ func TestKillResumeByteIdentical(t *testing.T) {
 
 	// Run B: resume. The 400 post-checkpoint sets are gone; the stream
 	// replays them exactly.
-	sessionB, src, err := LoadCheckpoint(path, sampler)
+	srvB, _, err := restart(t, sampler, Config{Batch: 500, CheckpointPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src != path || sessionB.NumRR() != 1200 {
-		t.Fatalf("resumed from %s with num_rr=%d, want 1200 from the checkpoint", src, sessionB.NumRR())
+	sessionB := engine(t, srvB, DefaultSessionID)
+	if sessionB.NumRR() != 1200 {
+		t.Fatalf("resumed with num_rr=%d, want 1200 from the checkpoint", sessionB.NumRR())
 	}
-	srvB := New(sessionB, Config{Batch: 500})
 	tsB := httptest.NewServer(srvB.Handler())
 	defer tsB.Close()
 	postJSON[Status](t, tsB.URL+"/advance?count=800")
@@ -182,28 +212,25 @@ func TestCheckpointFallbackToPrevGeneration(t *testing.T) {
 	srv, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointPath: path})
 
 	postJSON[Status](t, ts.URL+"/advance?count=500")
-	if _, err := srv.SaveCheckpoint(); err != nil {
+	if _, err := saveDefault(srv); err != nil {
 		t.Fatal(err)
 	}
 	postJSON[Status](t, ts.URL+"/advance?count=500")
-	if _, err := srv.SaveCheckpoint(); err != nil {
+	if _, err := saveDefault(srv); err != nil {
 		t.Fatal(err)
 	}
 
 	// Corrupt the current generation after the fact (bit rot, a torn
 	// write that fsync lied about) — recovery must fall back to .prev.
-	if err := os.WriteFile(path, []byte("OPIMS1\ngarbage"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("OPIMS5\ngarbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	before := counters(t)
-	restored, src, err := LoadCheckpoint(path, sampler)
+	srv2, _, err := restart(t, sampler, Config{Batch: 500, CheckpointPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src != path+fsutil.PrevSuffix {
-		t.Fatalf("restored from %s, want the previous generation", src)
-	}
-	if restored.NumRR() != 500 {
+	if restored := engine(t, srv2, DefaultSessionID); restored.NumRR() != 500 {
 		t.Fatalf("previous generation holds num_rr=%d, want 500", restored.NumRR())
 	}
 	after := counters(t)
@@ -211,7 +238,6 @@ func TestCheckpointFallbackToPrevGeneration(t *testing.T) {
 		t.Fatalf("recoveries advanced by %d, want 1", d)
 	}
 	// And the recovered session still serves traffic.
-	srv2 := New(restored, Config{Batch: 500})
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	if st := postJSON[Status](t, ts2.URL+"/advance?count=100"); st.NumRR != 600 {
@@ -225,7 +251,7 @@ func TestCheckpointTornWriteKeepsCurrent(t *testing.T) {
 	srv, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointPath: path})
 
 	postJSON[Status](t, ts.URL+"/advance?count=400")
-	if _, err := srv.SaveCheckpoint(); err != nil {
+	if _, err := saveDefault(srv); err != nil {
 		t.Fatal(err)
 	}
 	postJSON[Status](t, ts.URL+"/advance?count=400")
@@ -233,7 +259,7 @@ func TestCheckpointTornWriteKeepsCurrent(t *testing.T) {
 	// The second checkpoint write tears after 64 bytes.
 	srv.ckWrap = func(w io.Writer) io.Writer { return faultinject.TornWriter(w, 64) }
 	before := counters(t)
-	if _, err := srv.SaveCheckpoint(); !errors.Is(err, faultinject.ErrInjected) {
+	if _, err := saveDefault(srv); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("torn checkpoint error = %v", err)
 	}
 	after := counters(t)
@@ -243,12 +269,16 @@ func TestCheckpointTornWriteKeepsCurrent(t *testing.T) {
 	srv.ckWrap = nil
 
 	// The torn write never touched the good generation.
-	restored, src, err := LoadCheckpoint(path, sampler)
+	before = counters(t)
+	srv2, _, err := restart(t, sampler, Config{Batch: 500, CheckpointPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src != path || restored.NumRR() != 400 {
-		t.Fatalf("after torn write: restored from %s with num_rr=%d, want 400 from the current generation", src, restored.NumRR())
+	if restored := engine(t, srv2, DefaultSessionID); restored.NumRR() != 400 {
+		t.Fatalf("after torn write: restored with num_rr=%d, want 400 from the current generation", restored.NumRR())
+	}
+	if d := counters(t).Counters["server_checkpoint_recoveries_total"] - before.Counters["server_checkpoint_recoveries_total"]; d != 0 {
+		t.Fatalf("restore after a torn write fell back to the previous generation (%d recoveries)", d)
 	}
 }
 
@@ -289,20 +319,25 @@ func TestPeriodicCheckpointerWritesAndStops(t *testing.T) {
 	default:
 		t.Fatal("Shutdown returned before the checkpointer goroutine exited")
 	}
-	restored, _, err := LoadCheckpoint(path, sampler)
+	srv2, _, err := restart(t, sampler, Config{Batch: 500, CheckpointPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.NumRR() != 600 {
+	if restored := engine(t, srv2, DefaultSessionID); restored.NumRR() != 600 {
 		t.Fatalf("final checkpoint holds num_rr=%d, want 600", restored.NumRR())
 	}
 }
 
+// TestLoadCheckpointMissing: no checkpoint generation on disk is a first
+// boot — Resume keeps the fresh default session instead of failing.
 func TestLoadCheckpointMissing(t *testing.T) {
 	sampler := robustSampler(t)
-	_, _, err := LoadCheckpoint(filepath.Join(t.TempDir(), "nope.ck"), sampler)
-	if !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("missing checkpoint error = %v, want fs.ErrNotExist", err)
+	srv, _, err := restart(t, sampler, Config{CheckpointPath: filepath.Join(t.TempDir(), "nope.ck")})
+	if err != nil {
+		t.Fatalf("missing checkpoint: Resume error = %v, want a fresh start", err)
+	}
+	if n := engine(t, srv, DefaultSessionID).NumRR(); n != 0 {
+		t.Fatalf("fresh default session has num_rr=%d", n)
 	}
 }
 
@@ -314,7 +349,7 @@ func TestLoadCheckpointBothGenerationsBad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, _, err := LoadCheckpoint(path, sampler)
+	_, _, err := restart(t, sampler, Config{CheckpointPath: path})
 	if err == nil || errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("both-bad error = %v, want a hard failure distinct from not-exist", err)
 	}

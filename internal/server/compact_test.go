@@ -4,12 +4,14 @@ package server
 // JournalCompactEvery entries it collapses into an OPIMG2 snapshot plus a
 // rewritten single-header journal; replay from the snapshot reproduces
 // the exact epoch chain, checkpoints predating the snapshot are refused
-// loudly, current checkpoints resume, and an unloaded graph reloads
-// through the snapshot (not the full from-base replay).
+// loudly, current checkpoints resume, an unloaded graph reloads through
+// the snapshot (not the full from-base replay), and compaction never
+// strands a session that is being created or sits evicted.
 
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -87,7 +89,8 @@ func TestJournalCompaction(t *testing.T) {
 
 	// The epoch-0 checkpoint now predates the snapshot: refused loudly.
 	sampler2 := rrset.NewSampler(g2, diffusion.IC)
-	_, _, _, _, err = LoadCheckpointMetaLog(dir+"/default.ck", sampler2, glog)
+	restartCfg := Config{Batch: 500, CheckpointDir: dir, DefaultGraphLog: glog}
+	_, _, err = restart(t, sampler2, restartCfg)
 	if !errors.Is(err, core.ErrGraphMismatch) || !strings.Contains(err.Error(), "outside the journaled chain") {
 		t.Fatalf("pre-compaction checkpoint resume error = %v, want a loud outside-the-chain refusal", err)
 	}
@@ -96,9 +99,14 @@ func TestJournalCompaction(t *testing.T) {
 	if _, err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	def, _, _, regen, err := LoadCheckpointMetaLog(dir+"/default.ck", sampler2, glog)
-	if err != nil || regen != 0 || def.NumRR() != 1000 {
-		t.Fatalf("current checkpoint resume: num_rr=%d regen=%d err=%v", def.NumRR(), regen, err)
+	caughtUp := counters(t).Counters["server_sessions_caught_up_total"]
+	srv2, _, err := restart(t, sampler2, restartCfg)
+	if err != nil {
+		t.Fatalf("current checkpoint resume: %v", err)
+	}
+	regen := counters(t).Counters["server_sessions_caught_up_total"] - caughtUp
+	if def := engine(t, srv2, DefaultSessionID); regen != 0 || def.NumRR() != 1000 {
+		t.Fatalf("current checkpoint resume: num_rr=%d caught up=%d", def.NumRR(), regen)
 	}
 
 	// The repaired live session is byte-identical to a fresh run on the
@@ -170,5 +178,107 @@ func TestCompactedGraphReloadFromSnapshot(t *testing.T) {
 	_, err := c.CreateSession(SessionSpec{ID: "s2", K: 3, Delta: 0.05, Seed: 7, Graph: "cg"})
 	if err == nil || !strings.Contains(err.Error(), "snapshot") {
 		t.Fatalf("session on corrupted snapshot: err = %v, want a loud snapshot failure", err)
+	}
+}
+
+// TestCreateRacingMutationBatch: a batch lands between createSession's
+// engine build and its publication, so the batch's repair sweep cannot
+// see the session. Without compaction the post-publication catch-up
+// repairs the missed batch; with JournalCompactEvery 1 the batch's
+// compaction has already dropped the engine's epoch from the chain, and
+// the session must be rebuilt on the mutated graph (exact: it holds no RR
+// sets yet). Either way it ends byte-identical to a fresh run there.
+func TestCreateRacingMutationBatch(t *testing.T) {
+	for _, every := range []int{0, 1} {
+		t.Run(fmt.Sprintf("compact-every-%d", every), func(t *testing.T) {
+			sampler := robustSampler(t)
+			srv, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointDir: t.TempDir(), JournalCompactEvery: every})
+			c := NewClient(ts.URL)
+			e := firstEdge(t, sampler.Graph())
+			ms := []graph.Mutation{{Op: graph.OpEdgeDelete, From: e.From, To: e.To}}
+			compactions := counters(t).Counters["server_journal_compactions_total"]
+			srv.createHook = func(string) {
+				if _, _, err := srv.mutateGraph(srv.lookupGraph(DefaultGraphName), ms); err != nil {
+					t.Error(err)
+				}
+			}
+			if _, err := c.CreateSession(SessionSpec{ID: "racer", K: 4, Delta: 0.05, Seed: 77}); err != nil {
+				t.Fatal(err)
+			}
+			srv.createHook = nil
+			if d := counters(t).Counters["server_journal_compactions_total"] - compactions; d != int64(every) {
+				t.Fatalf("%d compactions, want %d", d, every)
+			}
+			if _, err := c.Session("racer").Advance(600); err != nil {
+				t.Fatal(err)
+			}
+			gm, err := sampler.Graph().WithMutations(ms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := saveBytes(t, srv, "racer"); !bytes.Equal(got,
+				refBytes(t, gm, core.Options{K: 4, Delta: 0.05, Variant: core.Plus, Seed: 77}, 600)) {
+				t.Fatal("session created across a mutation batch is not byte-identical to a fresh run on the mutated graph")
+			}
+		})
+	}
+}
+
+// TestEvictedSessionSurvivesCompaction: with MaxLoadedSessions 1 and
+// JournalCompactEvery 1, a session evicted at epoch 0 misses the next
+// batch's repair sweep. Compacting that batch would drop epoch 0 from the
+// chain and strand the session's checkpoint — every touch a 500, and a
+// restart's adoption refused — so compaction waits while the session
+// lags. A restart resumes it, and its next touch reloads, catches up and
+// matches a fresh run on the mutated graph.
+func TestEvictedSessionSurvivesCompaction(t *testing.T) {
+	sampler := robustSampler(t)
+	dir := t.TempDir()
+	srv, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointDir: dir, MaxLoadedSessions: 1, JournalCompactEvery: 1})
+	c := NewClient(ts.URL)
+
+	if _, err := c.CreateSession(SessionSpec{ID: "evictee", K: 4, Delta: 0.05, Seed: 77}); err != nil {
+		t.Fatal(err)
+	}
+	evictee := c.Session("evictee")
+	if _, err := evictee.Advance(600); err != nil {
+		t.Fatal(err)
+	}
+	// Touching the default session evicts evictee at epoch 0.
+	if _, err := c.Advance(400); err != nil {
+		t.Fatal(err)
+	}
+	if got := sessionState(srv.lookup("evictee").state.Load()); got != stateUnloaded {
+		t.Fatalf("evictee state = %d, want unloaded", got)
+	}
+	e := firstEdge(t, sampler.Graph())
+	ms := []graph.Mutation{{Op: graph.OpEdgeDelete, From: e.From, To: e.To}}
+	compactions := counters(t).Counters["server_journal_compactions_total"]
+	if _, err := c.UpdateGraph(DefaultGraphName, []GraphUpdate{{Op: "edge_delete", From: e.From, To: e.To}}); err != nil {
+		t.Fatal(err)
+	}
+	if d := counters(t).Counters["server_journal_compactions_total"] - compactions; d != 0 {
+		t.Fatalf("journal compacted %d time(s) while an evicted session lags the chain", d)
+	}
+
+	// A restart at this point resumes every checkpoint.
+	g2, glog, err := ReplayMutationLog(dir, DefaultGraphName, robustSampler(t).Graph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, adopted, err := restart(t, rrset.NewSampler(g2, diffusion.IC), Config{Batch: 500, CheckpointDir: dir, DefaultGraphLog: glog}); err != nil || len(adopted) != 1 {
+		t.Fatalf("restart after the batch: adopted %v, err %v", adopted, err)
+	}
+
+	if _, err := evictee.Advance(400); err != nil {
+		t.Fatal(err)
+	}
+	gm, err := sampler.Graph().WithMutations(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := saveBytes(t, srv, "evictee"); !bytes.Equal(got,
+		refBytes(t, gm, core.Options{K: 4, Delta: 0.05, Variant: core.Plus, Seed: 77}, 1000)) {
+		t.Fatal("evicted session's catch-up diverged from a fresh run on the mutated graph")
 	}
 }

@@ -272,19 +272,16 @@ func (s *Server) roundResponseLocked(sess *Session, applied int, replay bool) Ro
 	if sess.campaign.Explore() {
 		kind = "explore"
 	}
-	resp := RoundResponse{
+	return RoundResponse{
 		Session: sess.ID,
 		Round:   sess.campaign.Round(),
 		Kind:    kind,
 		Seeds:   sess.campaign.Seeds(),
 		Applied: applied,
+		Epoch:   sess.graph.ident.Load().epoch,
 		NumRR:   sess.statNumRR.Load(),
 		Replay:  replay,
 	}
-	if sess.graph != nil {
-		resp.Epoch = sess.graph.ident.Load().epoch
-	}
-	return resp
 }
 
 // handleObservations is POST /sessions/{id}/observations: fold an

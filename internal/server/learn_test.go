@@ -217,20 +217,19 @@ func TestLearningCampaignConvergesAndSurvivesKill(t *testing.T) {
 	ts1.Close() // simulated SIGKILL: no Shutdown, no final checkpoint
 
 	// Restart the way opimd does: replay the journal over a freshly
-	// loaded base graph, resume the default checkpoint against the
-	// current epoch, re-enable learning (which must keep the restored
-	// campaign, not reset to the uniform prior).
+	// loaded base graph, build a fresh default session on the replayed
+	// sampler, New, Resume, re-enable learning (which must keep the
+	// restored campaign, not reset to the uniform prior).
 	base := robustSampler(t).Graph()
 	g2, glog, err := ReplayMutationLog(dir, DefaultGraphName, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sampler2 := rrset.NewSampler(g2, diffusion.IC)
-	def, _, _, _, err := LoadCheckpointMetaLog(dir+"/default.ck", sampler2, glog)
-	if err != nil {
+	srv2 := New(robustSession(t, sampler2), Config{Batch: 500, CheckpointDir: dir, DefaultGraphLog: glog})
+	if _, err := srv2.Resume(); err != nil {
 		t.Fatal(err)
 	}
-	srv2 := New(def, Config{Batch: 500, CheckpointDir: dir, DefaultGraphLog: glog})
 	if err := srv2.EnableLearning(DefaultSessionID, 5, 256); err != nil {
 		t.Fatal(err)
 	}

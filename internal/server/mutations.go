@@ -10,9 +10,9 @@ package server
 // Identity moves along the graph's epoch chain: applying a batch advances
 // the epoch and chains the lineage hash (graph.ChainFingerprint), the
 // batch is journaled durably before the in-memory swap (mutlog.go), and
-// session checkpoints record the epoch they were taken at (OPIMS4). A
-// checkpoint that resumes onto a later epoch is verified against the
-// chain and caught up with exactly the missed batches — deliberate,
+// session checkpoints record the epoch they were taken at. A checkpoint
+// that resumes onto a later epoch is placed on the chain (chainSuffix)
+// and caught up with exactly the missed batches — deliberate,
 // loud-on-divergence rebasing instead of core.ErrGraphMismatch refusing
 // every resume after the first edge insert.
 //
@@ -184,9 +184,9 @@ func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation) (*UpdateGraphRe
 
 	// Rebase every loaded session on this graph. Each repair holds only
 	// that session's mutex; sessions on other graphs are untouched. A
-	// session that loads concurrently is caught by the freshness check in
-	// ensureLoaded/createSession — and repair is idempotent, so the two
-	// paths overlapping is harmless.
+	// session published after this snapshot of the table is caught by the
+	// catchUp re-check in createSession and restore — and repair is
+	// idempotent, so the two paths overlapping is harmless.
 	var repaired []SessionRepair
 	for _, sess := range s.snapshotSessions() {
 		if sess.graph != e {
@@ -230,12 +230,15 @@ func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation) (*UpdateGraphRe
 // Config.JournalCompactEvery entries: snapshot the current graph, rewrite
 // the journal to start from it, and truncate the in-memory chain to
 // match. Called from mutateGraph while e.mutating is held, so no batch
-// can append concurrently. Checkpoints recorded before the snapshot epoch
-// can no longer resume (they fail loudly with "outside the known chain"),
-// which is why the threshold should comfortably exceed how stale a
-// session checkpoint can get between checkpointer passes. A compaction
-// failure only logs: the journal keeps its full history and the next
-// batch retries.
+// can append concurrently. Compaction is deferred — logged, and retried by
+// the next batch — while any unloaded session on e holds a checkpoint
+// older than the current epoch: that checkpoint could no longer be placed
+// on the chain, stranding the session. A loaded session is current (the
+// batch's repair sweep rebased it), but its last checkpoint on disk may
+// still predate the snapshot, and a restart before its next checkpoint
+// refuses it with "outside the journaled chain". A compaction failure
+// only logs: the journal keeps its full history and the next batch
+// retries.
 func (s *Server) maybeCompactJournal(e *graphEntry, ng *graph.Graph) {
 	if s.cfg.JournalCompactEvery <= 0 || s.cfg.CheckpointDir == "" {
 		return
@@ -245,6 +248,13 @@ func (s *Server) maybeCompactJournal(e *graphEntry, ng *graph.Graph) {
 	e.mu.Unlock()
 	if n < s.cfg.JournalCompactEvery {
 		return
+	}
+	for _, sess := range s.snapshotSessions() {
+		if sess.graph == e && sessionState(sess.state.Load()) == stateUnloaded && sess.ckEpoch.Load() < ng.Epoch() {
+			log.Printf("server: deferring compaction of graph %q's mutation journal: unloaded session %q checkpointed at epoch %d, graph at %d (next batch retries)",
+				e.name, sess.ID, sess.ckEpoch.Load(), ng.Epoch())
+			return
+		}
 	}
 	if err := compactMutationLog(s.cfg.CheckpointDir, e.name, e.fingerprint, ng); err != nil {
 		log.Printf("server: compacting mutation journal for graph %q: %v (history kept; next batch retries)", e.name, err)
@@ -267,157 +277,44 @@ func (s *Server) maybeCompactJournal(e *graphEntry, ng *graph.Graph) {
 	log.Printf("server: compacted mutation journal for graph %q at epoch %d (%d entries folded into snapshot)", e.name, ng.Epoch(), n)
 }
 
-// metaLineage is the epoch-chain position a checkpoint claims: the OPIMS4
-// lineage when present, else the content fingerprint (an OPIMS3 file is
-// always an epoch-0 claim — lineage(0) IS the content fingerprint).
-// Empty for unverifiable legacy files.
-func metaLineage(m *core.SessionMeta) string {
-	if m.Lineage != "" {
-		return m.Lineage
-	}
-	return m.GraphFingerprint
-}
-
-// missedBatches verifies that a checkpoint's recorded (epoch, lineage) is
-// an ancestor on this entry's chain and returns the batches applied since
-// — nil when the checkpoint is already current. An unrelated lineage (a
-// different base dataset, a diverged history) is a hard error: rebasing
-// RR sets across unrelated graphs would be silent corruption. A legacy
-// checkpoint with no fingerprint at all cannot be placed on the chain;
-// consistent with the existing unverified-resume policy it is treated as
-// a base-epoch claim and caught up with the full history, loudly.
-func (e *graphEntry) missedBatches(m *core.SessionMeta, cur *graph.Graph) ([][]graph.Mutation, error) {
-	lin := metaLineage(m)
-	if m.Epoch == cur.Epoch() && lin == cur.EpochLineage() {
-		return nil, nil
-	}
+// chainSuffix places the graph state (epoch, lineage) on e's epoch chain
+// and returns the batches applied since, oldest first (nil when it is
+// current), together with e's current sampler — both read under one e.mu
+// hold, so the suffix leads exactly to that sampler. A position off the
+// chain is core.ErrGraphMismatch: before the journal's base epoch
+// (compacted away) or past its head, or a lineage from a different
+// history — rebasing RR sets across unrelated graphs would be silent
+// corruption. Callers hold a loadedRefs reference, so e is resident.
+func (e *graphEntry) chainSuffix(epoch int64, lineage string) ([][]graph.Mutation, *rrset.Sampler, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if lin == "" {
-		if len(e.history) == 0 {
-			return nil, nil // unchanged graph; the usual unverified warning applies
-		}
-		log.Printf("server: legacy checkpoint (OPIMS%d, no fingerprint) resuming onto mutated graph %q at epoch %d; treating it as epoch %d UNVERIFIED and replaying %d batch(es)",
-			m.Format, e.name, cur.Epoch(), e.baseEpoch, len(e.history))
-		return append([][]graph.Mutation(nil), e.history...), nil
-	}
-	idx := m.Epoch - e.baseEpoch
+	idx := epoch - e.baseEpoch
 	if idx < 0 || idx >= int64(len(e.lineages)) {
-		return nil, fmt.Errorf("%w: checkpoint records epoch %d of graph %q, outside the known chain [%d, %d] (mutation journal truncated or missing?)",
-			core.ErrGraphMismatch, m.Epoch, e.name, e.baseEpoch, e.baseEpoch+int64(len(e.history)))
+		return nil, nil, fmt.Errorf("%w: epoch %d of graph %q is outside the journaled chain [%d, %d] (mutation journal compacted past it, truncated or missing?)",
+			core.ErrGraphMismatch, epoch, e.name, e.baseEpoch, e.baseEpoch+int64(len(e.history)))
 	}
-	if e.lineages[idx] != lin {
-		return nil, fmt.Errorf("%w: checkpoint's graph %q lineage %.12s at epoch %d is not on this graph's epoch chain (%.12s): the checkpoint descends from a different history",
-			core.ErrGraphMismatch, e.name, lin, m.Epoch, e.lineages[idx])
+	if e.lineages[idx] != lineage {
+		return nil, nil, fmt.Errorf("%w: graph %q lineage %.12s at epoch %d is not on this graph's epoch chain (%.12s): it descends from a different history",
+			core.ErrGraphMismatch, e.name, lineage, epoch, e.lineages[idx])
 	}
-	if int(idx) == len(e.history) {
-		return nil, nil
-	}
-	return append([][]graph.Mutation(nil), e.history[idx:]...), nil
+	return append([][]graph.Mutation(nil), e.history[idx:]...), e.sampler, nil
 }
 
-// loadForEntry restores a session checkpoint against e's current sampler,
-// accepting — and catching up — a checkpoint taken at an earlier epoch of
-// e's chain. The returned session is always at sampler's epoch.
-func (s *Server) loadForEntry(path string, e *graphEntry, sampler *rrset.Sampler) (*core.Online, error) {
-	var missed [][]graph.Mutation
-	resolve := func(meta *core.SessionMeta) (*rrset.Sampler, error) {
-		missed = nil
-		ms, err := e.missedBatches(meta, sampler.Graph())
-		if err != nil {
-			return nil, err
-		}
-		if ms != nil {
-			missed = ms
-			meta.AcceptStale = true
-		}
-		return sampler, nil
-	}
-	online, _, _, err := loadCheckpointResolve(path, resolve)
+// catchUp rebases o — an engine on graph e, not yet visible to e's
+// repair sweeps — onto e's current sampler, repairing exactly the batches
+// applied since o's own epoch; with no batch in between it is a pointer
+// compare. It closes the window between taking a sampler and publishing
+// the engine, in which a batch's sweep misses the session. An error means
+// o's epoch has left the chain (a compaction dropped it).
+func (s *Server) catchUp(o *core.Online, e *graphEntry) error {
+	g := o.Sampler().Graph()
+	missed, cur, err := e.chainSuffix(g.Epoch(), g.EpochLineage())
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if len(missed) > 0 {
-		regen := online.RepairForMutations(sampler, missed...)
-		mSessionsCaughtUp.Inc()
-		log.Printf("server: session checkpoint %s caught up %d epoch(s) on graph %q (%d RR sets regenerated)",
-			path, len(missed), e.name, regen)
-	}
-	return online, nil
-}
-
-// catchUpLoadedLocked closes the load-races-mutation window: called under
-// sess.mu right after a session becomes resident, it checks whether the
-// entry's sampler moved past the one the session was built or loaded
-// against and, if so, repairs with exactly the missed chain suffix. With
-// no race it is a pointer compare.
-func (s *Server) catchUpLoadedLocked(sess *Session) {
-	e := sess.graph
-	if e == nil || sess.online == nil {
-		return
-	}
-	g := sess.online.Sampler().Graph()
-	e.mu.Lock()
-	cur := e.sampler
-	var missed [][]graph.Mutation
-	if cur != nil && cur != sess.online.Sampler() {
-		idx := g.Epoch() - e.baseEpoch
-		if idx >= 0 && idx < int64(len(e.history)) && e.lineages[idx] == g.EpochLineage() {
-			missed = append([][]graph.Mutation(nil), e.history[idx:]...)
-		}
-	}
-	e.mu.Unlock()
-	if len(missed) > 0 {
-		sess.online.RepairForMutations(cur, missed...)
-		sess.refreshStatsLocked()
+	if cur != o.Sampler() {
+		o.RepairForMutations(cur, missed...)
 		mSessionsCaughtUp.Inc()
 	}
-}
-
-// LoadCheckpointMetaLog is LoadCheckpointMeta for a graph with a mutation
-// history: a checkpoint recorded at an earlier epoch of glog's chain is
-// accepted and caught up (RepairForMutations with the missed batches)
-// instead of refused with core.ErrGraphMismatch. sampler must be over the
-// current-epoch graph (ReplayMutationLog's result); regen reports the RR
-// sets regenerated by the catch-up (0 when the checkpoint was current).
-// This is opimd's startup-resume path for the default session.
-func LoadCheckpointMetaLog(path string, sampler *rrset.Sampler, glog *GraphLog) (online *core.Online, used string, meta *core.SessionMeta, regen int, err error) {
-	if glog.Epochs() == 0 {
-		online, used, meta, err = LoadCheckpointMeta(path, sampler)
-		return online, used, meta, 0, err
-	}
-	cur := sampler.Graph()
-	var missed [][]graph.Mutation
-	resolve := func(m *core.SessionMeta) (*rrset.Sampler, error) {
-		missed = nil
-		lin := metaLineage(m)
-		if m.Epoch == cur.Epoch() && lin == cur.EpochLineage() {
-			return sampler, nil
-		}
-		if lin == "" {
-			log.Printf("server: legacy checkpoint %s (OPIMS%d, no fingerprint) resuming onto mutated graph at epoch %d; treating it as epoch %d UNVERIFIED", path, m.Format, cur.Epoch(), glog.BaseEpoch)
-			missed = glog.History
-			m.AcceptStale = true
-			return sampler, nil
-		}
-		idx := m.Epoch - glog.BaseEpoch
-		if idx < 0 || idx >= int64(len(glog.Lineages)) {
-			return nil, fmt.Errorf("%w: checkpoint records epoch %d, outside the journaled chain [%d, %d] (mutation journal truncated or compacted past it?)",
-				core.ErrGraphMismatch, m.Epoch, glog.BaseEpoch, glog.BaseEpoch+int64(glog.Epochs()))
-		}
-		if glog.Lineages[idx] != lin {
-			return nil, fmt.Errorf("%w: checkpoint lineage %.12s at epoch %d is not on the journaled epoch chain: it descends from a different history", core.ErrGraphMismatch, lin, m.Epoch)
-		}
-		missed = glog.History[idx:]
-		m.AcceptStale = true
-		return sampler, nil
-	}
-	online, used, meta, err = loadCheckpointResolve(path, resolve)
-	if err != nil {
-		return nil, "", nil, 0, err
-	}
-	if len(missed) > 0 {
-		regen = online.RepairForMutations(sampler, missed...)
-	}
-	return online, used, meta, regen, nil
+	return nil
 }

@@ -193,10 +193,10 @@ func TestMutateRepairMatchesFreshRun(t *testing.T) {
 }
 
 // TestMutationJournalReplayRestart: simulated SIGKILL after a mutation. The
-// restart replays the journal (ReplayMutationLog), resumes a pre-mutation
-// default checkpoint through LoadCheckpointMetaLog (AcceptStale + catch-up),
-// adopts a pre-mutation session checkpoint from the directory, and both
-// sessions end byte-identical to never-crashed runs on the mutated graph.
+// restart replays the journal (ReplayMutationLog), then Resume restores a
+// pre-mutation default checkpoint (AcceptStale + catch-up) and adopts a
+// pre-mutation session checkpoint from the directory, and both sessions
+// end byte-identical to never-crashed runs on the mutated graph.
 func TestMutationJournalReplayRestart(t *testing.T) {
 	sampler := robustSampler(t)
 	dir := t.TempDir()
@@ -250,21 +250,17 @@ func TestMutationJournalReplayRestart(t *testing.T) {
 			glog.Epochs(), g2.Epoch(), g2.EpochLineage(), up.Lineage)
 	}
 	sampler2 := rrset.NewSampler(g2, diffusion.IC)
-	def, _, meta, regen, err := LoadCheckpointMetaLog(dir+"/default.ck", sampler2, glog)
+	before := counters(t).Counters["server_sessions_caught_up_total"]
+	srv2 := New(robustSession(t, sampler2), Config{Batch: 500, CheckpointDir: dir, DefaultGraphLog: glog})
+	adopted, err := srv2.Resume()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !meta.AcceptStale || regen == 0 {
-		t.Fatalf("stale default checkpoint: AcceptStale=%v regen=%d, want a caught-up resume", meta.AcceptStale, regen)
+	if d := counters(t).Counters["server_sessions_caught_up_total"] - before; d != 2 {
+		t.Fatalf("stale checkpoints: %d caught up, want both the default and aug caught up on resume", d)
 	}
-	if def.NumRR() != 500 {
+	if def := engine(t, srv2, DefaultSessionID); def.NumRR() != 500 {
 		t.Fatalf("resumed default num_rr = %d, want 500", def.NumRR())
-	}
-
-	srv2 := New(def, Config{Batch: 500, CheckpointDir: dir, DefaultGraphLog: glog})
-	adopted, err := srv2.AdoptCheckpointDir()
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(adopted) != 1 || adopted[0] != "aug" {
 		t.Fatalf("adopted = %v, want [aug]", adopted)
@@ -303,7 +299,7 @@ func TestMutationJournalReplayRestart(t *testing.T) {
 
 // TestEvictedSessionCatchesUpAfterMutation: a session evicted before a
 // mutation holds an epoch-0 checkpoint on disk and misses the repair sweep;
-// its next touch reloads through loadForEntry, which must place the
+// its next touch reloads through restore, which must place the
 // checkpoint on the epoch chain and regenerate exactly the missed batches.
 func TestEvictedSessionCatchesUpAfterMutation(t *testing.T) {
 	sampler := robustSampler(t)

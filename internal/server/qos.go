@@ -248,7 +248,6 @@ func (s *Server) admitQueue(w http.ResponseWriter, r *http.Request) bool {
 
 func (s *Server) rejectAdmission(w http.ResponseWriter, msg string) {
 	mAdmissionRejected.Inc()
-	mInflightRejected.Inc() // kept: the pre-queue shed counter, same meaning
 	s.setRetryAfter(w)
 	http.Error(w, msg, http.StatusTooManyRequests)
 }

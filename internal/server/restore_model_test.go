@@ -1,0 +1,233 @@
+package server
+
+// Model-based differential test of the restore path. Each seed draws a
+// random sequence of operations against one 400-node graph with
+// CheckpointDir set and MaxLoadedSessions 1 — create, advance, checkpoint,
+// a mutation batch, touching another session (which evicts the resident
+// one), and kill −9 followed by the opimd restart sequence (replay the
+// journal, fresh default session, New, Resume). At the end every session
+// must serialize to exactly the bytes of a fresh core.Online with its
+// options, run on the final graph and advanced to its RR count.
+//
+// The model tracks what survives a kill: each session's RR count at its
+// last checkpoint, written by POST checkpoint or by an eviction. Journal
+// compaction is left out (it has its own tests and refuses a restart from
+// a checkpoint older than its snapshot), and so are snapshots (each one
+// advances the δ query counter, which a reference cannot replay across a
+// kill that loses it).
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"net/http/httptest"
+	"testing"
+
+	"github.com/reprolab/opim/internal/core"
+	"github.com/reprolab/opim/internal/diffusion"
+	"github.com/reprolab/opim/internal/graph"
+	"github.com/reprolab/opim/internal/rrset"
+)
+
+func TestRestoreModel(t *testing.T) {
+	for seed := int64(1); seed <= 16; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { runRestoreModel(t, seed) })
+	}
+}
+
+// modelOpts are the engine options of every session the model can hold:
+// the default session is robustSession's, the others are created with
+// these through POST /sessions.
+var modelOpts = map[string]core.Options{
+	DefaultSessionID: {K: 4, Delta: 0.05, Variant: core.Plus, Seed: 9},
+	"s1":             {K: 3, Delta: 0.05, Variant: core.Plus, Seed: 31},
+	"s2":             {K: 5, Delta: 0.1, Variant: core.Plus, Seed: 57},
+}
+
+func runRestoreModel(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	dir := t.TempDir()
+	g := robustSampler(t).Graph() // the model's copy of the graph
+
+	// numRR is every live session's RR count; durable the count its last
+	// checkpoint holds (the default session starts durable at 0: with no
+	// checkpoint, a restart builds it fresh). resident names the one loaded
+	// session when the model knows it changed since its last checkpoint.
+	numRR := map[string]int64{DefaultSessionID: 0}
+	durable := map[string]int64{DefaultSessionID: 0}
+	resident := ""
+
+	var srv *Server
+	var ts *httptest.Server
+	start := func() {
+		base := robustSampler(t).Graph()
+		g2, glog, err := ReplayMutationLog(dir, DefaultGraphName, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv = New(robustSession(t, rrset.NewSampler(g2, diffusion.IC)),
+			Config{Batch: 500, CheckpointDir: dir, MaxLoadedSessions: 1, DefaultGraphLog: glog})
+		adopted, err := srv.Resume()
+		if err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		if want := len(durable) - 1; len(adopted) != want {
+			t.Fatalf("restart adopted %v, model holds %d checkpointed session(s)", adopted, want)
+		}
+		ts = httptest.NewServer(srv.Handler())
+	}
+	start()
+	defer func() { ts.Close() }()
+	c := func() *Client { return NewClient(ts.URL) }
+
+	// use records that id became the resident session: with
+	// MaxLoadedSessions 1, the session resident before it was evicted,
+	// checkpointing its current count.
+	use := func(id string) {
+		if resident != "" && resident != id {
+			durable[resident] = numRR[resident]
+		}
+		resident = id
+	}
+	pick := func() string {
+		ids := make([]string, 0, len(numRR))
+		for _, id := range []string{DefaultSessionID, "s1", "s2"} {
+			if _, ok := numRR[id]; ok {
+				ids = append(ids, id)
+			}
+		}
+		return ids[r.Intn(len(ids))]
+	}
+
+	var trace []string
+	defer func() {
+		if t.Failed() {
+			t.Logf("operations: %v", trace)
+		}
+	}()
+	for step := 0; step < 30; step++ {
+		switch op := r.Intn(6); op {
+		case 0: // create
+			id := []string{"s1", "s2"}[r.Intn(2)]
+			if _, ok := numRR[id]; ok {
+				continue
+			}
+			o := modelOpts[id]
+			trace = append(trace, "create "+id)
+			if _, err := c().CreateSession(SessionSpec{ID: id, K: o.K, Delta: o.Delta, Seed: o.Seed}); err != nil {
+				t.Fatal(err)
+			}
+			use(id)
+			numRR[id] = 0
+		case 1: // advance (an even count keeps the R1/R2 split history-free)
+			id, n := pick(), 2*(1+r.Intn(150))
+			trace = append(trace, fmt.Sprintf("advance %s %d", id, n))
+			if _, err := c().Session(id).Advance(n); err != nil {
+				t.Fatal(err)
+			}
+			use(id)
+			numRR[id] += int64(n)
+		case 2: // checkpoint
+			id := pick()
+			trace = append(trace, "checkpoint "+id)
+			if _, err := c().Session(id).Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			use(id)
+			durable[id] = numRR[id]
+		case 3: // mutation batch
+			up, ms := modelBatch(t, r, g)
+			trace = append(trace, "mutate "+up.Op)
+			resp, err := c().UpdateGraph(DefaultGraphName, []GraphUpdate{up})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, err = g.WithMutations(ms); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Lineage != g.EpochLineage() {
+				t.Fatalf("server graph at lineage %.12s, model at %.12s", resp.Lineage, g.EpochLineage())
+			}
+		case 4: // touch another session, evicting the resident one
+			id := pick()
+			trace = append(trace, "touch "+id)
+			sess := srv.lookup(id)
+			srv.touch(sess)
+			if status, msg := srv.ensureLoaded(sess); status != 0 {
+				t.Fatalf("touch %s: %d %s", id, status, msg)
+			}
+			use(id)
+		case 5: // kill −9 and restart
+			trace = append(trace, "kill")
+			ts.Close() // no Stop, no Shutdown: only checkpoints and the journal survive
+			for id := range numRR {
+				if n, ok := durable[id]; ok {
+					numRR[id] = n
+				} else {
+					delete(numRR, id)
+				}
+			}
+			resident = ""
+			start()
+		}
+	}
+
+	for id, n := range numRR {
+		st, err := c().Session(id).Status()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.NumRR != n {
+			t.Fatalf("session %s at num_rr=%d, model says %d", id, st.NumRR, n)
+		}
+		sess := srv.lookup(id)
+		if status, msg := srv.ensureLoaded(sess); status != 0 {
+			t.Fatalf("loading %s: %d %s", id, status, msg)
+		}
+		if !bytes.Equal(saveBytes(t, srv, id), refBytes(t, g, modelOpts[id], int(n))) {
+			t.Fatalf("session %s (num_rr=%d) is not byte-identical to a fresh run on the final graph", id, n)
+		}
+	}
+}
+
+// modelBatch draws one valid mutation against g: an edge insert, delete
+// or reweight, or a node add.
+func modelBatch(t *testing.T, r *rand.Rand, g *graph.Graph) (GraphUpdate, []graph.Mutation) {
+	t.Helper()
+	var edges []graph.Edge
+	g.Edges(func(e graph.Edge) bool { edges = append(edges, e); return true })
+	e := edges[r.Intn(len(edges))]
+	p := float32(0.01 + 0.4*r.Float64())
+	var up GraphUpdate
+	switch r.Intn(4) {
+	case 0:
+		up = GraphUpdate{Op: "edge_delete", From: e.From, To: e.To}
+	case 1:
+		up = GraphUpdate{Op: "set_weight", From: e.From, To: e.To, P: p}
+	case 2:
+		up = GraphUpdate{Op: "node_add"}
+	default:
+		for {
+			from, to := r.Int31n(g.N()), r.Int31n(g.N())
+			if from != to && !hasEdge(g, from, to) {
+				up = GraphUpdate{Op: "edge_insert", From: from, To: to, P: p}
+				break
+			}
+		}
+	}
+	ms, err := updatesToMutations([]GraphUpdate{up})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return up, ms
+}
+
+func hasEdge(g *graph.Graph, from, to int32) bool {
+	ns, _ := g.OutNeighbors(from)
+	for _, v := range ns {
+		if v == to {
+			return true
+		}
+	}
+	return false
+}

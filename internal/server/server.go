@@ -67,15 +67,13 @@ import (
 	"github.com/reprolab/opim/internal/cliutil"
 	"github.com/reprolab/opim/internal/core"
 	"github.com/reprolab/opim/internal/obs"
-	"github.com/reprolab/opim/internal/rrset"
 )
 
 // Robustness metrics (obs.Default(), see docs/OBSERVABILITY.md).
 var (
-	mPanics           = obs.Default().Counter("server_panics_total")
-	mEncodeErrors     = obs.Default().Counter("server_encode_errors_total")
-	mInflightRejected = obs.Default().Counter("server_inflight_rejected_total")
-	mAdvanceDeadline  = obs.Default().Counter("server_advance_deadline_total")
+	mPanics          = obs.Default().Counter("server_panics_total")
+	mEncodeErrors    = obs.Default().Counter("server_encode_errors_total")
+	mAdvanceDeadline = obs.Default().Counter("server_advance_deadline_total")
 )
 
 // Config configures a Server.
@@ -115,12 +113,12 @@ type Config struct {
 	DefaultBurst float64
 	// CheckpointPath, when non-empty, enables crash-safe checkpointing of
 	// the default session there (previous generation kept at
-	// CheckpointPath+".prev").
+	// CheckpointPath+".prev"); Resume restores it.
 	CheckpointPath string
 	// CheckpointDir, when non-empty, enables per-session checkpoints:
 	// every session (the default included, unless CheckpointPath overrides
-	// it) checkpoints to CheckpointDir/<id>.ck, AdoptCheckpointDir
-	// re-registers them at startup, and LRU eviction becomes possible.
+	// it) checkpoints to CheckpointDir/<id>.ck, Resume re-registers them at
+	// startup, and LRU eviction becomes possible.
 	CheckpointDir string
 	// MaxLoadedSessions bounds how many sessions are resident in memory;
 	// above it the least-recently-used idle session is checkpointed and
@@ -171,8 +169,7 @@ type Config struct {
 // background-sampling membership, so sessions never block each other —
 // across graphs or within one.
 type Server struct {
-	cfg     Config
-	sampler *rrset.Sampler // the default graph's sampler (startup resume path)
+	cfg Config
 
 	// smu guards the session table (sessions/order/touchSeq and each
 	// session's lastTouch). It is never held across engine work, checkpoint
@@ -217,12 +214,17 @@ type Server struct {
 	// ckWrap, when non-nil, wraps the checkpoint writer — the fault
 	// injection seam used by chaos tests (faultinject.TornWriter etc.).
 	ckWrap func(io.Writer) io.Writer
+	// createHook, when non-nil, runs in createSession between building
+	// the engine and publishing the session — the seam tests use to land
+	// a mutation batch in that window.
+	createHook func(id string)
 }
 
 // New wraps session — which becomes the "default" session, on the graph
 // registered as "default" — with the given configuration. Further graphs
 // are registered over HTTP (POST /graphs), further sessions created
-// (POST /sessions) or adopted from checkpoints (AdoptCheckpointDir).
+// (POST /sessions); Resume restores the default session and adopts every
+// other one from their checkpoints.
 func New(session *core.Online, cfg Config) *Server {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 10000
@@ -232,7 +234,6 @@ func New(session *core.Online, cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:      cfg,
-		sampler:  session.Sampler(),
 		sessions: make(map[string]*Session),
 		graphs:   make(map[string]*graphEntry),
 	}
@@ -456,12 +457,10 @@ func (s *Server) sessionStatus(sess *Session) Status {
 		Loaded:        sessionState(sess.state.Load()) == stateLoaded,
 		MaxRR:         sess.maxRR,
 	}
-	if sess.graph != nil {
-		id := sess.graph.ident.Load()
-		st.Graph = sess.graph.name
-		st.GraphFingerprint = id.fingerprint
-		st.GraphEpoch = id.epoch
-	}
+	id := sess.graph.ident.Load()
+	st.Graph = sess.graph.name
+	st.GraphFingerprint = id.fingerprint
+	st.GraphEpoch = id.epoch
 	return st
 }
 
@@ -790,7 +789,7 @@ func (s *Server) nextQuantum() (*Session, int64) {
 		if sess == nil || !sess.running.Load() || sessionState(sess.state.Load()) != stateLoaded {
 			continue
 		}
-		if sess.graph != nil && sess.graph.mutating.Load() {
+		if sess.graph.mutating.Load() {
 			// A mutation batch is mid-repair on this graph; skip the visit
 			// rather than contend with the repair sweep for sess.mu.
 			continue

@@ -33,6 +33,7 @@ import (
 	"github.com/reprolab/opim/internal/core"
 	"github.com/reprolab/opim/internal/learn"
 	"github.com/reprolab/opim/internal/obs"
+	"github.com/reprolab/opim/internal/rrset"
 )
 
 // DefaultSessionID names the session that the legacy single-session
@@ -116,6 +117,11 @@ type Session struct {
 	// reference on it for its whole registered life, plus one `loadedRefs`
 	// reference while resident (see catalog.go).
 	graph *graphEntry
+
+	// ckEpoch is the graph epoch of the checkpoint the last eviction left
+	// on disk. While an unloaded session's ckEpoch lags its graph,
+	// maybeCompactJournal keeps the chain suffix that checkpoint needs.
+	ckEpoch atomic.Int64
 
 	// campaign, when non-nil, makes this a learning session: the
 	// feedback-driven round machine of learn.Campaign (see learn.go).
@@ -332,44 +338,63 @@ func (s *Server) createSession(spec SessionSpec) (*Session, int, error) {
 		entry.sessions.Add(-1)
 		return nil, status, err
 	}
-	delta := spec.Delta
-	if delta == 0 {
-		delta = 1 / float64(sampler.Graph().N())
+	sess := &Session{ID: spec.ID, maxRR: maxRR, ckPath: s.sessionCheckpointPath(spec.ID), graph: entry}
+	s.applySessionQoS(sess, spec.Weight, spec.Rate, spec.Burst)
+	// install builds the session's engine (and learning campaign) on
+	// sampler; callers hold sess.mu.
+	install := func(sampler *rrset.Sampler) error {
+		delta := spec.Delta
+		if delta == 0 {
+			delta = 1 / float64(sampler.Graph().N())
+		}
+		online, err := core.NewOnline(sampler, core.Options{
+			K:           spec.K,
+			Delta:       delta,
+			Variant:     variant,
+			Seed:        spec.Seed,
+			Workers:     spec.Workers,
+			UnionBudget: spec.Union,
+			Exact:       spec.Exact,
+			BaseSeeds:   spec.BaseSeeds,
+			Events:      s.cfg.Events,
+			Generator:   s.cfg.Generator,
+		})
+		if err != nil {
+			return err
+		}
+		online.SetGraphIdentity(entry.name, entry.specString)
+		sess.setOnlineLocked(online)
+		if spec.Learn != nil {
+			sess.roundRR = spec.Learn.RoundRR
+			sess.campaign = learn.NewCampaign(sampler.Graph(), spec.Learn.Seed)
+			sess.syncLearnExtLocked()
+		}
+		return nil
 	}
-	online, err := core.NewOnline(sampler, core.Options{
-		K:           spec.K,
-		Delta:       delta,
-		Variant:     variant,
-		Seed:        spec.Seed,
-		Workers:     spec.Workers,
-		UnionBudget: spec.Union,
-		Exact:       spec.Exact,
-		BaseSeeds:   spec.BaseSeeds,
-		Events:      s.cfg.Events,
-		Generator:   s.cfg.Generator,
-	})
+	sess.mu.Lock()
+	err = install(sampler)
+	sess.mu.Unlock()
 	if err != nil {
 		return fail(http.StatusBadRequest, err)
 	}
-	online.SetGraphIdentity(entry.name, entry.specString)
-	sess := &Session{ID: spec.ID, maxRR: maxRR, ckPath: s.sessionCheckpointPath(spec.ID), graph: entry}
-	s.applySessionQoS(sess, spec.Weight, spec.Rate, spec.Burst)
-	sess.mu.Lock()
-	sess.setOnlineLocked(online)
-	if spec.Learn != nil {
-		sess.roundRR = spec.Learn.RoundRR
-		sess.campaign = learn.NewCampaign(sampler.Graph(), spec.Learn.Seed)
-		sess.syncLearnExtLocked()
+	if s.createHook != nil {
+		s.createHook(spec.ID)
 	}
-	sess.mu.Unlock()
 	if err := s.addSession(sess); err != nil {
 		return fail(http.StatusConflict, err)
 	}
-	// A mutation batch that landed while this session was being built may
-	// have swept the table before addSession published it; catch up now
-	// (no-op when the sampler is current).
+	// A batch that landed while the engine was being built swept the table
+	// before addSession published this session: catch up now. If a
+	// compaction has since dropped the engine's epoch from the chain,
+	// rebuild it on the current sampler instead — exact, because it holds
+	// no RR sets yet.
 	sess.mu.Lock()
-	s.catchUpLoadedLocked(sess)
+	if s.catchUp(sess.online, entry) != nil {
+		// Cannot fail: the options validated against a graph no larger
+		// (mutations never remove nodes).
+		_ = install(entry.current())
+	}
+	sess.refreshStatsLocked()
 	sess.mu.Unlock()
 	mSessionsCreated.Inc()
 	s.maybeEvict(sess)
@@ -377,18 +402,32 @@ func (s *Server) createSession(spec SessionSpec) (*Session, int, error) {
 	return sess, 0, nil
 }
 
-// AdoptCheckpointDir registers one session per "<id>.ck" file in
-// Config.CheckpointDir, so a restarted daemon serves every checkpointed
-// session again. Each checkpoint is loaded at adoption — validating it
-// before the daemon starts serving and populating the lock-free /status
-// mirrors — and MaxLoadedSessions is then enforced as usual, so under a
-// residency cap the surplus is checkpoint-evicted right back and
-// reloaded transparently on its first touch. An unusable checkpoint
-// (both generations) aborts adoption rather than silently discarding
-// that session's δ accounting, mirroring the startup refusal for the
-// default session. Already-registered ids (the resumed default session)
-// are skipped. It returns the adopted ids sorted.
-func (s *Server) AdoptCheckpointDir() ([]string, error) {
+// Resume restores every checkpointed session after a restart, each
+// through restore: first the default session from its checkpoint path
+// (Config.CheckpointPath, else CheckpointDir/default.ck), replacing the
+// fresh engine handed to New — which is kept when neither checkpoint
+// generation exists (first boot) — then one session per "<id>.ck" file in
+// CheckpointDir that is not registered yet. Each checkpoint is loaded now,
+// validating it before the daemon starts serving, and MaxLoadedSessions is
+// then enforced as usual, so under a residency cap the surplus is
+// checkpoint-evicted right back and reloaded on its first touch. A
+// checkpoint that exists but cannot be resumed (both generations bad, or
+// off its graph's epoch chain) is an error, not a silently discarded
+// session: that would forget every unit of δ it spent. It returns the ids
+// adopted from CheckpointDir, sorted.
+func (s *Server) Resume() ([]string, error) {
+	if def := s.lookup(DefaultSessionID); def != nil && def.ckPath != "" {
+		def.mu.Lock()
+		err := s.restore(def)
+		numRR := def.statNumRR.Load()
+		def.mu.Unlock()
+		switch {
+		case err == nil:
+			log.Printf("server: resumed session %q from %s (num_rr=%d); its parameters come from the checkpoint", def.ID, def.ckPath, numRR)
+		case !errors.Is(err, os.ErrNotExist):
+			return nil, fmt.Errorf("server: resuming session %q: %w", def.ID, err)
+		}
+	}
 	if s.cfg.CheckpointDir == "" {
 		return nil, nil
 	}
@@ -400,46 +439,24 @@ func (s *Server) AdoptCheckpointDir() ([]string, error) {
 		return nil, fmt.Errorf("server: reading checkpoint dir: %w", err)
 	}
 	var adopted []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".ck") {
+	for _, de := range entries {
+		id, ok := strings.CutSuffix(de.Name(), ".ck")
+		if de.IsDir() || !ok || !sessionIDRe.MatchString(id) || s.lookup(id) != nil {
 			continue
-		}
-		id := strings.TrimSuffix(name, ".ck")
-		if !sessionIDRe.MatchString(id) {
-			continue
-		}
-		if s.lookup(id) != nil {
-			continue // already registered (e.g. the resumed default)
 		}
 		sess := &Session{ID: id, maxRR: s.cfg.MaxRR, ckPath: s.sessionCheckpointPath(id)}
+		sess.state.Store(int32(stateUnloaded))
 		s.applySessionQoS(sess, 0, 0, 0)
-		// The checkpoint's own graph-identity header picks (or registers)
-		// the catalog graph the session resumes on; OPIMS3 fingerprints are
-		// verified, legacy formats log an "unverified graph" warning.
-		online, entry, err := s.loadSessionCheckpoint(sess.ckPath)
+		sess.mu.Lock()
+		err := s.restore(sess)
+		sess.mu.Unlock()
 		if err != nil {
 			sort.Strings(adopted)
 			return adopted, fmt.Errorf("server: adopting session %q: %w", id, err)
 		}
-		sess.graph = entry
-		entry.sessions.Add(1)
-		online.SetEvents(s.cfg.Events)
-		online.SetGenerator(s.cfg.Generator)
-		sess.mu.Lock()
-		sess.setOnlineLocked(online)
-		sess.mu.Unlock()
-		if err := s.addSession(sess); err != nil {
-			s.releaseGraph(entry)
-			entry.sessions.Add(-1)
-			continue
-		}
-		sess.mu.Lock()
-		s.catchUpLoadedLocked(sess)
-		sess.mu.Unlock()
 		adopted = append(adopted, id)
 		s.maybeEvict(sess)
-		s.maybeUnloadGraphs(entry)
+		s.maybeUnloadGraphs(sess.graph)
 	}
 	sort.Strings(adopted)
 	return adopted, nil
@@ -449,7 +466,7 @@ func (s *Server) AdoptCheckpointDir() ([]string, error) {
 // evicted. A non-zero return is the HTTP status (and message) to answer
 // with: 409 while an eviction is in flight, 500 when the reload failed.
 func (s *Server) ensureLoaded(sess *Session) (int, string) {
-	if sess.graph != nil && sess.graph.mutating.Load() {
+	if sess.graph.mutating.Load() {
 		// A mutation batch is being applied to this session's graph; engine
 		// requests wait it out like an eviction (409 + Retry-After) instead
 		// of contending with the repair sweep. Purely a latency gate — a
@@ -473,47 +490,11 @@ func (s *Server) ensureLoaded(sess *Session) (int, string) {
 				sess.mu.Unlock()
 				return http.StatusNotFound, fmt.Sprintf("session %q was deleted", sess.ID)
 			}
-			// Re-acquire the session's graph first (reloading it from its
-			// spec if the catalog unloaded it); the checkpoint's recorded
-			// identity is then verified against the entry's epoch chain — a
-			// checkpoint taken before a mutation batch is caught up with
-			// exactly the missed batches during the load.
-			sampler := s.sampler
-			acquired := false
-			if sess.graph != nil {
-				var err error
-				if sampler, err = s.acquireGraph(sess.graph); err != nil {
-					sess.mu.Unlock()
-					return http.StatusInternalServerError,
-						fmt.Sprintf("session %q: %v", sess.ID, err)
-				}
-				acquired = true
-			}
-			var online *core.Online
-			var err error
-			if sess.graph != nil {
-				online, err = s.loadForEntry(sess.ckPath, sess.graph, sampler)
-			} else {
-				online, _, err = LoadCheckpoint(sess.ckPath, sampler)
-			}
-			if err != nil {
-				if acquired {
-					s.releaseGraph(sess.graph)
-				}
+			if err := s.restore(sess); err != nil {
 				sess.mu.Unlock()
 				return http.StatusInternalServerError,
 					fmt.Sprintf("session %q: reload from checkpoint %s failed: %v", sess.ID, sess.ckPath, err)
 			}
-			online.SetEvents(s.cfg.Events)
-			online.SetGenerator(s.cfg.Generator)
-			sess.setOnlineLocked(online)
-			// Close the load-races-mutation window: if a batch landed on the
-			// entry between the sampler acquisition above and now, repair
-			// with the missed suffix before serving (idempotent if the batch
-			// was already caught up during the load).
-			s.catchUpLoadedLocked(sess)
-			sess.state.Store(int32(stateLoaded))
-			gSessionsLoaded.Set(float64(s.loaded.Add(1)))
 			mSessionsReloaded.Inc()
 		}
 		sess.mu.Unlock()
@@ -611,19 +592,17 @@ func (s *Server) evictSession(sess *Session) bool {
 			sess.mu.Unlock()
 			break
 		}
-		moved := sess.online.NumRR() != fp.numRR || sess.online.Queries() != fp.queries
-		if !moved {
+		if fingerprint(sess.online) == fp {
 			sess.online = nil
+			sess.ckEpoch.Store(fp.epoch)
 			sess.state.Store(int32(stateUnloaded))
 			sess.mu.Unlock()
 			gSessionsLoaded.Set(float64(s.loaded.Add(-1)))
 			mSessionsEvicted.Inc()
-			if sess.graph != nil {
-				// The session left memory: drop its residency reference and
-				// let the graph itself become unloadable.
-				s.releaseGraph(sess.graph)
-				s.maybeUnloadGraphs(nil)
-			}
+			// The session left memory: drop its residency reference and let
+			// the graph itself become unloadable.
+			s.releaseGraph(sess.graph)
+			s.maybeUnloadGraphs(nil)
 			return true
 		}
 		sess.mu.Unlock()
@@ -649,12 +628,10 @@ func (s *Server) sessionInfo(sess *Session) SessionInfo {
 		Loaded:     sessionState(sess.state.Load()) == stateLoaded,
 		Checkpoint: sess.ckPath,
 	}
-	if sess.graph != nil {
-		id := sess.graph.ident.Load()
-		info.Graph = sess.graph.name
-		info.GraphFingerprint = id.fingerprint
-		info.GraphEpoch = id.epoch
-	}
+	id := sess.graph.ident.Load()
+	info.Graph = sess.graph.name
+	info.GraphFingerprint = id.fingerprint
+	info.GraphEpoch = id.epoch
 	if opts := sess.opts.Load(); opts != nil {
 		info.K = opts.K
 		info.Delta = opts.Delta
@@ -768,13 +745,11 @@ func (s *Server) removeSession(sess *Session) bool {
 	}
 	sess.state.Store(int32(stateUnloaded))
 	sess.mu.Unlock()
-	if sess.graph != nil {
-		if wasLoaded {
-			s.releaseGraph(sess.graph)
-		}
-		sess.graph.sessions.Add(-1)
-		s.maybeUnloadGraphs(nil)
+	if wasLoaded {
+		s.releaseGraph(sess.graph)
 	}
+	sess.graph.sessions.Add(-1)
+	s.maybeUnloadGraphs(nil)
 
 	if sess.ckPath != "" && s.cfg.CheckpointDir != "" &&
 		filepath.Dir(sess.ckPath) == filepath.Clean(s.cfg.CheckpointDir) {

@@ -349,14 +349,10 @@ func TestAdoptCheckpointDirResume(t *testing.T) {
 	// Simulated SIGKILL: no Stop, no Shutdown — just abandon the server.
 	ts1.Close()
 
-	// Restart: resume the default from its checkpoint (as opimd does),
-	// adopt the rest of the directory.
-	def, _, err := LoadCheckpoint(dir+"/default.ck", sampler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := New(def, cfg)
-	adopted, err := srv2.AdoptCheckpointDir()
+	// Restart as opimd does: resume the default from its checkpoint, adopt
+	// the rest of the directory.
+	srv2 := New(robustSession(t, sampler), cfg)
+	adopted, err := srv2.Resume()
 	if err != nil {
 		t.Fatal(err)
 	}
