@@ -28,11 +28,11 @@ func TestOpimdFleetWorkerKillSmoke(t *testing.T) {
 	// Baseline: a plain single-process daemon. The batch is sized so the
 	// fleet run takes long enough (hundreds of leases) that the SIGKILL
 	// below reliably lands mid-generation.
-	const advance = "/advance?count=300000"
+	const advance = "/sessions/default/advance?count=300000"
 	baseline := startDaemon(t, bin)
 	baseline.mustPost(t, advance)
-	wantStatus := baseline.mustGet(t, "/status")
-	wantSnap := baseline.mustGet(t, "/snapshot")
+	wantStatus := baseline.mustGet(t, "/sessions/default/status")
+	wantSnap := baseline.mustGet(t, "/sessions/default/snapshot")
 	baseline.cmd.Process.Kill()
 	baseline.cmd.Wait()
 
@@ -76,8 +76,8 @@ func TestOpimdFleetWorkerKillSmoke(t *testing.T) {
 		t.Fatal("advance wedged after worker kill; lease reassignment failed")
 	}
 
-	gotStatus := coord.mustGet(t, "/status")
-	gotSnap := coord.mustGet(t, "/snapshot")
+	gotStatus := coord.mustGet(t, "/sessions/default/status")
+	gotSnap := coord.mustGet(t, "/sessions/default/snapshot")
 	for _, key := range []string{"num_rr", "edges_examined"} {
 		if fmt.Sprint(gotStatus[key]) != fmt.Sprint(wantStatus[key]) {
 			t.Fatalf("%s = %v, baseline %v — fleet run diverged from single-process run",

@@ -5,20 +5,20 @@
 //
 //	opimd -profile synth-pokec -model IC -k 50 -listen :8080
 //
-// then:
+// The flags configure the session named "default", served like every
+// session under /sessions/{id}:
 //
-//	curl -X POST localhost:8080/start      # begin streaming RR sets
-//	curl localhost:8080/snapshot           # current seeds + guarantee
-//	curl 'localhost:8080/snapshot?peek=1'  # last snapshot, spends no δ
-//	curl -X POST localhost:8080/stop       # pause
-//	curl -X POST 'localhost:8080/advance?count=100000'
-//	curl localhost:8080/status
+//	curl -X POST localhost:8080/sessions/default/start      # begin streaming RR sets
+//	curl localhost:8080/sessions/default/snapshot           # current seeds + guarantee
+//	curl 'localhost:8080/sessions/default/snapshot?peek=1'  # last snapshot, spends no δ
+//	curl -X POST localhost:8080/sessions/default/stop       # pause
+//	curl -X POST 'localhost:8080/sessions/default/advance?count=100000'
+//	curl localhost:8080/sessions/default/status
+//	curl -X POST localhost:8080/sessions/default/checkpoint # force a durable checkpoint
 //	curl localhost:8080/metrics            # throughput, latencies, last α
-//	curl -X POST localhost:8080/checkpoint # force a durable checkpoint
 //
-// Multi-session serving: the flags above configure the "default" session,
-// which the bare paths address. Further sessions — each with its own k,
-// δ, variant, seed, base seeds and δ budget — are managed over HTTP:
+// Further sessions — each with its own k, δ, variant, seed, base seeds and
+// δ budget — are managed over HTTP:
 //
 //	curl -X POST localhost:8080/sessions -d '{"id":"alice","k":20,"seed":7}'
 //	curl localhost:8080/sessions           # list
@@ -46,23 +46,22 @@
 //
 // Fault tolerance (see docs/ROBUSTNESS.md):
 //
-//   - -checkpoint FILE enables crash-safe checkpointing of the default
-//     session: it is written atomically every -checkpoint-interval
-//     (default 30s), on POST /checkpoint, and on graceful shutdown. At
-//     startup the daemon replays each graph's mutation journal, then
-//     resumes every checkpointed session through one restore path
-//     (server.Resume): current generation, else FILE.prev, placed on the
-//     graph's epoch chain and caught up with the batches it missed. A
-//     checkpoint that exists but cannot be resumed stops startup. A resumed
-//     session continues the exact sample stream — seeds, α and δ
-//     accounting are byte-identical to a never-crashed run. When
-//     resuming, the session parameters (-k, -delta, -seed, …) come from
-//     the checkpoint, not the flags.
-//   - -checkpoint-dir DIR extends that to every session (DIR/<id>.ck):
-//     dynamically created sessions checkpoint there, the daemon adopts
-//     all of them at startup, and -max-loaded-sessions N bounds memory
-//     by checkpointing-then-unloading idle sessions (reloaded
-//     transparently on their next request).
+//   - -checkpoint-dir DIR enables crash-safe checkpointing: every
+//     session, the default included, is written atomically to DIR/<id>.ck
+//     every -checkpoint-interval (default 30s), on POST
+//     /sessions/{id}/checkpoint, and on graceful shutdown, and every
+//     graph's mutation batches are journaled there. At startup the daemon
+//     replays each graph's journal, then resumes every checkpointed
+//     session through one restore path (server.Resume): current
+//     generation, else <id>.ck.prev, placed on the graph's epoch chain and
+//     caught up with the batches it missed. A checkpoint that exists but
+//     cannot be resumed stops startup. A resumed session continues the
+//     exact sample stream — seeds, α and δ accounting are byte-identical
+//     to a never-crashed run. When resuming, the default session's
+//     parameters (-k, -delta, -seed, …) come from the checkpoint, not the
+//     flags. -max-loaded-sessions N bounds memory by
+//     checkpointing-then-unloading idle sessions (reloaded transparently
+//     on their next request).
 //   - -request-timeout bounds /advance processing (503 + Retry-After
 //     past the deadline, progress kept); -max-inflight sheds excess
 //     concurrent requests with 503.
@@ -90,7 +89,6 @@ import (
 	httppprof "net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -117,11 +115,10 @@ func main() {
 		union      = flag.Bool("union", false, "union-budget mode across snapshots")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		logEvents  = flag.String("log-events", "", "append a JSONL event per served snapshot to this file")
-		checkpoint = flag.String("checkpoint", "", "default-session checkpoint file: enables periodic crash-safe saves and startup auto-resume")
-		ckDir      = flag.String("checkpoint-dir", "", "per-session checkpoint directory (DIR/<id>.ck): enables multi-session persistence, startup adoption and eviction")
+		ckDir      = flag.String("checkpoint-dir", "", "checkpoint directory (DIR/<id>.ck per session, default included, plus each graph's mutation journal): enables crash-safe saves, startup resume and eviction")
 		maxLoaded  = flag.Int("max-loaded-sessions", 0, "max sessions resident in memory; past it idle sessions are checkpointed and unloaded (0 = unlimited, requires -checkpoint-dir)")
 		maxGraphs  = flag.Int("max-loaded-graphs", 0, "max graphs resident in memory; past it idle registered graphs are unloaded and reloaded from their spec on demand (0 = unlimited)")
-		ckInterval = flag.Duration("checkpoint-interval", server.DefaultCheckpointInterval, "periodic checkpoint cadence (requires -checkpoint or -checkpoint-dir)")
+		ckInterval = flag.Duration("checkpoint-interval", server.DefaultCheckpointInterval, "periodic checkpoint cadence (requires -checkpoint-dir)")
 		reqTimeout = flag.Duration("request-timeout", time.Minute, "deadline for /advance processing (0 = none)")
 		maxInfl    = flag.Int("max-inflight", 64, "max concurrent HTTP requests; excess requests queue briefly, then 429 (0 = unlimited)")
 		maxQueue   = flag.Int("max-queue", 0, "max requests waiting for an inflight slot (0 = 2×max-inflight, negative = no queue)")
@@ -134,7 +131,7 @@ func main() {
 		fleetRPC   = flag.Duration("fleet-rpc-timeout", 0, "deadline per fleet worker RPC (0 = 30s)")
 		fleetTTL   = flag.Duration("fleet-lease-ttl", 0, "in-flight lease age before speculative reassignment (0 = 2x the RPC timeout)")
 		fleetHB    = flag.Duration("fleet-heartbeat", 0, "fleet worker health-probe period (0 = 1s)")
-		learnOn    = flag.Bool("learn", false, "run the default session as a feedback-driven learning campaign: POST /rounds serves explore/exploit seeds, POST /observations feeds cascades back (see docs/LEARNING.md)")
+		learnOn    = flag.Bool("learn", false, "run the default session as a feedback-driven learning campaign: POST /sessions/default/rounds serves explore/exploit seeds, POST /sessions/default/observations feeds cascades back (see docs/LEARNING.md)")
 		learnSeed  = flag.Uint64("learn-seed", 1, "random seed for the learner's Thompson-sampling draws")
 		learnRR    = flag.Int("learn-round-rr", 0, "RR sets generated per learning round (0 = 1024)")
 		jCompact   = flag.Int("journal-compact-every", 0, "compact a graph's mutation journal into an OPIMG2 snapshot once it holds this many entries (0 = never; see docs/ROBUSTNESS.md)")
@@ -197,12 +194,6 @@ func main() {
 				g.Epoch(), glog.Epochs(), glog.BaseEpoch, g.N(), g.M())
 		}
 	}
-	// The default session's checkpoint: -checkpoint wins; otherwise it
-	// lives alongside the other sessions in -checkpoint-dir.
-	defaultCk := *checkpoint
-	if defaultCk == "" && *ckDir != "" {
-		defaultCk = filepath.Join(*ckDir, server.DefaultSessionID+".ck")
-	}
 	// A fresh default session on the replayed graph; Resume replaces it
 	// with its checkpoint when one exists.
 	session, err := opim.NewOnline(sampler, opim.Options{
@@ -236,7 +227,6 @@ func main() {
 		MaxQueueWait:        *maxQWait,
 		DefaultRate:         *defRate,
 		DefaultBurst:        *defBurst,
-		CheckpointPath:      *checkpoint,
 		CheckpointDir:       *ckDir,
 		MaxLoadedSessions:   *maxLoaded,
 		MaxLoadedGraphs:     *maxGraphs,
@@ -312,7 +302,7 @@ func main() {
 		}
 		if err := srv.Shutdown(); err != nil {
 			fmt.Fprintf(os.Stderr, "opimd: final checkpoint: %v\n", err)
-		} else if defaultCk != "" || *ckDir != "" {
+		} else if *ckDir != "" {
 			fmt.Printf("opimd: final checkpoints written\n")
 		}
 		if events != nil {
@@ -331,12 +321,9 @@ func main() {
 	if coordinator != nil {
 		fmt.Printf("opimd: distributing RR generation across %d fleet worker(s)\n", len(strings.Split(*fleetList, ",")))
 	}
-	if defaultCk != "" {
-		fmt.Printf("opimd: checkpointing default session to %s every %v\n", defaultCk, *ckInterval)
-	}
 	if *ckDir != "" {
-		fmt.Printf("opimd: per-session checkpoints in %s (max loaded: %s)\n",
-			*ckDir, loadedLimit(*maxLoaded))
+		fmt.Printf("opimd: checkpointing every session to %s/<id>.ck every %v (max loaded: %s)\n",
+			*ckDir, *ckInterval, loadedLimit(*maxLoaded))
 	}
 	if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 		fatalf("%v", err)

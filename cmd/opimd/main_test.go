@@ -46,7 +46,8 @@ type daemon struct {
 }
 
 // startDaemon launches opimd on an ephemeral port and waits until it
-// serves /status. extra is appended to a small deterministic profile.
+// serves /metrics (a -worker serves only /status). extra is appended to a
+// small deterministic profile.
 func startDaemon(t *testing.T, bin string, extra ...string) *daemon {
 	t.Helper()
 	args := append([]string{
@@ -88,8 +89,10 @@ func startDaemon(t *testing.T, bin string, extra ...string) *daemon {
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, err := d.get("/status"); err == nil {
-			return d
+		for _, p := range []string{"/metrics", "/status"} {
+			if _, err := d.get(p); err == nil {
+				return d
+			}
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -164,31 +167,30 @@ func numRR(t *testing.T, status map[string]any) int64 {
 func TestOpimdKillResume(t *testing.T) {
 	bin := buildOpimd(t)
 	dir := t.TempDir()
-	ck := filepath.Join(dir, "session.ck")
 
 	// Run A: 1200 RR sets checkpointed, 400 more that will be lost to the
 	// crash (checkpoint interval 1h = only explicit checkpoints).
-	a := startDaemon(t, bin, "-checkpoint", ck, "-checkpoint-interval", "1h")
-	a.mustPost(t, "/advance?count=1200")
-	a.mustPost(t, "/checkpoint")
-	a.mustPost(t, "/advance?count=400")
+	a := startDaemon(t, bin, "-checkpoint-dir", dir, "-checkpoint-interval", "1h")
+	a.mustPost(t, "/sessions/default/advance?count=1200")
+	a.mustPost(t, "/sessions/default/checkpoint")
+	a.mustPost(t, "/sessions/default/advance?count=400")
 	if err := a.cmd.Process.Kill(); err != nil { // SIGKILL: no cleanup runs
 		t.Fatal(err)
 	}
 	a.cmd.Wait()
 
 	// Run B: must resume at exactly the checkpoint.
-	b := startDaemon(t, bin, "-checkpoint", ck, "-checkpoint-interval", "1h")
-	if got := numRR(t, b.mustGet(t, "/status")); got != 1200 {
+	b := startDaemon(t, bin, "-checkpoint-dir", dir, "-checkpoint-interval", "1h")
+	if got := numRR(t, b.mustGet(t, "/sessions/default/status")); got != 1200 {
 		t.Fatalf("resumed num_rr = %d, want 1200 (the checkpointed state)", got)
 	}
-	b.mustPost(t, "/advance?count=800")
-	snapB := b.mustGet(t, "/snapshot")
+	b.mustPost(t, "/sessions/default/advance?count=800")
+	snapB := b.mustGet(t, "/sessions/default/snapshot")
 
 	// Reference run C: same parameters, no crash, straight to 2000.
-	c := startDaemon(t, bin, "-checkpoint", filepath.Join(dir, "ref.ck"))
-	c.mustPost(t, "/advance?count=2000")
-	snapC := c.mustGet(t, "/snapshot")
+	c := startDaemon(t, bin, "-checkpoint-dir", t.TempDir())
+	c.mustPost(t, "/sessions/default/advance?count=2000")
+	snapC := c.mustGet(t, "/sessions/default/snapshot")
 
 	jb, _ := json.Marshal(snapB)
 	jc, _ := json.Marshal(snapC)
@@ -212,9 +214,9 @@ func TestOpimdMultiSessionKillResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.mustPost(t, "/sessions/exp/advance?count=900")
-	a.mustPost(t, "/advance?count=500")
+	a.mustPost(t, "/sessions/default/advance?count=500")
 	a.mustPost(t, "/sessions/exp/checkpoint")
-	a.mustPost(t, "/checkpoint")
+	a.mustPost(t, "/sessions/default/checkpoint")
 	a.mustPost(t, "/sessions/exp/advance?count=300") // lost to the crash
 	if err := a.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
@@ -222,7 +224,7 @@ func TestOpimdMultiSessionKillResume(t *testing.T) {
 	a.cmd.Wait()
 
 	b := startDaemon(t, bin, "-checkpoint-dir", dir, "-checkpoint-interval", "1h")
-	if got := numRR(t, b.mustGet(t, "/status")); got != 500 {
+	if got := numRR(t, b.mustGet(t, "/sessions/default/status")); got != 500 {
 		t.Fatalf("default resumed at num_rr = %d, want 500", got)
 	}
 	if got := numRR(t, b.mustGet(t, "/sessions/exp/status")); got != 900 {
@@ -276,9 +278,9 @@ func TestOpimdMultiGraphKillResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.mustPost(t, "/sessions/amber/advance?count=800")
-	a.mustPost(t, "/advance?count=400")
+	a.mustPost(t, "/sessions/default/advance?count=400")
 	a.mustPost(t, "/sessions/amber/checkpoint")
-	a.mustPost(t, "/checkpoint")
+	a.mustPost(t, "/sessions/default/checkpoint")
 	a.mustPost(t, "/sessions/amber/advance?count=300") // lost to the crash
 	if err := a.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
@@ -286,7 +288,7 @@ func TestOpimdMultiGraphKillResume(t *testing.T) {
 	a.cmd.Wait()
 
 	b := startDaemon(t, bin, "-checkpoint-dir", dir, "-checkpoint-interval", "1h", "-max-loaded-graphs", "2")
-	if got := numRR(t, b.mustGet(t, "/status")); got != 400 {
+	if got := numRR(t, b.mustGet(t, "/sessions/default/status")); got != 400 {
 		t.Fatalf("default resumed at num_rr = %d, want 400", got)
 	}
 	st := b.mustGet(t, "/sessions/amber/status")
@@ -311,11 +313,12 @@ func TestOpimdMultiGraphKillResume(t *testing.T) {
 // state with nothing lost.
 func TestOpimdGracefulShutdown(t *testing.T) {
 	bin := buildOpimd(t)
-	ck := filepath.Join(t.TempDir(), "session.ck")
+	dir := t.TempDir()
+	ck := filepath.Join(dir, "default.ck")
 
-	a := startDaemon(t, bin, "-checkpoint", ck, "-checkpoint-interval", "1h")
-	a.mustPost(t, "/advance?count=1000")
-	// No explicit /checkpoint: only the shutdown path can persist this.
+	a := startDaemon(t, bin, "-checkpoint-dir", dir, "-checkpoint-interval", "1h")
+	a.mustPost(t, "/sessions/default/advance?count=1000")
+	// No explicit checkpoint: only the shutdown path can persist this.
 	if err := a.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -334,8 +337,8 @@ func TestOpimdGracefulShutdown(t *testing.T) {
 		t.Fatalf("no final checkpoint after graceful shutdown: %v", err)
 	}
 
-	b := startDaemon(t, bin, "-checkpoint", ck)
-	if got := numRR(t, b.mustGet(t, "/status")); got != 1000 {
+	b := startDaemon(t, bin, "-checkpoint-dir", dir)
+	if got := numRR(t, b.mustGet(t, "/sessions/default/status")); got != 1000 {
 		t.Fatalf("after graceful shutdown + restart num_rr = %d, want 1000", got)
 	}
 }
@@ -345,14 +348,15 @@ func TestOpimdGracefulShutdown(t *testing.T) {
 // session's δ accounting.
 func TestOpimdRefusesCorruptCheckpoint(t *testing.T) {
 	bin := buildOpimd(t)
-	ck := filepath.Join(t.TempDir(), "session.ck")
+	dir := t.TempDir()
+	ck := filepath.Join(dir, "default.ck")
 	if err := os.WriteFile(ck, []byte("OPIMS1\ngarbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cmd := exec.Command(bin,
 		"-profile", "synth-pokec", "-scale", "20000",
 		"-k", "3", "-seed", "7", "-listen", "127.0.0.1:0",
-		"-checkpoint", ck)
+		"-checkpoint-dir", dir)
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("daemon started from a corrupt checkpoint; output: %s", out)

@@ -21,8 +21,8 @@ func TestOpimdMutationKillResume(t *testing.T) {
 	dir := t.TempDir()
 
 	a := startDaemon(t, bin, "-checkpoint-dir", dir, "-checkpoint-interval", "1h")
-	a.mustPost(t, "/advance?count=1000")
-	a.mustPost(t, "/checkpoint") // epoch-0 checkpoint: stale after the mutation
+	a.mustPost(t, "/sessions/default/advance?count=1000")
+	a.mustPost(t, "/sessions/default/checkpoint") // epoch-0 checkpoint: stale after the mutation
 	ginfo := a.mustGet(t, "/graphs/default")
 	n, ok := ginfo["n"].(float64)
 	if !ok || n <= 0 {
@@ -41,7 +41,7 @@ func TestOpimdMutationKillResume(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "graph-default.mutlog")); err != nil {
 		t.Fatalf("mutation journal missing after an applied batch: %v", err)
 	}
-	a.mustPost(t, "/advance?count=500") // lost to the crash
+	a.mustPost(t, "/sessions/default/advance?count=500") // lost to the crash
 	if err := a.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -59,15 +59,15 @@ func TestOpimdMutationKillResume(t *testing.T) {
 	if !replayed {
 		t.Fatalf("restart never reported replaying the mutation journal; stdout: %q", b.lines)
 	}
-	st := b.mustGet(t, "/status")
+	st := b.mustGet(t, "/sessions/default/status")
 	if got := numRR(t, st); got != 1000 {
 		t.Fatalf("resumed num_rr = %d, want 1000 (the checkpointed state)", got)
 	}
 	if st["graph_epoch"] != float64(1) {
 		t.Fatalf("resumed graph epoch = %v, want 1", st["graph_epoch"])
 	}
-	b.mustPost(t, "/advance?count=1000")
-	snapB := b.mustGet(t, "/snapshot")
+	b.mustPost(t, "/sessions/default/advance?count=1000")
+	snapB := b.mustGet(t, "/sessions/default/snapshot")
 
 	// Reference: fresh directory, same batch applied before any sampling,
 	// straight to 2000 — no crash, no repair, same bytes.
@@ -75,8 +75,8 @@ func TestOpimdMutationKillResume(t *testing.T) {
 	if _, err := c.reqBody(http.MethodPost, "/graphs/default/updates", batch); err != nil {
 		t.Fatal(err)
 	}
-	c.mustPost(t, "/advance?count=2000")
-	snapC := c.mustGet(t, "/snapshot")
+	c.mustPost(t, "/sessions/default/advance?count=2000")
+	snapC := c.mustGet(t, "/sessions/default/snapshot")
 
 	jb, _ := json.Marshal(snapB)
 	jc, _ := json.Marshal(snapC)
@@ -96,7 +96,7 @@ func TestOpimdCompactedJournalKillResume(t *testing.T) {
 	flags := []string{"-checkpoint-dir", dir, "-checkpoint-interval", "1h", "-journal-compact-every", "1"}
 
 	a := startDaemon(t, bin, flags...)
-	a.mustPost(t, "/advance?count=1000")
+	a.mustPost(t, "/sessions/default/advance?count=1000")
 	n, ok := a.mustGet(t, "/graphs/default")["n"].(float64)
 	if !ok || n <= 0 {
 		t.Fatal("graph info has no node count")
@@ -110,7 +110,7 @@ func TestOpimdCompactedJournalKillResume(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "graph-default.e1.snap")); err != nil {
 		t.Fatalf("compaction snapshot missing after the batch: %v", err)
 	}
-	a.mustPost(t, "/checkpoint") // saved on the epoch-1 fingerprint
+	a.mustPost(t, "/sessions/default/checkpoint") // saved on the epoch-1 fingerprint
 	if err := a.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +126,12 @@ func TestOpimdCompactedJournalKillResume(t *testing.T) {
 	if !landed {
 		t.Fatalf("restart never reported landing on the compacted epoch; stdout: %q", b.lines)
 	}
-	st := b.mustGet(t, "/status")
+	st := b.mustGet(t, "/sessions/default/status")
 	if st["graph_epoch"] != float64(1) {
 		t.Fatalf("resumed graph epoch = %v, want 1", st["graph_epoch"])
 	}
 	if got := numRR(t, st); got != 1000 {
 		t.Fatalf("resumed num_rr = %d, want 1000 (the checkpointed state)", got)
 	}
-	b.mustPost(t, "/advance?count=500")
+	b.mustPost(t, "/sessions/default/advance?count=500")
 }

@@ -14,10 +14,12 @@ package graph
 // the in-adjacency is exactly the counting-sort derivative of the
 // out-adjacency, and that inPSum matches bit for bit, so the fingerprint
 // guarantee ("hashing the out side pins every edge") survives untrusted
-// files. The mmap path checks header sanity and offset monotonicity only
-// (O(n), no page-in of edge data); it is a cache format written by this
-// package, and end-to-end corruption is caught by the graph fingerprint
-// wherever one is recorded (catalog reloads, checkpoint resume).
+// files. The mmap path checks header sanity (m bounded by the file size),
+// section bounds and offset monotonicity only (O(n), no page-in of edge
+// data); it is a cache format written by this package, and end-to-end
+// corruption is caught by the graph fingerprint wherever one is recorded
+// (catalog reloads, checkpoint resume). Both decoders are fuzzed
+// (FuzzReadCSR, FuzzCSRFromMapping): neither may panic on any input.
 //
 // Layout (all little-endian, offsets from start of file):
 //
@@ -230,6 +232,8 @@ func ReadCSR(r io.Reader) (*Graph, error) {
 // chunked section readers: data is appended in bounded chunks so a forged
 // header over a truncated file errors out early instead of forcing a
 // multi-gigabyte allocation (the same policy as ReadBinary's clamped hint).
+// Each chunk's element count is clamped to the buffer before it is scaled
+// to bytes, so a forged count cannot overflow the product.
 
 const csrReadChunk = 1 << 20 // elements per allocation step
 
@@ -237,10 +241,7 @@ func readU64Section(br *bufio.Reader, count int64, what string) ([]int64, error)
 	out := make([]int64, 0, min64(count, csrReadChunk))
 	buf := make([]byte, 1<<16)
 	for int64(len(out)) < count {
-		want := (count - int64(len(out))) * 8
-		if want > int64(len(buf)) {
-			want = int64(len(buf))
-		}
+		want := min64(count-int64(len(out)), int64(len(buf))/8) * 8
 		if _, err := io.ReadFull(br, buf[:want]); err != nil {
 			return nil, fmt.Errorf("%w: short %s section: %v", ErrBadFormat, what, err)
 		}
@@ -255,10 +256,7 @@ func readI32Section(br *bufio.Reader, count int64, what string) ([]int32, error)
 	out := make([]int32, 0, min64(count, csrReadChunk))
 	buf := make([]byte, 1<<16)
 	for int64(len(out)) < count {
-		want := (count - int64(len(out))) * 4
-		if want > int64(len(buf)) {
-			want = int64(len(buf))
-		}
+		want := min64(count-int64(len(out)), int64(len(buf))/4) * 4
 		if _, err := io.ReadFull(br, buf[:want]); err != nil {
 			return nil, fmt.Errorf("%w: short %s section: %v", ErrBadFormat, what, err)
 		}
@@ -278,10 +276,7 @@ func readF32Section(br *bufio.Reader, count int64, what string) ([]float32, erro
 	out := make([]float32, 0, min64(count, csrReadChunk))
 	buf := make([]byte, 1<<16)
 	for int64(len(out)) < count {
-		want := (count - int64(len(out))) * 4
-		if want > int64(len(buf)) {
-			want = int64(len(buf))
-		}
+		want := min64(count-int64(len(out)), int64(len(buf))/4) * 4
 		if _, err := io.ReadFull(br, buf[:want]); err != nil {
 			return nil, fmt.Errorf("%w: short %s section: %v", ErrBadFormat, what, err)
 		}

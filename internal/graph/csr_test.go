@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -205,6 +206,36 @@ func TestReadCSRRejectsCorruption(t *testing.T) {
 		mut[off] ^= 0x40
 		if _, err := graph.ReadCSR(bytes.NewReader(mut)); err == nil {
 			t.Errorf("flip at offset %d accepted", off)
+		}
+	}
+}
+
+// TestCSRDecodersRejectForgedEdgeCount feeds both OPIMG2 decoders a header
+// whose edge count m overflows the section arithmetic: the copy decoder
+// once scaled m to bytes unclamped (32-byte stream: header plus outOff), the
+// mmap decoder laid the sections out before bounding m (header-only file).
+// Each must answer ErrBadFormat, not panic.
+func TestCSRDecodersRejectForgedEdgeCount(t *testing.T) {
+	header := func(m uint64) []byte {
+		b := append([]byte("OPIMG2\n\x00"), make([]byte, 16)...)
+		binary.LittleEndian.PutUint64(b[16:], m) // n = 0
+		return b
+	}
+	inputs := map[string][]byte{
+		"copy": append(header(0x3030303030303030), make([]byte, 8)...),
+		"mmap": header(1 << 59),
+	}
+	dir := t.TempDir()
+	for name, in := range inputs {
+		if _, err := graph.ReadCSR(bytes.NewReader(in)); !errors.Is(err, graph.ErrBadFormat) {
+			t.Errorf("%s input, ReadCSR: error = %v, want ErrBadFormat", name, err)
+		}
+		path := filepath.Join(dir, name+".opimg2")
+		if err := os.WriteFile(path, in, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := graph.LoadFile(path); !errors.Is(err, graph.ErrBadFormat) {
+			t.Errorf("%s input, LoadFile: error = %v, want ErrBadFormat", name, err)
 		}
 	}
 }

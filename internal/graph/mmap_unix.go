@@ -87,7 +87,9 @@ func csrFromMapping(data []byte) (*Graph, error) {
 	}
 	n := int32(leU32(data[8:12]))
 	m := int64(leU64(data[16:24]))
-	if n < 0 || n > MaxNodes || m < 0 {
+	// Every edge takes 16 bytes across outTo, outP, inFrom and inP; bounding
+	// m by the file size first keeps layoutCSR's arithmetic from overflowing.
+	if n < 0 || n > MaxNodes || m < 0 || m > int64(len(data))/16 {
 		return nil, fmt.Errorf("%w: n=%d m=%d", ErrBadFormat, n, m)
 	}
 	l := layoutCSR(n, m)

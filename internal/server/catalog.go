@@ -326,12 +326,9 @@ func (s *Server) ensureGraph(name, specString string) (*graphEntry, error) {
 }
 
 // removeGraph unregisters name and drops its residency. The returned
-// status is the HTTP failure code: 400 for the default graph, 404 unknown,
-// 409 while sessions reference it.
+// status is the HTTP failure code: 404 unknown, 409 while sessions
+// reference it.
 func (s *Server) removeGraph(name string) (int, error) {
-	if name == DefaultGraphName {
-		return http.StatusBadRequest, fmt.Errorf("cannot delete the default graph (the legacy flags and sessions without a graph field use it)")
-	}
 	s.gmu.Lock()
 	e := s.graphs[name]
 	if e == nil {

@@ -95,7 +95,7 @@ func TestGraphCatalogCRUD(t *testing.T) {
 	_, ts := newTestServer(t, 0)
 	c := NewClient(ts.URL)
 
-	// The legacy flags register exactly one graph: "default", loaded,
+	// The startup flags register exactly one graph: "default", loaded,
 	// referenced by the default session, with a real fingerprint.
 	list, err := c.ListGraphs()
 	if err != nil {
@@ -166,7 +166,7 @@ func TestGraphCatalogCRUD(t *testing.T) {
 	if err := c.DeleteGraph("tiny"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("double delete error = %v", err)
 	}
-	if err := c.DeleteGraph(DefaultGraphName); err == nil || !strings.Contains(err.Error(), "400") {
+	if err := c.DeleteGraph(DefaultGraphName); err == nil || !strings.Contains(err.Error(), "409") {
 		t.Fatalf("default graph delete error = %v", err)
 	}
 }
@@ -226,9 +226,6 @@ func TestMultiGraphConcurrentSessions(t *testing.T) {
 		go func(id string) {
 			defer wg.Done()
 			sc := c.Session(id)
-			if id == DefaultSessionID {
-				sc = c
-			}
 			for i := 0; i < 5; i++ {
 				if _, err := sc.Advance(400); err != nil {
 					t.Errorf("%s advance: %v", id, err)
@@ -244,9 +241,6 @@ func TestMultiGraphConcurrentSessions(t *testing.T) {
 	wg.Wait()
 	for _, id := range ids {
 		sc := c.Session(id)
-		if id == DefaultSessionID {
-			sc = c
-		}
 		st, err := sc.Status()
 		if err != nil || st.NumRR != 2000 {
 			t.Fatalf("%s final status = %+v (%v)", id, st, err)

@@ -45,7 +45,7 @@ func newSlowServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // full requested count.
 func TestChaosAdvanceClientCancel(t *testing.T) {
 	_, ts := newSlowServer(t, Config{Batch: 500})
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL).Session(DefaultSessionID)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
@@ -60,9 +60,9 @@ func TestChaosAdvanceClientCancel(t *testing.T) {
 
 	// The server noticed: generation freezes at the aborted point.
 	time.Sleep(500 * time.Millisecond)
-	a := getJSON[Status](t, ts.URL+"/status")
+	a := getJSON[Status](t, ts.URL+"/sessions/default/status")
 	time.Sleep(300 * time.Millisecond)
-	b := getJSON[Status](t, ts.URL+"/status")
+	b := getJSON[Status](t, ts.URL+"/sessions/default/status")
 	if a.NumRR != b.NumRR {
 		t.Fatalf("server kept generating after client cancel: %d → %d", a.NumRR, b.NumRR)
 	}
@@ -79,7 +79,7 @@ func TestChaosAdvanceDeadline503(t *testing.T) {
 	_, ts := newSlowServer(t, Config{Batch: 500, RequestTimeout: 150 * time.Millisecond})
 
 	start := time.Now()
-	resp, err := http.Post(ts.URL+"/advance?count=1048576", "", nil)
+	resp, err := http.Post(ts.URL+"/sessions/default/advance?count=1048576", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestChaosAdvanceDeadline503(t *testing.T) {
 	if !strings.Contains(string(body[:n]), "progress kept") {
 		t.Fatalf("503 body %q does not explain that progress is kept", body[:n])
 	}
-	if st := getJSON[Status](t, ts.URL+"/status"); st.NumRR <= 0 {
+	if st := getJSON[Status](t, ts.URL+"/sessions/default/status"); st.NumRR <= 0 {
 		t.Fatal("partial progress was discarded")
 	}
 	after := obs.Default().Snapshot()
@@ -118,7 +118,7 @@ func TestChaosInflightCap(t *testing.T) {
 	advDone := make(chan struct{})
 	go func() {
 		defer close(advDone)
-		c := NewClient(ts.URL)
+		c := NewClient(ts.URL).Session(DefaultSessionID)
 		// A /status probe below may hold the only slot when the advance
 		// arrives, shedding the advance instead; resend it until it runs.
 		for ctx.Err() == nil {
@@ -133,7 +133,7 @@ func TestChaosInflightCap(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var got429 bool
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(ts.URL + "/status")
+		resp, err := http.Get(ts.URL + "/sessions/default/status")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestChaosInflightCap(t *testing.T) {
 	// Capacity comes back.
 	deadline = time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(ts.URL + "/status")
+		resp, err := http.Get(ts.URL + "/sessions/default/status")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestClientRetriesAfterInflight503(t *testing.T) {
 	}))
 	defer front.Close()
 
-	c := NewClient(front.URL)
+	c := NewClient(front.URL).Session(DefaultSessionID)
 	c.RetryBase = 5 * time.Millisecond
 	if _, err := c.Status(); err != nil {
 		t.Fatalf("status with retries: %v", err)
@@ -234,7 +234,7 @@ func TestClientNeverRetriesSemanticFailures(t *testing.T) {
 		http.Error(w, "count must be a positive integer", http.StatusBadRequest)
 	}))
 	defer ts.Close()
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL).Session(DefaultSessionID)
 	c.RetryBase = time.Millisecond
 	if _, err := c.Status(); err == nil {
 		t.Fatal("400 surfaced as success")
@@ -249,7 +249,7 @@ func TestClientNeverRetriesSemanticFailures(t *testing.T) {
 // TestClientNeverRetriesAdvanceOnTransportError: /advance is not
 // idempotent — an ambiguous connection error must surface, not replay.
 func TestClientNeverRetriesAdvanceOnTransportError(t *testing.T) {
-	c := NewClient("http://127.0.0.1:1")
+	c := NewClient("http://127.0.0.1:1").Session(DefaultSessionID)
 	c.RetryBase = time.Millisecond
 	start := time.Now()
 	if _, err := c.Advance(100); err == nil {
@@ -268,9 +268,9 @@ func TestStopAlwaysWaitsForLoopExit(t *testing.T) {
 	srv, ts := newTestServer(t, 600)
 	// Exhaust the budget so every restarted loop self-terminates on its
 	// first iteration — the exact window of the race.
-	postJSON[Status](t, ts.URL+"/advance?count=600")
+	postJSON[Status](t, ts.URL+"/sessions/default/advance?count=600")
 	for i := 0; i < 200; i++ {
-		postJSON[Status](t, ts.URL+"/start")
+		postJSON[Status](t, ts.URL+"/sessions/default/start")
 		srv.Stop()
 		srv.loopMu.Lock()
 		done := srv.done
@@ -311,7 +311,7 @@ func TestRecovererTurnsPanicInto500(t *testing.T) {
 	// And the full handler chain keeps serving after a panic.
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	if st := getJSON[Status](t, ts.URL+"/status"); st.NumRR != 0 {
+	if st := getJSON[Status](t, ts.URL+"/sessions/default/status"); st.NumRR != 0 {
 		t.Fatalf("status after recovered panic: %+v", st)
 	}
 }
@@ -350,11 +350,11 @@ func TestStressConcurrentRequests(t *testing.T) {
 		wg.Add(1)
 		go func(gID int) {
 			defer wg.Done()
-			paths := []string{"/status", "/advance?count=200", "/snapshot", "/start", "/metrics", "/stop"}
+			paths := []string{"/sessions/default/status", "/sessions/default/advance?count=200", "/sessions/default/snapshot", "/sessions/default/start", "/metrics", "/sessions/default/stop"}
 			for i := 0; i < iters; i++ {
 				p := paths[(gID+i)%len(paths)]
 				method := http.MethodGet
-				if strings.HasPrefix(p, "/advance") || p == "/start" || p == "/stop" {
+				if strings.HasPrefix(p, "/sessions/default/advance") || p == "/sessions/default/start" || p == "/sessions/default/stop" {
 					method = http.MethodPost
 				}
 				req, _ := http.NewRequest(method, ts.URL+p, nil)
@@ -374,7 +374,7 @@ func TestStressConcurrentRequests(t *testing.T) {
 					errs <- errors.New(p + ": unexpected status " + resp.Status)
 					return
 				}
-				if p == "/status" && resp.StatusCode == http.StatusOK {
+				if p == "/sessions/default/status" && resp.StatusCode == http.StatusOK {
 					statusCalls.add(1)
 				}
 			}
@@ -387,7 +387,7 @@ func TestStressConcurrentRequests(t *testing.T) {
 	}
 	srv.Stop()
 
-	st := getJSON[Status](t, ts.URL+"/status")
+	st := getJSON[Status](t, ts.URL+"/sessions/default/status")
 	if st.NumRR < 0 || st.NumRR > maxRR {
 		t.Fatalf("budget violated: num_rr=%d, max_rr=%d", st.NumRR, maxRR)
 	}

@@ -122,12 +122,11 @@ func (s *Server) saveSessionCheckpointFP(sess *Session) (int64, engineFP, error)
 
 // StartCheckpointer launches the periodic checkpoint goroutine at
 // cfg.CheckpointInterval (DefaultCheckpointInterval when unset); each tick
-// checkpoints every loaded session that has a checkpoint path. It is a
-// no-op when no checkpointing is configured or the checkpointer is
-// already running; Shutdown (or stopCheckpointer) stops it and waits for
-// it to exit.
+// checkpoints every loaded session. It is a no-op without a CheckpointDir
+// or when the checkpointer is already running; Shutdown (or
+// stopCheckpointer) stops it and waits for it to exit.
 func (s *Server) StartCheckpointer() {
-	if s.cfg.CheckpointPath == "" && s.cfg.CheckpointDir == "" {
+	if s.cfg.CheckpointDir == "" {
 		return
 	}
 	interval := s.cfg.CheckpointInterval
@@ -156,10 +155,9 @@ func (s *Server) StartCheckpointer() {
 				// the checkpointer keeps trying — a transiently full disk
 				// must not end checkpointing forever.
 				for _, sess := range s.snapshotSessions() {
-					if sess.ckPath == "" || sessionState(sess.state.Load()) != stateLoaded {
-						continue
+					if sessionState(sess.state.Load()) == stateLoaded {
+						s.saveSessionCheckpoint(sess)
 					}
-					s.saveSessionCheckpoint(sess)
 				}
 			}
 		}
@@ -195,7 +193,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, sess *
 		return
 	}
 	if sess.ckPath == "" {
-		http.Error(w, "checkpointing not configured (start opimd with -checkpoint or -checkpoint-dir)", http.StatusNotFound)
+		http.Error(w, "checkpointing not configured (start opimd with -checkpoint-dir)", http.StatusNotFound)
 		return
 	}
 	// A forced checkpoint serializes the engine under the session lock —
@@ -222,7 +220,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, sess *
 }
 
 // restore is the one way a checkpoint becomes a serving engine: Resume
-// runs it for the default session and for every session it adopts from
+// runs it for every registered session and every session it adopts from
 // CheckpointDir, and ensureLoaded runs it to reload an evicted session.
 // Callers hold sess.mu. In order:
 //

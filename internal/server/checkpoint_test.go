@@ -95,12 +95,13 @@ func counters(t *testing.T) obs.Snapshot {
 
 func TestCheckpointEndpointRoundTrip(t *testing.T) {
 	sampler := robustSampler(t)
-	path := filepath.Join(t.TempDir(), "session.ck")
-	_, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointPath: path})
+	dir := t.TempDir()
+	path := filepath.Join(dir, "default.ck")
+	_, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointDir: dir})
 	before := counters(t)
 
-	postJSON[Status](t, ts.URL+"/advance?count=1000")
-	c := NewClient(ts.URL)
+	postJSON[Status](t, ts.URL+"/sessions/default/advance?count=1000")
+	c := NewClient(ts.URL).Session(DefaultSessionID)
 	resp, err := c.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +110,7 @@ func TestCheckpointEndpointRoundTrip(t *testing.T) {
 		t.Fatalf("checkpoint response %+v", resp)
 	}
 
-	srv2, _, err := restart(t, sampler, Config{Batch: 500, CheckpointPath: path})
+	srv2, _, err := restart(t, sampler, Config{Batch: 500, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestCheckpointEndpointRoundTrip(t *testing.T) {
 func TestCheckpointNotConfigured(t *testing.T) {
 	sampler := robustSampler(t)
 	_, ts := newCkServer(t, sampler, Config{Batch: 500})
-	resp, err := http.Post(ts.URL+"/checkpoint", "", nil)
+	resp, err := http.Post(ts.URL+"/sessions/default/checkpoint", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,21 +150,21 @@ func TestCheckpointNotConfigured(t *testing.T) {
 // never crashed.
 func TestKillResumeByteIdentical(t *testing.T) {
 	sampler := robustSampler(t)
-	path := filepath.Join(t.TempDir(), "session.ck")
+	dir := t.TempDir()
 
 	// Run A: advance 1200, checkpoint, advance 400 more that the "crash"
 	// loses, then die without any shutdown path.
-	srvA, tsA := newCkServer(t, sampler, Config{Batch: 500, CheckpointPath: path})
-	postJSON[Status](t, tsA.URL+"/advance?count=1200")
+	srvA, tsA := newCkServer(t, sampler, Config{Batch: 500, CheckpointDir: dir})
+	postJSON[Status](t, tsA.URL+"/sessions/default/advance?count=1200")
 	if _, err := saveDefault(srvA); err != nil {
 		t.Fatal(err)
 	}
-	postJSON[Status](t, tsA.URL+"/advance?count=400")
+	postJSON[Status](t, tsA.URL+"/sessions/default/advance?count=400")
 	tsA.Close() // SIGKILL: no Stop, no final checkpoint
 
 	// Run B: resume. The 400 post-checkpoint sets are gone; the stream
 	// replays them exactly.
-	srvB, _, err := restart(t, sampler, Config{Batch: 500, CheckpointPath: path})
+	srvB, _, err := restart(t, sampler, Config{Batch: 500, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +174,8 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	}
 	tsB := httptest.NewServer(srvB.Handler())
 	defer tsB.Close()
-	postJSON[Status](t, tsB.URL+"/advance?count=800")
-	gotSnap := getJSON[SnapshotResponse](t, tsB.URL+"/snapshot")
+	postJSON[Status](t, tsB.URL+"/sessions/default/advance?count=800")
+	gotSnap := getJSON[SnapshotResponse](t, tsB.URL+"/sessions/default/snapshot")
 
 	// Reference: the same session that never crashed.
 	ref := robustSession(t, sampler)
@@ -208,14 +209,15 @@ func TestKillResumeByteIdentical(t *testing.T) {
 
 func TestCheckpointFallbackToPrevGeneration(t *testing.T) {
 	sampler := robustSampler(t)
-	path := filepath.Join(t.TempDir(), "session.ck")
-	srv, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointPath: path})
+	dir := t.TempDir()
+	path := filepath.Join(dir, "default.ck")
+	srv, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointDir: dir})
 
-	postJSON[Status](t, ts.URL+"/advance?count=500")
+	postJSON[Status](t, ts.URL+"/sessions/default/advance?count=500")
 	if _, err := saveDefault(srv); err != nil {
 		t.Fatal(err)
 	}
-	postJSON[Status](t, ts.URL+"/advance?count=500")
+	postJSON[Status](t, ts.URL+"/sessions/default/advance?count=500")
 	if _, err := saveDefault(srv); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +228,7 @@ func TestCheckpointFallbackToPrevGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := counters(t)
-	srv2, _, err := restart(t, sampler, Config{Batch: 500, CheckpointPath: path})
+	srv2, _, err := restart(t, sampler, Config{Batch: 500, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,21 +242,21 @@ func TestCheckpointFallbackToPrevGeneration(t *testing.T) {
 	// And the recovered session still serves traffic.
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
-	if st := postJSON[Status](t, ts2.URL+"/advance?count=100"); st.NumRR != 600 {
+	if st := postJSON[Status](t, ts2.URL+"/sessions/default/advance?count=100"); st.NumRR != 600 {
 		t.Fatalf("recovered session advance: %+v", st)
 	}
 }
 
 func TestCheckpointTornWriteKeepsCurrent(t *testing.T) {
 	sampler := robustSampler(t)
-	path := filepath.Join(t.TempDir(), "session.ck")
-	srv, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointPath: path})
+	dir := t.TempDir()
+	srv, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointDir: dir})
 
-	postJSON[Status](t, ts.URL+"/advance?count=400")
+	postJSON[Status](t, ts.URL+"/sessions/default/advance?count=400")
 	if _, err := saveDefault(srv); err != nil {
 		t.Fatal(err)
 	}
-	postJSON[Status](t, ts.URL+"/advance?count=400")
+	postJSON[Status](t, ts.URL+"/sessions/default/advance?count=400")
 
 	// The second checkpoint write tears after 64 bytes.
 	srv.ckWrap = func(w io.Writer) io.Writer { return faultinject.TornWriter(w, 64) }
@@ -270,7 +272,7 @@ func TestCheckpointTornWriteKeepsCurrent(t *testing.T) {
 
 	// The torn write never touched the good generation.
 	before = counters(t)
-	srv2, _, err := restart(t, sampler, Config{Batch: 500, CheckpointPath: path})
+	srv2, _, err := restart(t, sampler, Config{Batch: 500, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,13 +286,14 @@ func TestCheckpointTornWriteKeepsCurrent(t *testing.T) {
 
 func TestPeriodicCheckpointerWritesAndStops(t *testing.T) {
 	sampler := robustSampler(t)
-	path := filepath.Join(t.TempDir(), "session.ck")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "default.ck")
 	srv, ts := newCkServer(t, sampler, Config{
 		Batch:              500,
-		CheckpointPath:     path,
+		CheckpointDir:      dir,
 		CheckpointInterval: 10 * time.Millisecond,
 	})
-	postJSON[Status](t, ts.URL+"/advance?count=300")
+	postJSON[Status](t, ts.URL+"/sessions/default/advance?count=300")
 	srv.StartCheckpointer()
 	srv.StartCheckpointer() // idempotent
 
@@ -307,7 +310,7 @@ func TestPeriodicCheckpointerWritesAndStops(t *testing.T) {
 
 	// Shutdown stops the checkpointer goroutine (done-channel accounting)
 	// and writes a final checkpoint of the latest state.
-	postJSON[Status](t, ts.URL+"/advance?count=300")
+	postJSON[Status](t, ts.URL+"/sessions/default/advance?count=300")
 	srv.ckMu.Lock()
 	ckDone := srv.ckDone
 	srv.ckMu.Unlock()
@@ -319,7 +322,7 @@ func TestPeriodicCheckpointerWritesAndStops(t *testing.T) {
 	default:
 		t.Fatal("Shutdown returned before the checkpointer goroutine exited")
 	}
-	srv2, _, err := restart(t, sampler, Config{Batch: 500, CheckpointPath: path})
+	srv2, _, err := restart(t, sampler, Config{Batch: 500, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +335,7 @@ func TestPeriodicCheckpointerWritesAndStops(t *testing.T) {
 // boot — Resume keeps the fresh default session instead of failing.
 func TestLoadCheckpointMissing(t *testing.T) {
 	sampler := robustSampler(t)
-	srv, _, err := restart(t, sampler, Config{CheckpointPath: filepath.Join(t.TempDir(), "nope.ck")})
+	srv, _, err := restart(t, sampler, Config{CheckpointDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("missing checkpoint: Resume error = %v, want a fresh start", err)
 	}
@@ -343,13 +346,14 @@ func TestLoadCheckpointMissing(t *testing.T) {
 
 func TestLoadCheckpointBothGenerationsBad(t *testing.T) {
 	sampler := robustSampler(t)
-	path := filepath.Join(t.TempDir(), "session.ck")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "default.ck")
 	for _, p := range []string{path, path + fsutil.PrevSuffix} {
 		if err := os.WriteFile(p, []byte("not a session"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, _, err := restart(t, sampler, Config{CheckpointPath: path})
+	_, _, err := restart(t, sampler, Config{CheckpointDir: dir})
 	if err == nil || errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("both-bad error = %v, want a hard failure distinct from not-exist", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -33,9 +34,11 @@ var defaultHTTPClient = &http.Client{Timeout: defaultClientTimeout}
 // Client is a typed client for the opimd HTTP API, so Go programs can
 // drive a remote OPIM session the way a database client drives an online
 // aggregation query. SessionID scopes the session endpoints to one named
-// session ("" targets the legacy default-session paths); Session derives
-// a scoped client, and CreateSession/ListSessions/DeleteSession manage
-// the session population.
+// session; Session derives a scoped client (Session(DefaultSessionID) for
+// the session opimd's flags configure), and CreateSession/ListSessions/
+// DeleteSession manage the session population. A client without a
+// SessionID sends no session-scoped request: those methods return an
+// error instead.
 //
 // Every method has a context-taking variant (StatusContext etc.); the
 // plain forms use context.Background(). Requests are built with
@@ -69,8 +72,7 @@ type Client struct {
 	// BaseURL is the server root, e.g. "http://localhost:8080".
 	BaseURL string
 	// SessionID scopes the session endpoints: "alice" targets
-	// /sessions/alice/status etc.; "" targets the legacy paths (/status),
-	// which the server aliases to its default session.
+	// /sessions/alice/status etc. Empty, the session-scoped methods fail.
 	SessionID string
 	// HTTPClient defaults to a shared client with a 30s timeout. Set an
 	// explicit client to change the timeout or transport.
@@ -144,12 +146,16 @@ func (c *Client) jitterN(n int64) int64 {
 	return c.jitter.Int63n(n)
 }
 
-// spath prefixes a session-scoped endpoint path with the session route.
-func (c *Client) spath(p string) string {
+// errNoSession is what the session-scoped methods of a Client without a
+// SessionID return.
+var errNoSession = errors.New("opimd: client has no SessionID; scope it with Session(id), e.g. Session(DefaultSessionID)")
+
+// doSession is do against the client's session route, /sessions/{id}p.
+func (c *Client) doSession(ctx context.Context, method, p string, body, out any, idempotent bool) error {
 	if c.SessionID == "" {
-		return p
+		return errNoSession
 	}
-	return "/sessions/" + url.PathEscape(c.SessionID) + p
+	return c.do(ctx, method, "/sessions/"+url.PathEscape(c.SessionID)+p, body, out, idempotent)
 }
 
 // do performs one logical request with the retry policy above. idempotent
@@ -270,7 +276,7 @@ func (c *Client) Status() (Status, error) { return c.StatusContext(context.Backg
 // StatusContext is Status bounded by ctx.
 func (c *Client) StatusContext(ctx context.Context) (Status, error) {
 	var s Status
-	err := c.do(ctx, http.MethodGet, c.spath("/status"), nil, &s, true)
+	err := c.doSession(ctx, http.MethodGet, "/status", nil, &s, true)
 	return s, err
 }
 
@@ -282,7 +288,7 @@ func (c *Client) Snapshot() (SnapshotResponse, error) { return c.SnapshotContext
 // SnapshotContext is Snapshot bounded by ctx.
 func (c *Client) SnapshotContext(ctx context.Context) (SnapshotResponse, error) {
 	var s SnapshotResponse
-	err := c.do(ctx, http.MethodGet, c.spath("/snapshot"), nil, &s, false)
+	err := c.doSession(ctx, http.MethodGet, "/snapshot", nil, &s, false)
 	return s, err
 }
 
@@ -297,7 +303,7 @@ func (c *Client) PeekSnapshot() (SnapshotResponse, error) {
 // PeekSnapshotContext is PeekSnapshot bounded by ctx.
 func (c *Client) PeekSnapshotContext(ctx context.Context) (SnapshotResponse, error) {
 	var s SnapshotResponse
-	err := c.do(ctx, http.MethodGet, c.spath("/snapshot?peek=1"), nil, &s, true)
+	err := c.doSession(ctx, http.MethodGet, "/snapshot?peek=1", nil, &s, true)
 	return s, err
 }
 
@@ -326,7 +332,7 @@ func (c *Client) Advance(count int) (Status, error) {
 // the server; poll Status).
 func (c *Client) AdvanceContext(ctx context.Context, count int) (Status, error) {
 	var s Status
-	err := c.do(ctx, http.MethodPost, c.spath("/advance?count="+url.QueryEscape(fmt.Sprint(count))), nil, &s, false)
+	err := c.doSession(ctx, http.MethodPost, "/advance?count="+url.QueryEscape(fmt.Sprint(count)), nil, &s, false)
 	return s, err
 }
 
@@ -336,7 +342,7 @@ func (c *Client) Start() (Status, error) { return c.StartContext(context.Backgro
 // StartContext is Start bounded by ctx.
 func (c *Client) StartContext(ctx context.Context) (Status, error) {
 	var s Status
-	err := c.do(ctx, http.MethodPost, c.spath("/start"), nil, &s, true)
+	err := c.doSession(ctx, http.MethodPost, "/start", nil, &s, true)
 	return s, err
 }
 
@@ -346,7 +352,7 @@ func (c *Client) Stop() (Status, error) { return c.StopContext(context.Backgroun
 // StopContext is Stop bounded by ctx.
 func (c *Client) StopContext(ctx context.Context) (Status, error) {
 	var s Status
-	err := c.do(ctx, http.MethodPost, c.spath("/stop"), nil, &s, true)
+	err := c.doSession(ctx, http.MethodPost, "/stop", nil, &s, true)
 	return s, err
 }
 
@@ -361,7 +367,7 @@ func (c *Client) Checkpoint() (CheckpointResponse, error) {
 // CheckpointContext is Checkpoint bounded by ctx.
 func (c *Client) CheckpointContext(ctx context.Context) (CheckpointResponse, error) {
 	var r CheckpointResponse
-	err := c.do(ctx, http.MethodPost, c.spath("/checkpoint"), nil, &r, false)
+	err := c.doSession(ctx, http.MethodPost, "/checkpoint", nil, &r, false)
 	return r, err
 }
 
@@ -377,7 +383,7 @@ func (c *Client) StartRound() (RoundResponse, error) {
 // StartRoundContext is StartRound bounded by ctx.
 func (c *Client) StartRoundContext(ctx context.Context) (RoundResponse, error) {
 	var r RoundResponse
-	err := c.do(ctx, http.MethodPost, c.spath("/rounds"), nil, &r, true)
+	err := c.doSession(ctx, http.MethodPost, "/rounds", nil, &r, true)
 	return r, err
 }
 
@@ -395,7 +401,7 @@ func (c *Client) Observe(round int64, attempts []learn.Attempt) (ObservationResp
 func (c *Client) ObserveContext(ctx context.Context, round int64, attempts []learn.Attempt) (ObservationResponse, error) {
 	var r ObservationResponse
 	req := ObservationRequest{Round: round, Attempts: attempts}
-	err := c.do(ctx, http.MethodPost, c.spath("/observations"), req, &r, round > 0)
+	err := c.doSession(ctx, http.MethodPost, "/observations", req, &r, round > 0)
 	return r, err
 }
 

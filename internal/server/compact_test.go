@@ -46,7 +46,7 @@ func TestJournalCompaction(t *testing.T) {
 	sampler := robustSampler(t)
 	dir := t.TempDir()
 	srv, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointDir: dir, JournalCompactEvery: 3})
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL).Session(DefaultSessionID)
 
 	if _, err := c.Advance(500); err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestEvictedSessionSurvivesCompaction(t *testing.T) {
 	sampler := robustSampler(t)
 	dir := t.TempDir()
 	srv, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointDir: dir, MaxLoadedSessions: 1, JournalCompactEvery: 1})
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL).Session(DefaultSessionID)
 
 	if _, err := c.CreateSession(SessionSpec{ID: "evictee", K: 4, Delta: 0.05, Seed: 77}); err != nil {
 		t.Fatal(err)

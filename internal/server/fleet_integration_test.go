@@ -49,8 +49,8 @@ func newFleetServer(t *testing.T, gen core.Generator) *httptest.Server {
 
 func advanceAndSnapshot(t *testing.T, url string, count int) (Status, SnapshotResponse) {
 	t.Helper()
-	st := postJSON[Status](t, fmt.Sprintf("%s/advance?count=%d", url, count))
-	return st, getJSON[SnapshotResponse](t, url+"/snapshot")
+	st := postJSON[Status](t, fmt.Sprintf("%s/sessions/default/advance?count=%d", url, count))
+	return st, getJSON[SnapshotResponse](t, url+"/sessions/default/snapshot")
 }
 
 // TestAdvanceDegradedZeroWorkers: a server whose Generator is a fleet

@@ -62,7 +62,7 @@ func TestLearningSessionLifecycle(t *testing.T) {
 	sampler := robustSampler(t)
 	truth := diffusion.NewSimulator(sampler.Graph())
 	srv, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointDir: t.TempDir()})
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL).Session(DefaultSessionID)
 
 	if _, err := c.CreateSession(SessionSpec{
 		ID: "learner", K: 4, Delta: 0.05, Seed: 21,
@@ -187,7 +187,7 @@ func TestLearningCampaignConvergesAndSurvivesKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(srv1.Handler())
-	c1 := NewClient(ts1.URL)
+	c1 := NewClient(ts1.URL).Session(DefaultSessionID)
 
 	mae0 := sessionMAE(t, srv1, DefaultSessionID, truthG)
 
@@ -239,7 +239,7 @@ func TestLearningCampaignConvergesAndSurvivesKill(t *testing.T) {
 		srv2.stopCheckpointer()
 		ts2.Close()
 	})
-	c2 := NewClient(ts2.URL)
+	c2 := NewClient(ts2.URL).Session(DefaultSessionID)
 
 	// No acknowledged observation was lost, and the open round replays
 	// with the seeds served before the kill.

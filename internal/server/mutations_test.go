@@ -89,7 +89,7 @@ func refBytes(t *testing.T, g *graph.Graph, opts core.Options, numRR int) []byte
 func TestGraphUpdateEndpoint(t *testing.T) {
 	sampler := robustSampler(t)
 	_, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointDir: t.TempDir()})
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL).Session(DefaultSessionID)
 
 	if _, err := c.Advance(1000); err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestGraphUpdateEndpoint(t *testing.T) {
 func TestMutateRepairMatchesFreshRun(t *testing.T) {
 	sampler := robustSampler(t)
 	srv, ts := newCkServer(t, sampler, Config{Batch: 500})
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL).Session(DefaultSessionID)
 
 	if _, err := c.Advance(1000); err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestMutationJournalReplayRestart(t *testing.T) {
 
 	srv1 := New(robustSession(t, sampler), cfg)
 	ts1 := httptest.NewServer(srv1.Handler())
-	c1 := NewClient(ts1.URL)
+	c1 := NewClient(ts1.URL).Session(DefaultSessionID)
 
 	if _, err := c1.CreateSession(SessionSpec{ID: "aug", K: 3, Delta: 0.05, Seed: 31}); err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func TestMutationJournalReplayRestart(t *testing.T) {
 		srv2.stopCheckpointer()
 		ts2.Close()
 	})
-	c2 := NewClient(ts2.URL)
+	c2 := NewClient(ts2.URL).Session(DefaultSessionID)
 
 	if st, err := c2.Status(); err != nil || st.NumRR != 500 || st.GraphEpoch != 1 {
 		t.Fatalf("default after replayed restart: %+v (%v)", st, err)
@@ -304,7 +304,7 @@ func TestMutationJournalReplayRestart(t *testing.T) {
 func TestEvictedSessionCatchesUpAfterMutation(t *testing.T) {
 	sampler := robustSampler(t)
 	srv, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointDir: t.TempDir(), MaxLoadedSessions: 1})
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL).Session(DefaultSessionID)
 
 	if _, err := c.CreateSession(SessionSpec{ID: "evictee", K: 4, Delta: 0.05, Seed: 77}); err != nil {
 		t.Fatal(err)
@@ -354,7 +354,7 @@ func TestEvictedSessionCatchesUpAfterMutation(t *testing.T) {
 // and recovers as soon as the flag clears.
 func TestMutationConflict409(t *testing.T) {
 	srv, ts := newTestServer(t, 0)
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL).Session(DefaultSessionID)
 
 	e := srv.lookupGraph(DefaultGraphName)
 	if e == nil {
@@ -364,7 +364,7 @@ func TestMutationConflict409(t *testing.T) {
 	if _, err := c.UpdateGraph(DefaultGraphName, []GraphUpdate{{Op: "node_add"}}); err == nil || !strings.Contains(err.Error(), "409") {
 		t.Fatalf("concurrent batch error = %v, want 409", err)
 	}
-	resp, err := http.Post(ts.URL+"/advance?count=100", "", nil)
+	resp, err := http.Post(ts.URL+"/sessions/default/advance?count=100", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestMutationConflict409(t *testing.T) {
 func TestMutationChaos(t *testing.T) {
 	sampler := robustSampler(t)
 	srv, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointDir: t.TempDir()})
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL).Session(DefaultSessionID)
 
 	e := firstEdge(t, sampler.Graph())
 	const batches = 12
@@ -401,7 +401,7 @@ func TestMutationChaos(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cw := NewClient(ts.URL)
+			cw := NewClient(ts.URL).Session(DefaultSessionID)
 			for i := 0; i < 15; i++ {
 				if _, err := cw.Advance(100); err != nil {
 					if strings.Contains(err.Error(), "409") {

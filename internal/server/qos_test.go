@@ -172,7 +172,7 @@ func TestAdmissionQueueSmoothsBursts(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Get(ts.URL + "/status")
+			resp, err := http.Get(ts.URL + "/sessions/default/status")
 			if err != nil {
 				errs <- err
 				return
@@ -230,7 +230,7 @@ func TestSessionRateLimit(t *testing.T) {
 	}
 	// The unlimited default session is untouched by the other tenant's
 	// bucket.
-	if _, err := NewClient(ts.URL).Advance(100); err != nil {
+	if _, err := NewClient(ts.URL).Session(DefaultSessionID).Advance(100); err != nil {
 		t.Fatalf("default session advance: %v", err)
 	}
 }
@@ -488,7 +488,7 @@ func TestClientDrainsBodyForKeepAlive(t *testing.T) {
 			return base.DialContext(ctx, network, addr)
 		},
 	}
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL).Session(DefaultSessionID)
 	c.HTTPClient = &http.Client{Transport: transport, Timeout: 30 * time.Second}
 	c.RetryBase = time.Millisecond
 	c.RetrySeed = 5
@@ -517,12 +517,12 @@ func TestAdmissionMetricsPresence(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c := NewClient(ts.URL)
+		c := NewClient(ts.URL).Session(DefaultSessionID)
 		c.AdvanceContext(ctx, 1<<20)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(ts.URL + "/status")
+		resp, err := http.Get(ts.URL + "/sessions/default/status")
 		if err != nil {
 			t.Fatal(err)
 		}

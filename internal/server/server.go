@@ -24,11 +24,12 @@
 //	POST   /sessions/{id}/start         join background sampling
 //	POST   /sessions/{id}/stop          leave background sampling
 //	POST   /sessions/{id}/checkpoint    force a checkpoint write now
+//	POST   /sessions/{id}/rounds        start a learning round
+//	POST   /sessions/{id}/observations  feed a learning round's cascades back
 //	GET    /metrics                     process metrics (?format=text)
 //
-// The pre-session paths (/status, /snapshot, /advance, /start, /stop,
-// /checkpoint) alias the session named "default", so single-session
-// clients and scripts keep working unchanged.
+// The session named "default" is the one New registers from opimd's
+// flags; it is addressed, checkpointed, resumed and deleted like any other.
 //
 // Concurrency: each session owns its own mutex, δ budget and scratch, so
 // a slow snapshot or advance on one session never blocks another — and
@@ -111,14 +112,11 @@ type Config struct {
 	// DefaultBurst is the matching default bucket depth (≤ 0 means
 	// max(1, DefaultRate)).
 	DefaultBurst float64
-	// CheckpointPath, when non-empty, enables crash-safe checkpointing of
-	// the default session there (previous generation kept at
-	// CheckpointPath+".prev"); Resume restores it.
-	CheckpointPath string
-	// CheckpointDir, when non-empty, enables per-session checkpoints:
-	// every session (the default included, unless CheckpointPath overrides
-	// it) checkpoints to CheckpointDir/<id>.ck, Resume re-registers them at
-	// startup, and LRU eviction becomes possible.
+	// CheckpointDir, when non-empty, enables crash-safe checkpointing:
+	// every session, the default included, checkpoints to
+	// CheckpointDir/<id>.ck (previous generation kept at <id>.ck.prev),
+	// every graph journals its mutation batches there, Resume restores the
+	// sessions at startup, and LRU eviction becomes possible.
 	CheckpointDir string
 	// MaxLoadedSessions bounds how many sessions are resident in memory;
 	// above it the least-recently-used idle session is checkpointed and
@@ -223,8 +221,7 @@ type Server struct {
 // New wraps session — which becomes the "default" session, on the graph
 // registered as "default" — with the given configuration. Further graphs
 // are registered over HTTP (POST /graphs), further sessions created
-// (POST /sessions); Resume restores the default session and adopts every
-// other one from their checkpoints.
+// (POST /sessions); Resume restores every session from its checkpoint.
 func New(session *core.Online, cfg Config) *Server {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 10000
@@ -282,11 +279,7 @@ func New(session *core.Online, cfg Config) *Server {
 	session.SetGraphIdentity(DefaultGraphName, def.specString)
 	session.SetGenerator(cfg.Generator)
 
-	ckPath := cfg.CheckpointPath
-	if ckPath == "" {
-		ckPath = s.sessionCheckpointPath(DefaultSessionID)
-	}
-	defSess := &Session{ID: DefaultSessionID, maxRR: cfg.MaxRR, ckPath: ckPath, graph: def}
+	defSess := &Session{ID: DefaultSessionID, maxRR: cfg.MaxRR, ckPath: s.ckPathFor(DefaultSessionID), graph: def}
 	s.applySessionQoS(defSess, 0, 0, 0) // server-default weight and rate
 	defSess.setOnlineLocked(session)    // pre-publication: no concurrent access yet
 	s.addSession(defSess)
@@ -298,16 +291,6 @@ func New(session *core.Online, cfg Config) *Server {
 // outermost, so even a panic inside the limiter is contained).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// Legacy single-session paths alias the default session (forSession
-	// maps an absent {id} wildcard to DefaultSessionID).
-	mux.HandleFunc("/status", instrument("status", s.forSession(s.handleStatus)))
-	mux.HandleFunc("/snapshot", instrument("snapshot", s.forSession(s.handleSnapshot)))
-	mux.HandleFunc("/advance", instrument("advance", s.forSession(s.handleAdvance)))
-	mux.HandleFunc("/start", instrument("start", s.forSession(s.handleStart)))
-	mux.HandleFunc("/stop", instrument("stop", s.forSession(s.handleStop)))
-	mux.HandleFunc("/checkpoint", instrument("checkpoint", s.forSession(s.handleCheckpoint)))
-	mux.HandleFunc("/rounds", instrument("rounds", s.forSession(s.handleRounds)))
-	mux.HandleFunc("/observations", instrument("observations", s.forSession(s.handleObservations)))
 	mux.HandleFunc("/metrics", instrument("metrics", s.handleMetrics))
 	// Graph catalog.
 	mux.HandleFunc("/graphs", instrument("graphs", s.handleGraphs))
@@ -332,17 +315,13 @@ func (s *Server) Handler() http.Handler {
 // sessionHandler is an endpoint scoped to one resolved session.
 type sessionHandler func(http.ResponseWriter, *http.Request, *Session)
 
-// forSession resolves the {id} path wildcard (absent on the legacy paths,
-// which alias the default session) and counts the request under a
-// per-session labeled metric. Resolution does not mark the session used —
+// forSession resolves the {id} path wildcard and counts the request under
+// a per-session labeled metric. Resolution does not mark the session used —
 // only handlers that need the engine touch it, so pure monitoring
 // (/status, peek) never defeats LRU eviction.
 func (s *Server) forSession(h sessionHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		if id == "" {
-			id = DefaultSessionID
-		}
 		sess := s.lookup(id)
 		if sess == nil {
 			http.Error(w, fmt.Sprintf("unknown session %q", id), http.StatusNotFound)
@@ -355,8 +334,7 @@ func (s *Server) forSession(h sessionHandler) http.HandlerFunc {
 
 // instrument wraps a handler with a per-endpoint request counter and
 // latency timer in obs.Default(). Every request counts, including
-// rejected ones. The legacy path and its /sessions/{id} twin share one
-// counter — they are the same endpoint.
+// rejected ones.
 func instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	requests := obs.Default().Counter("server_" + name + "_requests_total")
 	latency := obs.Default().Timer("server_" + name + "_seconds")
@@ -529,7 +507,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, sess *Se
 const statusClientGone = -1
 
 // advanceSession validates count and generates RR sets on sess — the
-// /advance semantics, shared by the single-session handler and the bulk
+// /advance semantics, shared by the per-session handler and the bulk
 // API. It returns 0 on success, statusClientGone when the caller's
 // context was cancelled (write nothing), or the HTTP status and message
 // to answer with. Partial progress is kept in the session on every path.
@@ -633,7 +611,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // startSession adds sess to the background sampling rotation — the
-// /start semantics, shared by the single-session handler and the bulk
+// /start semantics, shared by the per-session handler and the bulk
 // API. A non-zero return is the HTTP status (and message) of the failure.
 //
 // running must flip to true while the session is verifiably loaded,

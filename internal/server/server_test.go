@@ -77,7 +77,7 @@ func postJSON[T any](t *testing.T, url string) T {
 
 func TestStatusInitial(t *testing.T) {
 	_, ts := newTestServer(t, 0)
-	st := getJSON[Status](t, ts.URL+"/status")
+	st := getJSON[Status](t, ts.URL+"/sessions/default/status")
 	if st.NumRR != 0 || st.Running {
 		t.Fatalf("initial status = %+v", st)
 	}
@@ -85,11 +85,11 @@ func TestStatusInitial(t *testing.T) {
 
 func TestAdvanceAndSnapshot(t *testing.T) {
 	_, ts := newTestServer(t, 0)
-	st := postJSON[Status](t, ts.URL+"/advance?count=2000")
+	st := postJSON[Status](t, ts.URL+"/sessions/default/advance?count=2000")
 	if st.NumRR != 2000 {
 		t.Fatalf("after advance: %+v", st)
 	}
-	snap := getJSON[SnapshotResponse](t, ts.URL+"/snapshot")
+	snap := getJSON[SnapshotResponse](t, ts.URL+"/sessions/default/snapshot")
 	if len(snap.Seeds) != 5 {
 		t.Fatalf("snapshot seeds = %v", snap.Seeds)
 	}
@@ -107,7 +107,7 @@ func TestAdvanceAndSnapshot(t *testing.T) {
 func TestAdvanceValidation(t *testing.T) {
 	_, ts := newTestServer(t, 0)
 	for _, q := range []string{"", "?count=0", "?count=-5", "?count=zebra"} {
-		resp, err := http.Post(ts.URL+"/advance"+q, "", nil)
+		resp, err := http.Post(ts.URL+"/sessions/default/advance"+q, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,13 +123,13 @@ func TestMethodEnforcement(t *testing.T) {
 	cases := []struct {
 		method, path string
 	}{
-		{http.MethodPost, "/status"},
-		{http.MethodPost, "/snapshot"},
-		{http.MethodGet, "/advance"},
-		{http.MethodGet, "/start"},
-		{http.MethodGet, "/stop"},
+		{http.MethodPost, "/sessions/default/status"},
+		{http.MethodPost, "/sessions/default/snapshot"},
+		{http.MethodGet, "/sessions/default/advance"},
+		{http.MethodGet, "/sessions/default/start"},
+		{http.MethodGet, "/sessions/default/stop"},
 		{http.MethodPost, "/metrics"},
-		{http.MethodGet, "/checkpoint"},
+		{http.MethodGet, "/sessions/default/checkpoint"},
 	}
 	for _, c := range cases {
 		req, _ := http.NewRequest(c.method, ts.URL+c.path, nil)
@@ -146,17 +146,17 @@ func TestMethodEnforcement(t *testing.T) {
 
 func TestBackgroundLoop(t *testing.T) {
 	_, ts := newTestServer(t, 0)
-	st := postJSON[Status](t, ts.URL+"/start")
+	st := postJSON[Status](t, ts.URL+"/sessions/default/start")
 	if !st.Running {
 		t.Fatal("not running after /start")
 	}
 	// Idempotent start.
-	postJSON[Status](t, ts.URL+"/start")
+	postJSON[Status](t, ts.URL+"/sessions/default/start")
 
 	deadline := time.Now().Add(5 * time.Second)
 	var progressed bool
 	for time.Now().Before(deadline) {
-		if getJSON[Status](t, ts.URL+"/status").NumRR > 0 {
+		if getJSON[Status](t, ts.URL+"/sessions/default/status").NumRR > 0 {
 			progressed = true
 			break
 		}
@@ -166,29 +166,29 @@ func TestBackgroundLoop(t *testing.T) {
 		t.Fatal("background loop generated nothing in 5s")
 	}
 	// Snapshot concurrently with the loop.
-	snap := getJSON[SnapshotResponse](t, ts.URL+"/snapshot")
+	snap := getJSON[SnapshotResponse](t, ts.URL+"/sessions/default/snapshot")
 	if len(snap.Seeds) != 5 {
 		t.Fatalf("concurrent snapshot = %+v", snap)
 	}
-	st = postJSON[Status](t, ts.URL+"/stop")
+	st = postJSON[Status](t, ts.URL+"/sessions/default/stop")
 	if st.Running {
 		t.Fatal("still running after /stop")
 	}
 	// Idempotent stop.
-	postJSON[Status](t, ts.URL+"/stop")
-	frozen := getJSON[Status](t, ts.URL+"/status").NumRR
+	postJSON[Status](t, ts.URL+"/sessions/default/stop")
+	frozen := getJSON[Status](t, ts.URL+"/sessions/default/status").NumRR
 	time.Sleep(50 * time.Millisecond)
-	if got := getJSON[Status](t, ts.URL+"/status").NumRR; got != frozen {
+	if got := getJSON[Status](t, ts.URL+"/sessions/default/status").NumRR; got != frozen {
 		t.Fatalf("session advanced after stop: %d → %d", frozen, got)
 	}
 }
 
 func TestBudgetStopsLoop(t *testing.T) {
 	_, ts := newTestServer(t, 1200)
-	postJSON[Status](t, ts.URL+"/start")
+	postJSON[Status](t, ts.URL+"/sessions/default/start")
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		st := getJSON[Status](t, ts.URL+"/status")
+		st := getJSON[Status](t, ts.URL+"/sessions/default/status")
 		if !st.Running {
 			if st.NumRR != 1200 {
 				t.Fatalf("stopped at %d RR sets, budget 1200", st.NumRR)
@@ -202,7 +202,7 @@ func TestBudgetStopsLoop(t *testing.T) {
 
 func TestAdvanceRejectsCountAboveBudget(t *testing.T) {
 	_, ts := newTestServer(t, 1000)
-	resp, err := http.Post(ts.URL+"/advance?count=5000", "", nil)
+	resp, err := http.Post(ts.URL+"/sessions/default/advance?count=5000", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestAdvanceRejectsCountAboveBudget(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("count above max_rr: status %d, want 400", resp.StatusCode)
 	}
-	if st := getJSON[Status](t, ts.URL+"/status"); st.NumRR != 0 {
+	if st := getJSON[Status](t, ts.URL+"/sessions/default/status"); st.NumRR != 0 {
 		t.Fatalf("rejected advance still generated %d RR sets", st.NumRR)
 	}
 }
@@ -219,10 +219,10 @@ func TestAdvanceClampsToRemainingBudget(t *testing.T) {
 	// Valid counts (≤ max_rr) near exhaustion are clamped to the remaining
 	// budget, not rejected.
 	_, ts := newTestServer(t, 1000)
-	if st := postJSON[Status](t, ts.URL+"/advance?count=800"); st.NumRR != 800 {
+	if st := postJSON[Status](t, ts.URL+"/sessions/default/advance?count=800"); st.NumRR != 800 {
 		t.Fatalf("first advance: %+v", st)
 	}
-	if st := postJSON[Status](t, ts.URL+"/advance?count=800"); st.NumRR != 1000 {
+	if st := postJSON[Status](t, ts.URL+"/sessions/default/advance?count=800"); st.NumRR != 1000 {
 		t.Fatalf("second advance not clamped to budget: %+v", st)
 	}
 }
@@ -233,8 +233,8 @@ func TestMetricsAdvanceAfterAdvance(t *testing.T) {
 	_, ts := newTestServer(t, 0)
 	before := getJSON[obs.Snapshot](t, ts.URL+"/metrics")
 
-	postJSON[Status](t, ts.URL+"/advance?count=2000")
-	snap := getJSON[SnapshotResponse](t, ts.URL+"/snapshot")
+	postJSON[Status](t, ts.URL+"/sessions/default/advance?count=2000")
+	snap := getJSON[SnapshotResponse](t, ts.URL+"/sessions/default/snapshot")
 	after := getJSON[obs.Snapshot](t, ts.URL+"/metrics")
 
 	if d := after.Counters["rrset_generated_total"] - before.Counters["rrset_generated_total"]; d < 2000 {
@@ -266,7 +266,7 @@ func TestMetricsAdvanceAfterAdvance(t *testing.T) {
 
 func TestMetricsTextFormat(t *testing.T) {
 	_, ts := newTestServer(t, 0)
-	postJSON[Status](t, ts.URL+"/advance?count=100")
+	postJSON[Status](t, ts.URL+"/sessions/default/advance?count=100")
 	resp, err := http.Get(ts.URL + "/metrics?format=text")
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func TestMetricsBadFormat(t *testing.T) {
 
 func TestClientRoundTrip(t *testing.T) {
 	_, ts := newTestServer(t, 0)
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL).Session(DefaultSessionID)
 
 	st, err := c.Status()
 	if err != nil {
@@ -346,11 +346,11 @@ func TestClientRoundTrip(t *testing.T) {
 
 func TestClientErrorPropagation(t *testing.T) {
 	_, ts := newTestServer(t, 0)
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL).Session(DefaultSessionID)
 	if _, err := c.Advance(-5); err == nil {
 		t.Fatal("invalid advance accepted")
 	}
-	bad := NewClient("http://127.0.0.1:1")
+	bad := NewClient("http://127.0.0.1:1").Session(DefaultSessionID)
 	if _, err := bad.Status(); err == nil {
 		t.Fatal("unreachable server accepted")
 	}

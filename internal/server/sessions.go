@@ -4,9 +4,8 @@ package server
 // the paper's online-processing paradigm (§2.2) with one pause-and-report
 // query per user — each owning its own lock, scratch, δ budget and
 // background-sampling membership. Sessions are created, listed and
-// deleted over HTTP (/sessions), addressed at /sessions/{id}/..., and the
-// pre-session endpoints (/status, /snapshot, ...) alias the session named
-// "default" so existing clients keep working.
+// deleted over HTTP (/sessions) and addressed at /sessions/{id}/... — the
+// session named "default", which New registers, included.
 //
 // Residency is bounded: with Config.CheckpointDir and MaxLoadedSessions
 // set, the least-recently-used idle session is checkpointed and unloaded
@@ -31,13 +30,14 @@ import (
 	"sync/atomic"
 
 	"github.com/reprolab/opim/internal/core"
+	"github.com/reprolab/opim/internal/fsutil"
 	"github.com/reprolab/opim/internal/learn"
 	"github.com/reprolab/opim/internal/obs"
 	"github.com/reprolab/opim/internal/rrset"
 )
 
-// DefaultSessionID names the session that the legacy single-session
-// endpoints (/status, /snapshot, ...) alias.
+// DefaultSessionID names the session New registers from the engine it is
+// handed (opimd's flags).
 const DefaultSessionID = "default"
 
 // Session-manager metrics (obs.Default(), see docs/OBSERVABILITY.md).
@@ -284,9 +284,9 @@ func (s *Server) addSession(sess *Session) error {
 	return nil
 }
 
-// sessionCheckpointPath returns where a session of this id checkpoints
-// ("" when per-session checkpointing is not configured).
-func (s *Server) sessionCheckpointPath(id string) string {
+// ckPathFor returns where a session of this id checkpoints
+// ("" when checkpointing is not configured).
+func (s *Server) ckPathFor(id string) string {
 	if s.cfg.CheckpointDir == "" {
 		return ""
 	}
@@ -338,7 +338,7 @@ func (s *Server) createSession(spec SessionSpec) (*Session, int, error) {
 		entry.sessions.Add(-1)
 		return nil, status, err
 	}
-	sess := &Session{ID: spec.ID, maxRR: maxRR, ckPath: s.sessionCheckpointPath(spec.ID), graph: entry}
+	sess := &Session{ID: spec.ID, maxRR: maxRR, ckPath: s.ckPathFor(spec.ID), graph: entry}
 	s.applySessionQoS(sess, spec.Weight, spec.Rate, spec.Burst)
 	// install builds the session's engine (and learning campaign) on
 	// sampler; callers hold sess.mu.
@@ -402,34 +402,40 @@ func (s *Server) createSession(spec SessionSpec) (*Session, int, error) {
 	return sess, 0, nil
 }
 
-// Resume restores every checkpointed session after a restart, each
-// through restore: first the default session from its checkpoint path
-// (Config.CheckpointPath, else CheckpointDir/default.ck), replacing the
-// fresh engine handed to New — which is kept when neither checkpoint
-// generation exists (first boot) — then one session per "<id>.ck" file in
-// CheckpointDir that is not registered yet. Each checkpoint is loaded now,
-// validating it before the daemon starts serving, and MaxLoadedSessions is
-// then enforced as usual, so under a residency cap the surplus is
+// Resume restores every checkpointed session in CheckpointDir after a
+// restart, each through restore, in two phases:
+//
+//  1. every registered session (at startup, the default session New
+//     created) is restored in place, replacing its fresh engine — which is
+//     kept when neither checkpoint generation exists (first boot);
+//  2. every unregistered id with an "<id>.ck" or "<id>.ck.prev" file is
+//     adopted.
+//
+// The order matters under MaxLoadedSessions: each adoption evicts the
+// least-recently-used idle session, and evicting a still-fresh registered
+// session would write its empty engine over the checkpoint it has yet to
+// restore from. Each checkpoint is loaded now, validating it before the
+// daemon starts serving, so under a residency cap the surplus is
 // checkpoint-evicted right back and reloaded on its first touch. A
 // checkpoint that exists but cannot be resumed (both generations bad, or
 // off its graph's epoch chain) is an error, not a silently discarded
-// session: that would forget every unit of δ it spent. It returns the ids
-// adopted from CheckpointDir, sorted.
+// session: that would forget every unit of δ it spent. It returns the
+// adopted ids, sorted.
 func (s *Server) Resume() ([]string, error) {
-	if def := s.lookup(DefaultSessionID); def != nil && def.ckPath != "" {
-		def.mu.Lock()
-		err := s.restore(def)
-		numRR := def.statNumRR.Load()
-		def.mu.Unlock()
-		switch {
-		case err == nil:
-			log.Printf("server: resumed session %q from %s (num_rr=%d); its parameters come from the checkpoint", def.ID, def.ckPath, numRR)
-		case !errors.Is(err, os.ErrNotExist):
-			return nil, fmt.Errorf("server: resuming session %q: %w", def.ID, err)
-		}
-	}
 	if s.cfg.CheckpointDir == "" {
 		return nil, nil
+	}
+	for _, sess := range s.snapshotSessions() {
+		sess.mu.Lock()
+		err := s.restore(sess)
+		numRR := sess.statNumRR.Load()
+		sess.mu.Unlock()
+		switch {
+		case err == nil:
+			log.Printf("server: resumed session %q from %s (num_rr=%d); its parameters come from the checkpoint", sess.ID, sess.ckPath, numRR)
+		case !errors.Is(err, os.ErrNotExist):
+			return nil, fmt.Errorf("server: resuming session %q: %w", sess.ID, err)
+		}
 	}
 	entries, err := os.ReadDir(s.cfg.CheckpointDir)
 	if err != nil {
@@ -440,11 +446,11 @@ func (s *Server) Resume() ([]string, error) {
 	}
 	var adopted []string
 	for _, de := range entries {
-		id, ok := strings.CutSuffix(de.Name(), ".ck")
+		id, ok := strings.CutSuffix(strings.TrimSuffix(de.Name(), fsutil.PrevSuffix), ".ck")
 		if de.IsDir() || !ok || !sessionIDRe.MatchString(id) || s.lookup(id) != nil {
 			continue
 		}
-		sess := &Session{ID: id, maxRR: s.cfg.MaxRR, ckPath: s.sessionCheckpointPath(id)}
+		sess := &Session{ID: id, maxRR: s.cfg.MaxRR, ckPath: s.ckPathFor(id)}
 		sess.state.Store(int32(stateUnloaded))
 		s.applySessionQoS(sess, 0, 0, 0)
 		sess.mu.Lock()
@@ -690,10 +696,6 @@ func (s *Server) handleSessionByID(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		writeJSON(w, s.sessionInfo(sess))
 	case http.MethodDelete:
-		if id == DefaultSessionID {
-			http.Error(w, "cannot delete the default session (the legacy endpoints alias it)", http.StatusBadRequest)
-			return
-		}
 		if !s.removeSession(sess) {
 			mSessionConflicts.Inc()
 			s.replyError(w, http.StatusConflict, fmt.Sprintf("session %q is being evicted; retry shortly", id))
@@ -706,14 +708,13 @@ func (s *Server) handleSessionByID(w http.ResponseWriter, r *http.Request) {
 }
 
 // removeSession unregisters sess, waits out any in-flight sampler batch,
-// and deletes its checkpoint generations (they belong to the manager's
-// CheckpointDir; a deleted session must not resurrect on restart). It
-// returns false — and does nothing — while an eviction is in flight:
-// sessions are marked stateEvicting under smu (pickEvictionVictim), so
-// checking under smu here cannot race the victim pick, and an eviction's
-// own loaded/unloaded transition then never interleaves with the delete's
-// (no double-decrement, no leaked increment when a failed eviction
-// restores stateLoaded on an unregistered session).
+// and deletes its checkpoint generations (a deleted session must not
+// resurrect on restart). It returns false — and does nothing — while an
+// eviction is in flight: sessions are marked stateEvicting under smu
+// (pickEvictionVictim), so checking under smu here cannot race the victim
+// pick, and an eviction's own loaded/unloaded transition then never
+// interleaves with the delete's (no double-decrement, no leaked increment
+// when a failed eviction restores stateLoaded on an unregistered session).
 func (s *Server) removeSession(sess *Session) bool {
 	s.smu.Lock()
 	if _, ok := s.sessions[sess.ID]; !ok {
@@ -751,10 +752,9 @@ func (s *Server) removeSession(sess *Session) bool {
 	sess.graph.sessions.Add(-1)
 	s.maybeUnloadGraphs(nil)
 
-	if sess.ckPath != "" && s.cfg.CheckpointDir != "" &&
-		filepath.Dir(sess.ckPath) == filepath.Clean(s.cfg.CheckpointDir) {
+	if sess.ckPath != "" {
 		os.Remove(sess.ckPath)
-		os.Remove(sess.ckPath + ".prev")
+		os.Remove(sess.ckPath + fsutil.PrevSuffix)
 	}
 	mSessionsDeleted.Inc()
 	return true

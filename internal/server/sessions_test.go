@@ -24,7 +24,7 @@ func isConflict(err error) bool {
 
 func TestSessionCRUD(t *testing.T) {
 	_, ts := newTestServer(t, 0)
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL).Session(DefaultSessionID)
 
 	list, err := c.ListSessions()
 	if err != nil {
@@ -99,10 +99,7 @@ func TestSessionCRUD(t *testing.T) {
 		t.Fatalf("GET /sessions/alice = %+v", got)
 	}
 
-	// Delete semantics: default is protected, alice goes away fully.
-	if err := c.DeleteSession(DefaultSessionID); err == nil {
-		t.Fatal("deleting the default session was allowed")
-	}
+	// Delete semantics: alice goes away fully, and so does default.
 	if err := c.DeleteSession("alice"); err != nil {
 		t.Fatal(err)
 	}
@@ -114,6 +111,9 @@ func TestSessionCRUD(t *testing.T) {
 	}
 	if list, _ = c.ListSessions(); len(list) != 1 {
 		t.Fatalf("list after delete = %+v", list)
+	}
+	if err := c.DeleteSession(DefaultSessionID); err != nil {
+		t.Fatalf("deleting the default session: %v", err)
 	}
 }
 
@@ -135,7 +135,7 @@ func TestSlowSessionDoesNotBlockOthers(t *testing.T) {
 	advDone := make(chan struct{})
 	go func() {
 		defer close(advDone)
-		cl := &Client{BaseURL: ts.URL, HTTPClient: &http.Client{Timeout: 10 * time.Minute}}
+		cl := &Client{BaseURL: ts.URL, SessionID: DefaultSessionID, HTTPClient: &http.Client{Timeout: 10 * time.Minute}}
 		cl.AdvanceContext(ctx, 1<<20)
 	}()
 	// Wait until the slow advance demonstrably holds the default session's
@@ -154,7 +154,7 @@ func TestSlowSessionDoesNotBlockOthers(t *testing.T) {
 	// Everything below must complete while that advance is in flight.
 	b := c.Session("b")
 	start := time.Now()
-	if st := getJSON[Status](t, ts.URL+"/status"); st.Session != DefaultSessionID {
+	if st := getJSON[Status](t, ts.URL+"/sessions/default/status"); st.Session != DefaultSessionID {
 		t.Fatalf("status mid-advance = %+v", st)
 	}
 	if st, err := b.Advance(100); err != nil || st.NumRR != 100 {
@@ -246,7 +246,7 @@ func TestPeekSpendsNoDelta(t *testing.T) {
 func TestEvictionReloadContinuesSampleStream(t *testing.T) {
 	sampler := robustSampler(t)
 	srv, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointDir: t.TempDir(), MaxLoadedSessions: 1})
-	c := NewClient(ts.URL)
+	c := NewClient(ts.URL).Session(DefaultSessionID)
 
 	spec := SessionSpec{ID: "evictee", K: 4, Delta: 0.05, Seed: 77, Union: true}
 	if _, err := c.CreateSession(spec); err != nil {
@@ -325,7 +325,7 @@ func TestAdoptCheckpointDirResume(t *testing.T) {
 
 	srv1 := New(robustSession(t, sampler), cfg)
 	ts1 := httptest.NewServer(srv1.Handler())
-	c1 := NewClient(ts1.URL)
+	c1 := NewClient(ts1.URL).Session(DefaultSessionID)
 	augSpec := SessionSpec{
 		ID: "aug", K: 3, Delta: 0.05, Seed: 31,
 		Union: true, Exact: true, BaseSeeds: []int32{1, 2, 3},
@@ -361,7 +361,7 @@ func TestAdoptCheckpointDirResume(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(srv2.Handler())
 	t.Cleanup(func() { srv2.Stop(); ts2.Close() })
-	c2 := NewClient(ts2.URL)
+	c2 := NewClient(ts2.URL).Session(DefaultSessionID)
 
 	if st, err := c2.Status(); err != nil || st.NumRR != 500 {
 		t.Fatalf("default after resume: %+v (%v)", st, err)
