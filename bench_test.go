@@ -215,12 +215,12 @@ func BenchmarkRRGenerationModels(b *testing.B) {
 // mutation fast path that every learning round rides. Layer one derives
 // the mutated graph: a set_weight batch patches the weight arrays and
 // shares the CSR topology with its parent, while the equivalent
-// delete+insert forces a full CSR rebuild. Layer two brings a session's RR
-// collection up to date after the weights change: RepairWeightOnly and the
-// generic Repair both resample exactly the invalidated sets (the
-// weight-only variant additionally skips pool and index work for sets that
-// resample to their existing bytes), while the full-rebuild baseline — what
-// a server without incremental repair pays — regenerates the entire
+// delete+insert rebuilds the CSR. Layer two brings a session's RR
+// collection up to date after the weights change: Repair resamples exactly
+// the invalidated sets, whichever batch kind invalidated them
+// (repair/weight-only after the set_weight batch, repair/generic after the
+// equivalent delete+insert), while the full-rebuild baseline — what a
+// server without incremental repair pays — regenerates the entire
 // collection from scratch. All three produce byte-identical collections,
 // so the ratios are pure fast-path speedups.
 func BenchmarkWeightOnlyRepair(b *testing.B) {
@@ -235,8 +235,7 @@ func BenchmarkWeightOnlyRepair(b *testing.B) {
 	})
 	// A gentle nudge — the shape of a learning round's realization epoch,
 	// where a Thompson sample lands near the posterior mean: most
-	// invalidated sets resample to the bytes they already hold, the case
-	// RepairWeightOnly is specialized for.
+	// invalidated sets resample to the bytes they already hold.
 	fwd := make([]graph.Mutation, len(edges))
 	back := make([]graph.Mutation, len(edges))
 	rebuild := make([]graph.Mutation, 0, 2*len(edges))
@@ -274,7 +273,7 @@ func BenchmarkWeightOnlyRepair(b *testing.B) {
 	// Each iteration applies the mutation and immediately reverts it, so
 	// every repair sees a non-empty invalidation set from the collection's
 	// current state.
-	repairBench := func(repair func(c *rrset.Collection, s *rrset.Sampler, base *rng.Source, invalid []int32) int) func(b *testing.B) {
+	repairBench := func(batch []graph.Mutation) func(b *testing.B) {
 		return func(b *testing.B) {
 			base := rng.New(7)
 			c := rrset.NewCollection(g.N())
@@ -282,18 +281,14 @@ func BenchmarkWeightOnlyRepair(b *testing.B) {
 			b.ResetTimer()
 			var repaired int64
 			for i := 0; i < b.N; i++ {
-				repaired += int64(repair(c, sf, base, c.InvalidatedBy(fwd)))
-				repaired += int64(repair(c, s0, base, c.InvalidatedBy(back)))
+				repaired += int64(c.Repair(sf, base, c.InvalidatedBy(batch), 1))
+				repaired += int64(c.Repair(s0, base, c.InvalidatedBy(back), 1))
 			}
 			b.ReportMetric(float64(repaired)/float64(2*b.N), "repaired-sets/op")
 		}
 	}
-	b.Run("repair/weight-only", repairBench(func(c *rrset.Collection, s *rrset.Sampler, base *rng.Source, invalid []int32) int {
-		return c.RepairWeightOnly(s, base, invalid, 1)
-	}))
-	b.Run("repair/generic", repairBench(func(c *rrset.Collection, s *rrset.Sampler, base *rng.Source, invalid []int32) int {
-		return c.Repair(s, base, invalid, 1)
-	}))
+	b.Run("repair/weight-only", repairBench(fwd))
+	b.Run("repair/generic", repairBench(rebuild))
 	b.Run("repair/full-rebuild", func(b *testing.B) {
 		base := rng.New(7)
 		b.ResetTimer()
@@ -304,5 +299,62 @@ func BenchmarkWeightOnlyRepair(b *testing.B) {
 			rrset.Generate(c0, s0, numRR, base, 1)
 		}
 		b.ReportMetric(numRR, "repaired-sets/op")
+	})
+}
+
+// BenchmarkStructuralDerive measures deriving a graph epoch from a
+// topology-changing batch on the serve-mutate graph (synth-pokec scale
+// 400: n = 4,082, m = 72,836) with that workload's batch shape, 32 inserts
+// of non-edges plus 32 deletes of existing edges. derive runs
+// WithMutations, which merges the batch's sorted edges into the parent's
+// sorted edge stream; build runs Builder.Build over the derived graph's
+// edges in a fixed shuffled order, the full sort it avoids. Their ratio is
+// machine-independent and gated in CI.
+func BenchmarkStructuralDerive(b *testing.B) {
+	g, err := GenerateProfile("synth-pokec", 400, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var edges []graph.Edge
+	g.Edges(func(e graph.Edge) bool { edges = append(edges, e); return true })
+	src := rng.New(11)
+	perm := make([]int32, len(edges))
+	src.Perm(perm)
+	var ms []graph.Mutation
+	for _, i := range perm[:32] {
+		ms = append(ms, graph.Mutation{Op: graph.OpEdgeDelete, From: edges[i].From, To: edges[i].To})
+	}
+	for inserted := 0; inserted < 32; {
+		from, to := src.Int31n(g.N()), src.Int31n(g.N())
+		if from != to && g.OutEdgeIndex(from, to) < 0 {
+			ms = append(ms, graph.Mutation{Op: graph.OpEdgeInsert, From: from, To: to, P: 0.05})
+			inserted++
+		}
+	}
+	mg, err := g.WithMutations(ms)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var shuffled []graph.Edge
+	mg.Edges(func(e graph.Edge) bool { shuffled = append(shuffled, e); return true })
+	src.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+	b.Run("derive", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := g.WithMutations(ms); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("build", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			bl := graph.NewBuilder(mg.N(), len(shuffled))
+			for _, e := range shuffled {
+				bl.AddEdge(e.From, e.To, e.P)
+			}
+			if _, err := bl.Build(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }

@@ -29,23 +29,8 @@ import (
 func (o *Online) RepairForMutations(sampler *rrset.Sampler, batches ...[]graph.Mutation) int {
 	regen := 0
 	if len(batches) > 0 {
-		// Weight-only histories (a learning round's realizations, say) take
-		// the repair path that reuses the trace/inverted index directly;
-		// any topology change routes through the general path.
-		weightOnly := true
-		for _, ms := range batches {
-			if !graph.IsWeightOnly(ms) {
-				weightOnly = false
-				break
-			}
-		}
-		if weightOnly {
-			regen += o.r1.RepairWeightOnly(sampler, o.base1, o.r1.InvalidatedBy(batches...), o.opts.Workers)
-			regen += o.r2.RepairWeightOnly(sampler, o.base2, o.r2.InvalidatedBy(batches...), o.opts.Workers)
-		} else {
-			regen += o.r1.Repair(sampler, o.base1, o.r1.InvalidatedBy(batches...), o.opts.Workers)
-			regen += o.r2.Repair(sampler, o.base2, o.r2.InvalidatedBy(batches...), o.opts.Workers)
-		}
+		regen += o.r1.Repair(sampler, o.base1, o.r1.InvalidatedBy(batches...), o.opts.Workers)
+		regen += o.r2.Repair(sampler, o.base2, o.r2.InvalidatedBy(batches...), o.opts.Workers)
 	}
 	o.sampler = sampler
 	// Selection/coverage scratch is sized for the old universe and holds

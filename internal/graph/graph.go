@@ -16,9 +16,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -252,13 +253,12 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 	}
 
-	// Sort by (From, To) to group duplicates and lay out CSR runs.
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].From != b.edges[j].From {
-			return b.edges[i].From < b.edges[j].From
-		}
-		return b.edges[i].To < b.edges[j].To
-	})
+	// Sort by (From, To) to group duplicates and lay out CSR runs. pdqsort
+	// detects already-sorted input (WithMutations' merged stream) in one
+	// pass. slices.SortFunc runs the same pdqsort as sort.Slice, so
+	// duplicates reach the order-sensitive float32 noisy-or below in the
+	// same order and fingerprints stay put (TestBuildGoldenFingerprint).
+	slices.SortFunc(b.edges, compareEdges)
 
 	// Merge duplicates in place.
 	merged := b.edges[:0]
@@ -324,6 +324,14 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	b.edges = nil // builder is spent
 	return g, nil
+}
+
+// compareEdges orders edges by (From, To).
+func compareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.From, b.From); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.To, b.To)
 }
 
 // ValidateLT checks the LT-model precondition that every node's incoming

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -407,5 +408,52 @@ func TestWeightSchemeString(t *testing.T) {
 		if got := s.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(s), got, want)
 		}
+	}
+}
+
+// TestBuildGoldenFingerprint pins Build's canonical output for an unsorted
+// input with heavy duplication. Noisy-or merging is order-sensitive in
+// float32, so the fingerprint depends on the order the sort leaves the
+// duplicates in; the pinned hex was computed with sort.Slice, and must not
+// move under any supported Go release. A strictly ascending input (the
+// shape WithMutations feeds Build) must fingerprint equal to a shuffled
+// copy of it.
+func TestBuildGoldenFingerprint(t *testing.T) {
+	const golden = "175454b08e95cf28e12fb5632291f525e15b1cb9389bf307fe45cc902e8f9698"
+	// 8×7 distinct pairs, ~54 copies each, with small distinct p so the
+	// noisy-or product never saturates at 1.
+	src := rng.New(2024)
+	dups := make([]Edge, 3000)
+	for i := range dups {
+		from, to := NodeID(src.Int31n(8)), NodeID(src.Int31n(7))
+		if to >= from {
+			to++
+		}
+		dups[i] = Edge{from, to, 0.001 + 0.02*src.Float32()}
+	}
+	g := buildTest(t, 9, dups)
+	if got := g.Fingerprint(); got != golden {
+		t.Fatalf("fingerprint %s, want %s: the sort changed the duplicates' merge order", got, golden)
+	}
+	if g.M() != 8*7 {
+		t.Fatalf("M = %d, want %d distinct pairs", g.M(), 8*7)
+	}
+	slices.Reverse(dups)
+	if buildTest(t, 9, dups).Fingerprint() == golden {
+		t.Fatal("fixture is not order-sensitive: reversed input fingerprints equal")
+	}
+
+	var asc []Edge
+	for u := NodeID(0); u < 40; u++ {
+		for v := NodeID(0); v < 40; v++ {
+			if u != v && (u*7+v*3)%5 != 0 {
+				asc = append(asc, Edge{u, v, float32(u*40+v) / 2000})
+			}
+		}
+	}
+	shuffled := slices.Clone(asc)
+	rng.New(5).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	if buildTest(t, 40, asc).Fingerprint() != buildTest(t, 40, shuffled).Fingerprint() {
+		t.Fatal("strictly ascending input and a shuffled copy fingerprint differently")
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -112,8 +113,7 @@ func ChainFingerprint(parent string, ms []Mutation) string {
 // IsWeightOnly reports whether the batch consists purely of OpSetWeight
 // mutations (and is non-empty). Weight-only batches leave the topology —
 // node count, edge set, CSR offsets and targets — untouched, which is what
-// licenses the structural-sharing fast path in WithMutations and the
-// index-reusing repair path in rrset.
+// licenses the structural-sharing fast path in WithMutations.
 func IsWeightOnly(ms []Mutation) bool {
 	if len(ms) == 0 {
 		return false
@@ -217,26 +217,38 @@ func (g *Graph) WithMutations(ms []Mutation) (*Graph, error) {
 		}
 	}
 
-	// Rebuild: stream the base edges through the overlay, then append pure
-	// inserts, and canonicalize through Build — the same sort/merge every
-	// other load path uses, so the content fingerprint stays path-invariant.
+	// Rebuild: merge the overlay's sorted keys (O(b log b) for a batch of b
+	// ops) into the base edge stream, which Edges yields in (From, To)
+	// order, so Build receives sorted edges, which its sort confirms in one
+	// pass. It still canonicalizes exactly as every other load path does,
+	// so the content fingerprint stays path-invariant.
+	keys := make([]int64, 0, len(overlay))
+	for k := range overlay {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
 	b := NewBuilder(n, int(g.m)+inserted)
+	emit := func(k int64) {
+		if o := overlay[k]; o.present {
+			b.AddEdge(NodeID(k>>32), NodeID(uint32(k)), o.p)
+		}
+	}
+	next := 0
 	g.Edges(func(e Edge) bool {
 		k := edgeKey(e.From, e.To)
-		if o, ok := overlay[k]; ok {
-			if o.present {
-				b.AddEdge(e.From, e.To, o.p)
-			}
-			delete(overlay, k)
+		for ; next < len(keys) && keys[next] < k; next++ {
+			emit(keys[next]) // an edge the base lacks: a pure insert
+		}
+		if next < len(keys) && keys[next] == k {
+			emit(k) // a deleted or reweighted base edge
+			next++
 			return true
 		}
 		b.AddEdge(e.From, e.To, e.P)
 		return true
 	})
-	for k, o := range overlay {
-		if o.present {
-			b.AddEdge(NodeID(k>>32), NodeID(uint32(k)), o.p)
-		}
+	for _, k := range keys[next:] {
+		emit(k)
 	}
 	ng, err := b.Build()
 	if err != nil {

@@ -31,13 +31,12 @@ func weightOnlyBatch(t *testing.T, g *graph.Graph) []graph.Mutation {
 	return ms
 }
 
-// TestRepairWeightOnlyMatchesFromScratch is the weight-only property test
-// from the issue: after a weight-only batch (applied through the graph's
-// structural-sharing fast path), RepairWeightOnly must be byte-identical —
-// pool, offsets, index, per-set and cumulative γ, serialized frame — both
-// to the general Repair path and to resampling the whole collection from
-// scratch on the mutated graph, across both diffusion models and several
-// worker counts.
+// TestRepairWeightOnlyMatchesFromScratch: after a weight-only batch
+// (applied through the graph's structural-sharing fast path), Repair must
+// be byte-identical — pool, offsets, index, per-set and cumulative γ,
+// serialized frame — to resampling the whole collection from scratch on
+// the mutated graph, across both diffusion models and several worker
+// counts.
 func TestRepairWeightOnlyMatchesFromScratch(t *testing.T) {
 	g := repairTestGraph(t)
 	ms := weightOnlyBatch(t, g)
@@ -61,40 +60,27 @@ func TestRepairWeightOnlyMatchesFromScratch(t *testing.T) {
 			if len(invalid) == 0 || len(invalid) >= count {
 				t.Fatalf("%v: invalidation not partial: %d of %d", model, len(invalid), count)
 			}
-			if n := c.RepairWeightOnly(s1, rng.New(99), invalid, workers); n != len(invalid) {
-				t.Fatalf("%v: RepairWeightOnly regenerated %d, want %d", model, n, len(invalid))
+			if n := c.Repair(s1, rng.New(99), invalid, workers); n != len(invalid) {
+				t.Fatalf("%v: Repair regenerated %d, want %d", model, n, len(invalid))
 			}
 			requireIdenticalFull(t, want, c, model.String()+"/weight-only/workers="+itoa(workers))
-
-			// And the general path lands on the same bytes.
-			general := NewCollection(g.N())
-			Generate(general, s0, count, rng.New(99), workers)
-			general.Repair(s1, rng.New(99), general.InvalidatedBy(ms), workers)
-			requireIdenticalFull(t, general, c, model.String()+"/general-vs-weight-only/workers="+itoa(workers))
 		}
 	}
 }
 
-// TestRepairWeightOnlyNoOpKeepsArrays: when every invalidated set
-// resamples to its existing bytes (here: a batch that rewrites weights to
-// their current values — a real epoch advance with a guaranteed-identical
-// outcome), the weight-only path must leave the pool and every index slice
-// pointer-untouched, advancing only the unchanged-sets counter. This is
-// the "reuse the trace and inverted index directly" contract.
-func TestRepairWeightOnlyNoOpKeepsArrays(t *testing.T) {
-	g := repairTestGraph(t)
-	var ms []graph.Mutation
-	i := 0
-	g.Edges(func(e graph.Edge) bool {
-		if i%9 == 0 {
-			ms = append(ms, graph.Mutation{Op: graph.OpSetWeight, From: e.From, To: e.To, P: e.P})
-		}
-		i++
-		return true
-	})
+// requireNoOpRepair applies ms — a batch whose mutated graph has the same
+// content as g, so every invalidated set resamples to its existing bytes —
+// and requires Repair to leave the pool and every index slice
+// pointer-untouched, counting every regenerated set as unchanged, while
+// staying byte-identical to a from-scratch run on the mutated graph.
+func requireNoOpRepair(t *testing.T, g *graph.Graph, ms []graph.Mutation) {
+	t.Helper()
 	mg, err := g.WithMutations(ms)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if mg.Fingerprint() != g.Fingerprint() {
+		t.Fatal("fixture batch changed the graph's content")
 	}
 	const count = 500
 	c := NewCollection(g.N())
@@ -111,7 +97,7 @@ func TestRepairWeightOnlyNoOpKeepsArrays(t *testing.T) {
 		}
 	}
 	unch0 := mRepairUnchanged.Value()
-	c.RepairWeightOnly(NewSampler(mg, diffusion.IC), rng.New(42), invalid, 4)
+	c.Repair(NewSampler(mg, diffusion.IC), rng.New(42), invalid, 4)
 	if d := mRepairUnchanged.Value() - unch0; d != int64(len(invalid)) {
 		t.Fatalf("rrset_repair_unchanged_total advanced by %d, want %d", d, len(invalid))
 	}
@@ -123,15 +109,50 @@ func TestRepairWeightOnlyNoOpKeepsArrays(t *testing.T) {
 			t.Fatalf("index slice for node %d reallocated although no set changed", v)
 		}
 	}
-	// Still byte-identical to a from-scratch run on the mutated graph.
 	want := NewCollection(mg.N())
 	Generate(want, NewSampler(mg, diffusion.IC), count, rng.New(42), 4)
-	requireIdenticalFull(t, want, c, "no-op weight-only repair")
+	requireIdenticalFull(t, want, c, "no-op repair")
+}
+
+// TestRepairWeightOnlyNoOpKeepsArrays: a batch that rewrites weights to
+// their current values is a real epoch advance with a guaranteed-identical
+// outcome, so Repair must move nothing.
+func TestRepairWeightOnlyNoOpKeepsArrays(t *testing.T) {
+	g := repairTestGraph(t)
+	var ms []graph.Mutation
+	i := 0
+	g.Edges(func(e graph.Edge) bool {
+		if i%9 == 0 {
+			ms = append(ms, graph.Mutation{Op: graph.OpSetWeight, From: e.From, To: e.To, P: e.P})
+		}
+		i++
+		return true
+	})
+	requireNoOpRepair(t, g, ms)
+}
+
+// TestRepairStructuralNoOpKeepsArrays is the same contract for a batch
+// that is not weight-only: deleting edges and re-inserting them with their
+// current probability changes no set, so Repair must move nothing either.
+func TestRepairStructuralNoOpKeepsArrays(t *testing.T) {
+	g := repairTestGraph(t)
+	var ms []graph.Mutation
+	i := 0
+	g.Edges(func(e graph.Edge) bool {
+		if i%9 == 0 {
+			ms = append(ms,
+				graph.Mutation{Op: graph.OpEdgeDelete, From: e.From, To: e.To},
+				graph.Mutation{Op: graph.OpEdgeInsert, From: e.From, To: e.To, P: e.P})
+		}
+		i++
+		return true
+	})
+	requireNoOpRepair(t, g, ms)
 }
 
 // TestRepairWeightOnlyMultiBatchCatchUp: a collection that missed several
-// weight-only epochs catches up with one weight-only repair, exactly like
-// the general multi-batch contract.
+// weight-only epochs catches up with one repair, exactly like the
+// structural multi-batch contract.
 func TestRepairWeightOnlyMultiBatchCatchUp(t *testing.T) {
 	g := repairTestGraph(t)
 	ms1 := weightOnlyBatch(t, g)
@@ -148,7 +169,7 @@ func TestRepairWeightOnlyMultiBatchCatchUp(t *testing.T) {
 	c := NewCollection(g.N())
 	Generate(c, NewSampler(g, diffusion.LT), count, rng.New(5), 4)
 	invalid := c.InvalidatedBy(ms1, ms2)
-	c.RepairWeightOnly(NewSampler(g2, diffusion.LT), rng.New(5), invalid, 4)
+	c.Repair(NewSampler(g2, diffusion.LT), rng.New(5), invalid, 4)
 	want := NewCollection(g2.N())
 	Generate(want, NewSampler(g2, diffusion.LT), count, rng.New(5), 4)
 	requireIdenticalFull(t, want, c, "weight-only two-batch catch-up")

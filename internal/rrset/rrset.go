@@ -553,16 +553,33 @@ func (c *Collection) mergeChunks(chunks []chunk) {
 		c.exam = append(c.exam, chunks[w].exam...)
 	}
 
-	// Phases 3–4 — inverted index, two-pass counting build:
-	// (3a) per-shard occurrence counts, (3b) per-node prefix sums + slice
-	// growth over a node partition, (4) parallel fill at the pre-computed
-	// positions. Shard order inside each node's list equals id order, so
-	// the index matches the sequential build exactly.
+	// Phases 3–4 — inverted index.
 	it0 := time.Now()
+	for _, d := range c.indexFrom(oldCount, par) {
+		mIndexShardTime.Observe(d)
+		mIndexShards.Inc()
+	}
+	mIndexBuildTime.Observe(time.Since(it0))
+}
+
+// indexFrom adds sets [from, Count()) to the inverted index with a
+// two-pass counting build on up to par shards, each owning a contiguous id
+// range: (1) per-shard node occurrence counts, (2) per-node prefix sums
+// and one slice growth over a node partition, (3) parallel fill at the
+// pre-computed positions. Shard order inside each node's list equals id
+// order, so the index matches sequential Add calls exactly. Each shard
+// costs an n-entry count array. It returns each shard's fill time.
+func (c *Collection) indexFrom(from, par int) []time.Duration {
+	count := c.Count()
+	if from >= count {
+		return nil
+	}
+	par = min(par, count-from)
+	first := func(w int) int { return from + (count-from)*w/par }
 	counts := make([][]int32, par)
 	runShards(par, func(w int) {
 		cnt := make([]int32, c.n)
-		for _, v := range chunks[w].pool {
+		for _, v := range c.pool[c.offs[first(w)]:c.offs[first(w+1)]] {
 			cnt[v]++
 		}
 		counts[w] = cnt
@@ -595,22 +612,19 @@ func (c *Collection) mergeChunks(chunks []chunk) {
 			}
 		}
 	})
+	fill := make([]time.Duration, par)
 	runShards(par, func(w int) {
 		st0 := time.Now()
 		cnt := counts[w]
-		ck := &chunks[w]
-		id := int32(oldCount + setBase[w])
-		for i := 0; i+1 < len(ck.offs); i++ {
-			for _, v := range ck.pool[ck.offs[i]:ck.offs[i+1]] {
-				c.index[v][cnt[v]] = id
+		for id := first(w); id < first(w+1); id++ {
+			for _, v := range c.Set(int32(id)) {
+				c.index[v][cnt[v]] = int32(id)
 				cnt[v]++
 			}
-			id++
 		}
-		mIndexShardTime.Observe(time.Since(st0))
+		fill[w] = time.Since(st0)
 	})
-	mIndexBuildTime.Observe(time.Since(it0))
-	mIndexShards.Add(int64(par))
+	return fill
 }
 
 // rebaseOffsets writes the global end-offset of each chunk set into dst:

@@ -115,7 +115,6 @@ func ReadCollection(r io.Reader) (*Collection, error) {
 		n:             n,
 		offs:          make([]int64, 0, clamp(count+1)),
 		pool:          make([]int32, 0, clamp(poolLen)),
-		index:         make([][]int32, n),
 		edgesExamined: gamma,
 	}
 	var b8 [8]byte
@@ -170,10 +169,7 @@ func ReadCollection(r io.Reader) (*Collection, error) {
 		return nil, fmt.Errorf("%w: CRC mismatch: stored %08x, computed %08x (corrupt payload)", ErrBadCollection, got, want)
 	}
 	// Rebuild the inverted index.
-	for id := int64(0); id < count; id++ {
-		for _, v := range c.pool[c.offs[id]:c.offs[id+1]] {
-			c.index[v] = append(c.index[v], int32(id))
-		}
-	}
+	c.index = make([][]int32, n)
+	c.indexFrom(0, 1)
 	return c, nil
 }

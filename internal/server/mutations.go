@@ -4,8 +4,9 @@ package server
 // mutation batch (edge inserts/deletes, weight changes, node adds) to a
 // catalog graph and incrementally repairs every loaded session on it —
 // only the RR sets whose traces touch a mutated edge are regenerated
-// (rrset.Repair), so the cost is O(f·θ) for a batch invalidating an
-// f-fraction of θ sets, not a full resample.
+// (rrset.Repair). For a batch invalidating an f-fraction of θ sets,
+// resampling costs O(f·θ) sets, not a full resample, plus one O(Σ|R|)
+// memory-bound copy and index pass per collection in which a set changed.
 //
 // Identity moves along the graph's epoch chain: applying a batch advances
 // the epoch and chains the lineage hash (graph.ChainFingerprint), the
