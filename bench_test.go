@@ -9,6 +9,7 @@ package opim
 // The benchmark names map to the per-experiment index in DESIGN.md §4.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"testing"
@@ -353,6 +354,56 @@ func BenchmarkStructuralDerive(b *testing.B) {
 				bl.AddEdge(e.From, e.To, e.P)
 			}
 			if _, err := bl.Build(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkSessionRestore measures a checkpoint round trip on the
+// serve-mutate session shape (synth-pokec scale 400, IC, k = 50, 131,072
+// RR sets): generate samples the session from scratch, save writes its
+// OPIMS6 checkpoint (the recipe plus a checksum of each half), and load
+// restores it, regenerating every set and verifying both checksums. A
+// load is the sampling it replays plus the checksums, so generate:load is
+// machine-independent and gated in CI.
+func BenchmarkSessionRestore(b *testing.B) {
+	g, err := GenerateProfile("synth-pokec", 400, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := rrset.NewSampler(g, diffusion.IC)
+	opts := core.Options{K: 50, Delta: 0.1, Variant: core.Plus, Seed: 1}
+	const numRR = 1 << 17
+	session := func() *core.Online {
+		o, err := core.NewOnline(s, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		o.Advance(numRR)
+		return o
+	}
+	b.Run("generate", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			session()
+		}
+	})
+	o := session()
+	var ck bytes.Buffer
+	if err := core.SaveSession(&ck, o); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("save", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := core.SaveSession(io.Discard, o); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(ck.Len()), "bytes")
+	})
+	b.Run("load", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.LoadSession(bytes.NewReader(ck.Bytes()), s); err != nil {
 				b.Fatal(err)
 			}
 		}

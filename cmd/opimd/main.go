@@ -39,10 +39,13 @@
 //
 // Sessions on the same (graph, model) share one sampler, and
 // -max-loaded-graphs bounds memory by unloading idle graphs (reloaded
-// from their spec on demand). Checkpoints (OPIMS5) record the graph's
-// fingerprint and its position on the mutation epoch chain, so a resume
-// against the wrong dataset fails loudly instead of silently corrupting
-// guarantees, and a resume after mutation batches catches up exactly.
+// from their spec and mutation journal on demand; without
+// -checkpoint-dir a mutated graph stays resident). Checkpoints (OPIMS6)
+// record each session's recipe — options, RR-set counts and a checksum of
+// each half — with the graph's fingerprint and its position on the
+// mutation epoch chain, so a resume against the wrong dataset fails
+// loudly instead of silently corrupting guarantees, and a resume after
+// mutation batches regenerates on the current epoch exactly.
 //
 // Fault tolerance (see docs/ROBUSTNESS.md):
 //
@@ -53,13 +56,15 @@
 //     graph's mutation batches are journaled there. At startup the daemon
 //     replays each graph's journal, then resumes every checkpointed
 //     session through one restore path (server.Resume): current
-//     generation, else <id>.ck.prev, placed on the graph's epoch chain and
-//     caught up with the batches it missed. A checkpoint that exists but
-//     cannot be resumed stops startup. A resumed session continues the
-//     exact sample stream — seeds, α and δ accounting are byte-identical
-//     to a never-crashed run. When resuming, the default session's
-//     parameters (-k, -delta, -seed, …) come from the checkpoint, not the
-//     flags. -max-loaded-sessions N bounds memory by
+//     generation, else <id>.ck.prev, checked against the graph's epoch
+//     chain and regenerated on its current epoch — a load costs about the
+//     original sampling. A checkpoint that exists but cannot be resumed
+//     stops startup. A resumed session continues the exact sample stream —
+//     seeds, α and δ accounting are byte-identical to a never-crashed run.
+//     When resuming, the default session's parameters (-k, -delta, -seed,
+//     …) come from the checkpoint, not the flags; an adopted session keeps
+//     the serving spec (max_rr, weight, rate, burst, learn round_rr) it
+//     was created with. -max-loaded-sessions N bounds memory by
 //     checkpointing-then-unloading idle sessions (reloaded transparently
 //     on their next request).
 //   - -request-timeout bounds /advance processing (503 + Retry-After

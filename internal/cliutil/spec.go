@@ -15,7 +15,7 @@ import (
 // comes from (a file path or a synthetic profile), how it is reweighted, and
 // which diffusion model interprets the probabilities. Every command-line
 // tool used to re-parse this tuple from its own flags; the daemon's /graphs
-// API accepts it verbatim as a JSON body; and session checkpoints (OPIMS5)
+// API accepts it verbatim as a JSON body; and session checkpoints (OPIMS6)
 // record its String form so a restarted daemon can re-load the exact
 // instance a session was running on.
 //

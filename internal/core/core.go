@@ -117,8 +117,9 @@ type Options struct {
 	// OnRound, when non-nil, is invoked by Maximize after each doubling
 	// round with the round number (1-based) and that round's snapshot —
 	// the offline algorithm's window into the online progress. It must not
-	// retain the snapshot's Seeds slice across calls.
-	OnRound func(round int, snap *Snapshot)
+	// retain the snapshot's Seeds slice across calls. Not persisted by
+	// SaveSession.
+	OnRound func(round int, snap *Snapshot) `json:"-"`
 	// Exact replaces the paper's martingale bounds (eqs. 5/8/13/15) with
 	// exact Clopper–Pearson binomial limits. Valid because each snapshot
 	// conditions on a FIXED sample count, making coverage exactly
@@ -132,14 +133,14 @@ type Options struct {
 	// here to make a run replayable; see docs/OBSERVABILITY.md. Sinks are
 	// not persisted by SaveSession; reattach with SetEvents after
 	// LoadSession.
-	Events obs.Sink
+	Events obs.Sink `json:"-"`
 	// Generator, when non-nil, produces the session's RR sets (a fleet
 	// coordinator, say) in place of in-process sampling. It must honor the
 	// Generator determinism contract; results are then independent of where
 	// sampling ran. Not persisted by SaveSession — the process that resumes
 	// a session re-injects its own (SetGenerator), since a checkpoint must
 	// not capture another deployment's fleet topology.
-	Generator Generator
+	Generator Generator `json:"-"`
 	// BaseSeeds, when non-empty, switches the session to the AUGMENTATION
 	// problem: the base set is already committed, selection picks K
 	// additional nodes maximizing the residual spread σ(B∪S) − σ(B), and
@@ -196,15 +197,15 @@ type Online struct {
 	scratch *snapScratch // persistent selection/coverage buffers, reused per snapshot
 
 	// graphName/graphSpec label which catalog graph this session runs on;
-	// SaveSession records them (with the graph's fingerprint) in OPIMS5 so a
+	// SaveSession records them (with the graph's fingerprint) in OPIMS6 so a
 	// restarted daemon can re-resolve — and verify — the exact instance.
 	// Empty on sessions created outside a catalog (plain library use).
 	graphName string
 	graphSpec string
 
-	// ext is the OPIMS5 opaque extension blob: application state that must
-	// ride along with every checkpoint of this session (opimd keeps its
-	// per-session learner there). Core never interprets it; SaveSession
+	// ext is the OPIMS6 opaque extension blob: application state that must
+	// ride along with every checkpoint of this session (opimd keeps each
+	// session's serving spec and learner there). Core never interprets it; SaveSession
 	// writes it and LoadSession restores it.
 	ext []byte
 }
@@ -214,6 +215,11 @@ func NewOnline(sampler *rrset.Sampler, opts Options) (*Online, error) {
 	if err := opts.validate(sampler.Graph().N()); err != nil {
 		return nil, err
 	}
+	return newOnline(sampler, opts), nil
+}
+
+// newOnline builds an empty session on sampler from validated options.
+func newOnline(sampler *rrset.Sampler, opts Options) *Online {
 	root := rng.New(opts.Seed)
 	return &Online{
 		sampler: sampler,
@@ -224,7 +230,29 @@ func NewOnline(sampler *rrset.Sampler, opts Options) (*Online, error) {
 		base2:   root.Split(2),
 		start:   time.Now(),
 		scratch: newSnapScratch(),
-	}, nil
+	}
+}
+
+// Resample rebinds the session to sampler and regenerates both halves at
+// their current sizes, in-process. Because set i of each half is a pure
+// function of the seed, i and the graph, the result is byte-identical to
+// a session that ran on sampler's graph from the start — the catch-up for
+// an engine whose graph moved by batches it cannot repair one by one.
+func (o *Online) Resample(sampler *rrset.Sampler) {
+	o.resample(sampler, o.r1.Count(), o.r2.Count())
+}
+
+// resample replaces both halves with theta1 and theta2 sets freshly drawn
+// on sampler from the session's base sources.
+func (o *Online) resample(sampler *rrset.Sampler, theta1, theta2 int) {
+	n := sampler.Graph().N()
+	o.sampler = sampler
+	o.r1, o.r2 = rrset.NewCollection(n), rrset.NewCollection(n)
+	rrset.Generate(o.r1, sampler, theta1, o.base1, o.opts.Workers)
+	rrset.Generate(o.r2, sampler, theta2, o.base2, o.opts.Workers)
+	// Selection/coverage scratch holds epoch-marked state tied to the old
+	// collections; start fresh.
+	o.scratch = newSnapScratch()
 }
 
 // SetEvents attaches (or replaces, or with nil detaches) the session's
@@ -247,7 +275,7 @@ func (o *Online) GraphIdentity() (name, spec string) {
 }
 
 // SetExtension attaches (or with nil clears) the session's opaque
-// extension blob, persisted verbatim by SaveSession in the OPIMS5 frame.
+// extension blob, persisted verbatim by SaveSession in the OPIMS6 frame.
 // The caller keeps ownership of b's semantics but must not mutate it after
 // handing it over; replace it wholesale when the state changes.
 func (o *Online) SetExtension(b []byte) { o.ext = b }

@@ -2,41 +2,41 @@ package core
 
 // Session persistence: an Online session can be saved to disk and resumed
 // later — the natural complement to the online-processing paradigm, where
-// a user may pause for hours between quality checks. Because RR-set
-// generation derives stream i of each half from Split(i) of a seed-keyed
-// source, a resumed session continues the exact sample stream the original
-// would have produced: save → load → Advance is byte-identical to a
-// never-paused session.
+// a user may pause for hours between quality checks. Set i of each half
+// is a pure function of the session seed, i and the graph (RR generation
+// derives stream i from Split(i) of a seed-keyed source), so a checkpoint
+// records the recipe — options, query counter, graph identity, |R1| and
+// |R2| — rather than the samples, and a load regenerates both halves:
+// save → load → Advance is byte-identical to a never-paused session.
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
-	"time"
 
-	"github.com/reprolab/opim/internal/rng"
 	"github.com/reprolab/opim/internal/rrset"
 )
 
-// sessionMagic is the OPIMS5 format, the only one written or read. After
-// the magic: the fixed header (n, k, δ, variant, seed, workers, union
-// flag, query count), the Exact flag and base-seed set, the graph-identity
-// block (content fingerprint, spec, catalog name), the epoch block (epoch
-// and lineage on the graph's mutation chain), one length-prefixed opaque
-// extension blob, then the two RR collections (OPIMR3). The blob is owned
-// by the embedding application (opimd stores per-session learner state
-// there — Beta posteriors and the campaign round machine); core
-// round-trips it without interpretation, so the learning subsystem can
-// evolve without another container version.
-const sessionMagic = "OPIMS5\n"
+// sessionMagic is the OPIMS6 format, the only one written or read: the
+// magic, one JSON-encoded SessionMeta, then a uint32 CRC-32C of the JSON.
+// The extension blob rides base64-encoded inside the JSON. The blob is
+// owned by the embedding application (opimd stores each session's serving
+// spec and learner state there); core round-trips it without
+// interpretation.
+const sessionMagic = "OPIMS6\n"
 
-// maxSessionExt bounds the OPIMS5 extension blob (64 MiB): far beyond any
-// realistic posterior table, small enough that a corrupted length field
-// cannot drive the loader into a multi-gigabyte allocation.
-const maxSessionExt = 64 << 20
+// maxSessionFrame bounds an OPIMS6 frame (128 MiB): far beyond any
+// realistic posterior table, small enough that a corrupted or hostile file
+// cannot drive the loader into a multi-gigabyte read.
+const maxSessionFrame = 128 << 20
+
+// crcTable is Castagnoli, hardware-accelerated on both amd64 and arm64.
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrBadSession reports a malformed serialized session.
 var ErrBadSession = errors.New("core: bad session format")
@@ -47,303 +47,170 @@ var ErrBadSession = errors.New("core: bad session format")
 // silently produce guarantees that hold for nothing, so loading refuses.
 var ErrGraphMismatch = errors.New("core: session graph fingerprint mismatch")
 
-// SessionMeta is the graph-identity header of a serialized session,
-// readable without deserializing the RR collections. LoadSessionResolve
-// hands it to the caller so a multi-graph server can pick (or register)
-// the right sampler before committing to the expensive part of the load.
+// SessionMeta is a serialized session: the recipe a load regenerates the
+// session from. LoadSessionResolve hands it to the caller before any
+// sampling, so a multi-graph server can pick (or register) the right
+// sampler first.
 type SessionMeta struct {
-	// N is the node count recorded in the header.
-	N int32
+	// N is the node count of the graph at save time.
+	N int32 `json:"n"`
+	// Options are the session's options (Events, OnRound and Generator
+	// are not persisted).
+	Options Options `json:"options"`
+	// Queries is the snapshot counter behind the UnionBudget schedule.
+	Queries int `json:"queries"`
 	// GraphFingerprint is graph.Fingerprint() at save time.
-	GraphFingerprint string
+	GraphFingerprint string `json:"graph_fingerprint"`
 	// GraphSpec is the cliutil.GraphSpec string the graph was loaded from;
 	// empty for sessions without SetGraphIdentity.
-	GraphSpec string
+	GraphSpec string `json:"graph_spec,omitempty"`
 	// GraphName is the catalog name the session referenced; empty outside
 	// a catalog.
-	GraphName string
+	GraphName string `json:"graph_name,omitempty"`
 	// Epoch is the graph's mutation-batch count at save time, and Lineage
 	// its epoch-chain hash (graph.EpochLineage).
-	Epoch   int64
-	Lineage string
+	Epoch   int64  `json:"epoch"`
+	Lineage string `json:"lineage"`
 	// Ext is the opaque extension blob (nil for sessions without one). It
-	// is also restored onto the loaded Online
-	// (Extension); the meta copy lets a resolver inspect application state
-	// before committing to the load.
-	Ext []byte
-
-	// AcceptStale is set by the LoadSessionResolve resolver (never by the
-	// decoder) to accept a sampler whose graph content differs from the
-	// file's because mutation batches were applied after the save. The
-	// resolver takes on the obligation to verify — through the graph's
-	// epoch chain — that the sampler's graph descends from the recorded
-	// (fingerprint, epoch), and to call RepairForMutations with the missed
-	// batches after the load. With AcceptStale the fingerprint check is
-	// skipped and the node count may have grown (node adds); without it a
-	// content mismatch is still the hard ErrGraphMismatch.
-	AcceptStale bool
+	// is also restored onto the loaded Online (Extension); the meta copy
+	// lets a resolver inspect application state before committing to the
+	// load.
+	Ext []byte `json:"ext,omitempty"`
+	// Theta1 and Theta2 are |R1| and |R2|; Checksum1 and Checksum2 their
+	// rrset.Collection checksums, which a load on the recorded graph
+	// content must reproduce.
+	Theta1    int64  `json:"theta1"`
+	Theta2    int64  `json:"theta2"`
+	Checksum1 uint32 `json:"checksum1"`
+	Checksum2 uint32 `json:"checksum2"`
 }
 
-// SaveSession serializes o in OPIMS5 form, recording the sampler graph's
-// content fingerprint, epoch and lineage plus the session's
-// SetGraphIdentity labels and extension blob.
-// LoadSession must be given a sampler equivalent to the original (same
-// graph, same model); the fingerprint makes "same graph" checkable instead
-// of trusted.
+// SaveSession serializes o in OPIMS6 form: its recipe, the sampler graph's
+// content fingerprint, epoch and lineage, the session's SetGraphIdentity
+// labels and extension blob, and a checksum of each half. The bytes are
+// small and cost O(Σ|R|) only for the checksums; LoadSession pays for the
+// sampling again.
 func SaveSession(w io.Writer, o *Online) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(sessionMagic); err != nil {
+	g := o.sampler.Graph()
+	body, err := json.Marshal(SessionMeta{
+		N:                g.N(),
+		Options:          o.opts,
+		Queries:          o.queries,
+		GraphFingerprint: g.Fingerprint(),
+		GraphSpec:        o.graphSpec,
+		GraphName:        o.graphName,
+		Epoch:            g.Epoch(),
+		Lineage:          g.EpochLineage(),
+		Ext:              o.ext,
+		Theta1:           int64(o.r1.Count()),
+		Theta2:           int64(o.r2.Count()),
+		Checksum1:        o.r1.Checksum(),
+		Checksum2:        o.r2.Checksum(),
+	})
+	if err != nil {
 		return err
 	}
-	var hdr [45]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(o.sampler.Graph().N()))
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(o.opts.K))
-	binary.LittleEndian.PutUint64(hdr[12:20], math.Float64bits(o.opts.Delta))
-	binary.LittleEndian.PutUint32(hdr[20:24], uint32(o.opts.Variant))
-	binary.LittleEndian.PutUint64(hdr[24:32], o.opts.Seed)
-	binary.LittleEndian.PutUint32(hdr[32:36], uint32(o.opts.Workers))
-	if o.opts.UnionBudget {
-		hdr[36] = 1
+	if n := len(sessionMagic) + len(body) + 4; n > maxSessionFrame {
+		return fmt.Errorf("core: session frame of %d bytes exceeds format limit", n)
 	}
-	binary.LittleEndian.PutUint64(hdr[37:45], uint64(o.queries))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	// Exact flag + base-seed set. Without these a resumed
-	// augmentation session would silently report non-residual σˡ/σᵘ/α and a
-	// resumed Exact session would fall back to martingale bounds.
-	var ext [5]byte
-	if o.opts.Exact {
-		ext[0] = 1
-	}
-	binary.LittleEndian.PutUint32(ext[1:5], uint32(len(o.opts.BaseSeeds)))
-	if _, err := bw.Write(ext[:]); err != nil {
-		return err
-	}
-	for _, v := range o.opts.BaseSeeds {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(v))
-		if _, err := bw.Write(b[:]); err != nil {
-			return err
-		}
-	}
-	// The graph-identity block. The fingerprint is recomputed from the live
-	// sampler; name and spec are whatever SetGraphIdentity recorded,
-	// possibly empty.
-	for _, s := range []string{o.sampler.Graph().Fingerprint(), o.graphSpec, o.graphName} {
-		if err := writeString16(bw, s); err != nil {
-			return err
-		}
-	}
-	// The epoch block, read straight off the sampler's graph — a session
-	// repaired onto epoch k checkpoints as epoch k.
-	var eb [8]byte
-	binary.LittleEndian.PutUint64(eb[:], uint64(o.sampler.Graph().Epoch()))
-	if _, err := bw.Write(eb[:]); err != nil {
-		return err
-	}
-	if err := writeString16(bw, o.sampler.Graph().EpochLineage()); err != nil {
-		return err
-	}
-	// The opaque application blob (length 0 when unset).
-	if len(o.ext) > maxSessionExt {
-		return fmt.Errorf("core: session extension of %d bytes exceeds format limit", len(o.ext))
-	}
-	var xl [4]byte
-	binary.LittleEndian.PutUint32(xl[:], uint32(len(o.ext)))
-	if _, err := bw.Write(xl[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(o.ext); err != nil {
-		return err
-	}
-	if err := rrset.WriteCollection(bw, o.r1); err != nil {
-		return err
-	}
-	if err := rrset.WriteCollection(bw, o.r2); err != nil {
-		return err
-	}
-	return bw.Flush()
+	frame := append([]byte(sessionMagic), body...)
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(body, crcTable))
+	_, err = w.Write(frame)
+	return err
 }
 
 // LoadSession restores a session saved by SaveSession onto sampler, which
 // must be built over the same graph and diffusion model as the original:
-// a sampler over a graph with a different fingerprint is refused with
-// ErrGraphMismatch.
+// a sampler over a graph with a different node count is ErrBadSession, one
+// with a different fingerprint ErrGraphMismatch. The load regenerates every
+// RR set, so it costs about what the original sampling did.
 func LoadSession(r io.Reader, sampler *rrset.Sampler) (*Online, error) {
-	o, _, err := LoadSessionResolve(r, func(*SessionMeta) (*rrset.Sampler, error) {
+	o, _, err := LoadSessionResolve(r, func(meta *SessionMeta) (*rrset.Sampler, error) {
+		g := sampler.Graph()
+		if g.N() != meta.N {
+			return nil, fmt.Errorf("%w: session is for n=%d, sampler has n=%d", ErrBadSession, meta.N, g.N())
+		}
+		if fp := g.Fingerprint(); fp != meta.GraphFingerprint {
+			return nil, fmt.Errorf("%w: session was saved on graph %s, sampler has %s",
+				ErrGraphMismatch, meta.GraphFingerprint, fp)
+		}
 		return sampler, nil
 	})
 	return o, err
 }
 
 // LoadSessionResolve restores a serialized session, letting the caller
-// choose the sampler after seeing the file's graph identity: resolve
-// receives the SessionMeta (node count, graph fingerprint/spec/name,
-// epoch/lineage) and returns the sampler to load onto — this is how a
-// multi-graph server routes each checkpoint to its own graph, or registers
-// a missing one from the recorded spec. An error from resolve aborts the
-// load unchanged.
+// choose the sampler after seeing the file's recipe: resolve receives the
+// validated SessionMeta (options, graph fingerprint/spec/name,
+// epoch/lineage, θ₁/θ₂) and returns the sampler to load onto — this is how
+// a multi-graph server routes each checkpoint to its own graph, or
+// registers a missing one from the recorded spec. An error from resolve
+// aborts the load unchanged, before any sampling.
 //
-// After resolution the sampler's graph is checked against the recorded
-// node count (ErrBadSession) and content fingerprint (ErrGraphMismatch,
-// unless the resolver set AcceptStale) — a reweighted or re-scaled graph
-// loads as a hard error, never as silently wrong guarantees.
+// The load then regenerates θ₁ sets of R1 and θ₂ of R2 on the resolved
+// sampler, in-process. When that sampler's graph has the recorded content
+// fingerprint both halves must reproduce the recorded checksums
+// (ErrBadSession otherwise — a different diffusion model, say). A sampler
+// on different content is the resolver's decision: a server hands the
+// current epoch of the checkpoint's mutation chain, and the regenerated
+// session is then exactly the one a repair would have produced. Its node
+// count may exceed the recorded one (node adds), never fall below it.
 func LoadSessionResolve(r io.Reader, resolve func(*SessionMeta) (*rrset.Sampler, error)) (*Online, *SessionMeta, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(sessionMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, nil, fmt.Errorf("%w: short magic: %v", ErrBadSession, err)
-	}
-	if string(magic) != sessionMagic {
-		return nil, nil, fmt.Errorf("%w: magic %q", ErrBadSession, magic)
-	}
-	meta := &SessionMeta{}
-	var hdr [45]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, nil, fmt.Errorf("%w: short header: %v", ErrBadSession, err)
-	}
-	n := int32(binary.LittleEndian.Uint32(hdr[0:4]))
-	meta.N = n
-	opts := Options{
-		K:           int(binary.LittleEndian.Uint64(hdr[4:12])),
-		Delta:       math.Float64frombits(binary.LittleEndian.Uint64(hdr[12:20])),
-		Variant:     Variant(binary.LittleEndian.Uint32(hdr[20:24])),
-		Seed:        binary.LittleEndian.Uint64(hdr[24:32]),
-		Workers:     int(int32(binary.LittleEndian.Uint32(hdr[32:36]))),
-		UnionBudget: hdr[36] == 1,
-	}
-	queries := int(binary.LittleEndian.Uint64(hdr[37:45]))
-	var ext [5]byte
-	if _, err := io.ReadFull(br, ext[:]); err != nil {
-		return nil, nil, fmt.Errorf("%w: short base-seed header: %v", ErrBadSession, err)
-	}
-	opts.Exact = ext[0] == 1
-	nBase := binary.LittleEndian.Uint32(ext[1:5])
-	if int64(nBase) > int64(n) {
-		return nil, nil, fmt.Errorf("%w: %d base seeds on a graph of n=%d", ErrBadSession, nBase, n)
-	}
-	if nBase > 0 {
-		raw := make([]byte, 4*nBase)
-		if _, err := io.ReadFull(br, raw); err != nil {
-			return nil, nil, fmt.Errorf("%w: short base-seed block: %v", ErrBadSession, err)
-		}
-		opts.BaseSeeds = make([]int32, nBase)
-		for i := range opts.BaseSeeds {
-			opts.BaseSeeds[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
-		}
-	}
-	var err error
-	if meta.GraphFingerprint, err = readString16(br, "graph fingerprint"); err != nil {
+	meta, err := readSessionFrame(r, maxSessionFrame)
+	if err != nil {
 		return nil, nil, err
 	}
-	if meta.GraphSpec, err = readString16(br, "graph spec"); err != nil {
-		return nil, nil, err
-	}
-	if meta.GraphName, err = readString16(br, "graph name"); err != nil {
-		return nil, nil, err
-	}
-	var eb [8]byte
-	if _, err := io.ReadFull(br, eb[:]); err != nil {
-		return nil, nil, fmt.Errorf("%w: short epoch block: %v", ErrBadSession, err)
-	}
-	meta.Epoch = int64(binary.LittleEndian.Uint64(eb[:]))
-	if meta.Lineage, err = readString16(br, "epoch lineage"); err != nil {
-		return nil, nil, err
-	}
-	if meta.Epoch < 0 {
-		return nil, nil, fmt.Errorf("%w: negative epoch %d", ErrBadSession, meta.Epoch)
-	}
-	var xl [4]byte
-	if _, err := io.ReadFull(br, xl[:]); err != nil {
-		return nil, nil, fmt.Errorf("%w: short extension length: %v", ErrBadSession, err)
-	}
-	extLen := binary.LittleEndian.Uint32(xl[:])
-	if extLen > maxSessionExt {
-		return nil, nil, fmt.Errorf("%w: extension blob of %d bytes exceeds format limit", ErrBadSession, extLen)
-	}
-	if extLen > 0 {
-		meta.Ext = make([]byte, extLen)
-		if _, err := io.ReadFull(br, meta.Ext); err != nil {
-			return nil, nil, fmt.Errorf("%w: short extension blob: %v", ErrBadSession, err)
-		}
-	}
-
 	sampler, err := resolve(meta)
 	if err != nil {
 		return nil, meta, err
 	}
-	if got := sampler.Graph().N(); got != n && !(meta.AcceptStale && got > n) {
-		return nil, meta, fmt.Errorf("%w: session is for n=%d, sampler has n=%d", ErrBadSession, n, got)
+	if got := sampler.Graph().N(); got < meta.N {
+		return nil, meta, fmt.Errorf("%w: session is for n=%d, sampler has n=%d", ErrBadSession, meta.N, got)
 	}
-	if !meta.AcceptStale {
-		if got := sampler.Graph().Fingerprint(); got != meta.GraphFingerprint {
-			return nil, meta, fmt.Errorf("%w: session was saved on graph %s, sampler has %s",
-				ErrGraphMismatch, meta.GraphFingerprint, got)
-		}
+	o := newOnline(sampler, meta.Options)
+	o.queries = meta.Queries
+	o.graphName, o.graphSpec = meta.GraphName, meta.GraphSpec
+	o.ext = meta.Ext
+	o.resample(sampler, int(meta.Theta1), int(meta.Theta2))
+	if sampler.Graph().Fingerprint() == meta.GraphFingerprint &&
+		(o.r1.Checksum() != meta.Checksum1 || o.r2.Checksum() != meta.Checksum2) {
+		return nil, meta, fmt.Errorf("%w: RR sets regenerated on graph %.12s do not match the recorded checksums (different diffusion model?)",
+			ErrBadSession, meta.GraphFingerprint)
 	}
-	if err := opts.validate(n); err != nil {
-		return nil, meta, fmt.Errorf("%w: %v", ErrBadSession, err)
-	}
-
-	r1, err := rrset.ReadCollection(br)
-	if err != nil {
-		return nil, meta, err
-	}
-	r2, err := rrset.ReadCollection(br)
-	if err != nil {
-		return nil, meta, err
-	}
-	if r1.N() != n || r2.N() != n {
-		return nil, meta, fmt.Errorf("%w: collections sized for a different graph", ErrBadSession)
-	}
-
-	root := rng.New(opts.Seed)
-	return &Online{
-		sampler:   sampler,
-		opts:      opts,
-		r1:        r1,
-		r2:        r2,
-		base1:     root.Split(1),
-		base2:     root.Split(2),
-		queries:   queries,
-		start:     time.Now(),
-		scratch:   newSnapScratch(),
-		graphName: meta.GraphName,
-		graphSpec: meta.GraphSpec,
-		ext:       meta.Ext,
-	}, meta, nil
+	return o, meta, nil
 }
 
-// writeString16 writes a uint16-length-prefixed string (the graph-identity
-// block's encoding; 64KB is far beyond any fingerprint, spec or name).
-func writeString16(w io.Writer, s string) error {
-	if len(s) > math.MaxUint16 {
-		return fmt.Errorf("core: identity string of %d bytes exceeds format limit", len(s))
+// readSessionFrame reads and validates one OPIMS6 frame of at most limit
+// bytes: magic, size, CRC before the JSON is decoded, then the recipe's
+// options, epoch, query counter and θ₁/θ₂ — everything LoadSessionResolve
+// checks before it resolves a sampler or samples anything.
+func readSessionFrame(r io.Reader, limit int) (*SessionMeta, error) {
+	frame, err := io.ReadAll(io.LimitReader(r, int64(limit)+1))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSession, err)
 	}
-	var lb [2]byte
-	binary.LittleEndian.PutUint16(lb[:], uint16(len(s)))
-	if _, err := w.Write(lb[:]); err != nil {
-		return err
+	if len(frame) > limit {
+		return nil, fmt.Errorf("%w: frame exceeds the %d-byte limit", ErrBadSession, limit)
 	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-// readString16 reads a uint16-length-prefixed string, labeling errors with
-// what the string was supposed to be.
-func readString16(r io.Reader, what string) (string, error) {
-	var lb [2]byte
-	if _, err := io.ReadFull(r, lb[:]); err != nil {
-		return "", fmt.Errorf("%w: short %s length: %v", ErrBadSession, what, err)
+	if len(frame) < len(sessionMagic)+4 || !bytes.HasPrefix(frame, []byte(sessionMagic)) {
+		return nil, fmt.Errorf("%w: missing %q magic or short frame (%d bytes)", ErrBadSession, sessionMagic[:6], len(frame))
 	}
-	n := binary.LittleEndian.Uint16(lb[:])
-	if n == 0 {
-		return "", nil
+	body := frame[len(sessionMagic) : len(frame)-4]
+	if got, want := binary.LittleEndian.Uint32(frame[len(frame)-4:]), crc32.Checksum(body, crcTable); got != want {
+		return nil, fmt.Errorf("%w: CRC mismatch: stored %08x, computed %08x (corrupt or truncated)", ErrBadSession, got, want)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("%w: short %s: %v", ErrBadSession, what, err)
+	meta := &SessionMeta{}
+	if err := json.Unmarshal(body, meta); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSession, err)
 	}
-	return string(buf), nil
+	if err := meta.Options.validate(meta.N); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSession, err)
+	}
+	if meta.Epoch < 0 || meta.Queries < 0 {
+		return nil, fmt.Errorf("%w: negative epoch %d or query count %d", ErrBadSession, meta.Epoch, meta.Queries)
+	}
+	if meta.Theta1 < 0 || meta.Theta2 < 0 || meta.Theta1 > math.MaxInt32-meta.Theta2 {
+		return nil, fmt.Errorf("%w: θ₁=%d, θ₂=%d outside [0, 2³¹)", ErrBadSession, meta.Theta1, meta.Theta2)
+	}
+	return meta, nil
 }

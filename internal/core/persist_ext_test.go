@@ -1,12 +1,11 @@
 package core
 
 // Extension-blob coverage: the opaque blob must round-trip byte-for-byte
-// (it carries opimd's learner state across kill −9), and a corrupt
-// extension length must be refused instead of driving a huge allocation.
+// (it carries opimd's serving spec and learner state across kill −9), and
+// a frame past the size limit must be refused instead of read.
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -75,25 +74,26 @@ func TestSaveSessionEmptyExtension(t *testing.T) {
 	}
 }
 
-func TestLoadSessionRefusesOversizedExtension(t *testing.T) {
+// TestLoadSessionRefusesOversizedFrame: a frame past the size limit is
+// refused before its CRC or JSON is looked at, so an extension blob can
+// never drive the loader into an unbounded read.
+func TestLoadSessionRefusesOversizedFrame(t *testing.T) {
 	g := testGraph(t, 200, 97)
 	s := rrset.NewSampler(g, diffusion.IC)
 	o, err := NewOnline(s, Options{K: 3, Delta: 0.1, Seed: 98})
 	if err != nil {
 		t.Fatal(err)
 	}
+	o.SetExtension(bytes.Repeat([]byte{0xAB}, 4096))
 	var buf bytes.Buffer
 	if err := SaveSession(&buf, o); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	idx := bytes.Index(raw, []byte("OPIMR"))
-	if idx < 4 {
-		t.Fatal("collection frame not found")
+	if _, err := readSessionFrame(bytes.NewReader(raw), len(raw)-1); !errors.Is(err, ErrBadSession) {
+		t.Fatalf("oversized frame error = %v, want ErrBadSession", err)
 	}
-	binary.LittleEndian.PutUint32(raw[idx-4:idx], 1<<30) // corrupt length
-	_, _, err = LoadSessionResolve(bytes.NewReader(raw), func(*SessionMeta) (*rrset.Sampler, error) { return s, nil })
-	if !errors.Is(err, ErrBadSession) {
-		t.Fatalf("oversized extension load error = %v, want ErrBadSession", err)
+	if _, err := readSessionFrame(bytes.NewReader(raw), len(raw)); err != nil {
+		t.Fatalf("frame at exactly the limit: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -128,12 +129,12 @@ func TestSaveSessionRecordsEpoch(t *testing.T) {
 	}
 }
 
-// TestAcceptStaleResumeAcrossMutation: a checkpoint taken at epoch 0 loads
-// onto an epoch-1 sampler when the resolver opts in with AcceptStale, and
-// one RepairForMutations call brings it to the exact state of a session
-// that never left the mutated graph. Without AcceptStale the same load is
+// TestStaleCheckpointLoadsOntoMutatedGraph: a checkpoint taken at epoch 0
+// loads onto an epoch-1 sampler when the resolver hands one over, and the
+// regenerated session is in the exact state of a session that never left
+// the mutated graph. LoadSession's own resolver refuses the same load with
 // the hard ErrGraphMismatch.
-func TestAcceptStaleResumeAcrossMutation(t *testing.T) {
+func TestStaleCheckpointLoadsOntoMutatedGraph(t *testing.T) {
 	g := testGraph(t, 300, 85)
 	ms := coreMutationBatch(t, g)
 	mg, err := g.WithMutations(ms)
@@ -153,23 +154,18 @@ func TestAcceptStaleResumeAcrossMutation(t *testing.T) {
 	saved := buf.Bytes()
 
 	newSampler := rrset.NewSampler(mg, diffusion.IC)
-	if _, _, err := LoadSessionResolve(bytes.NewReader(saved),
-		func(m *SessionMeta) (*rrset.Sampler, error) { return newSampler, nil }); err == nil {
-		t.Fatal("stale checkpoint loaded onto mutated graph without AcceptStale")
+	if _, err := LoadSession(bytes.NewReader(saved), newSampler); !errors.Is(err, ErrGraphMismatch) {
+		t.Fatalf("stale checkpoint through LoadSession: err = %v, want ErrGraphMismatch", err)
 	}
 
 	restored, meta, err := LoadSessionResolve(bytes.NewReader(saved),
-		func(m *SessionMeta) (*rrset.Sampler, error) {
-			m.AcceptStale = true
-			return newSampler, nil
-		})
+		func(m *SessionMeta) (*rrset.Sampler, error) { return newSampler, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meta.Epoch != 0 {
 		t.Fatalf("checkpoint epoch = %d, want 0", meta.Epoch)
 	}
-	restored.RepairForMutations(newSampler, ms)
 
 	fresh, err := NewOnline(rrset.NewSampler(mg, diffusion.IC), opts)
 	if err != nil {
@@ -184,6 +180,42 @@ func TestAcceptStaleResumeAcrossMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("stale-resume + repair differs from a never-mutated run")
+		t.Fatal("stale checkpoint regenerated on the mutated graph differs from a never-mutated run")
+	}
+}
+
+// TestResampleMatchesFreshSession: Resample lands an engine two batches
+// behind on the final graph, byte-identical to a fresh run there.
+func TestResampleMatchesFreshSession(t *testing.T) {
+	g := testGraph(t, 300, 87)
+	g1, err := g.WithMutations(coreMutationBatch(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := g1.WithMutations(coreMutationBatch(t, g1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{K: 4, Delta: 0.1, Seed: 88, Workers: 2}
+	behind, err := NewOnline(rrset.NewSampler(g, diffusion.IC), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	behind.Advance(601)
+	behind.Resample(rrset.NewSampler(g2, diffusion.IC))
+	fresh, err := NewOnline(rrset.NewSampler(g2, diffusion.IC), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.Advance(601)
+	var a, b bytes.Buffer
+	if err := SaveSession(&a, behind); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveSession(&b, fresh); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("resampled session differs from a fresh run on the final graph")
 	}
 }

@@ -4,7 +4,7 @@ package graph
 // canonical CSR form, so two graphs fingerprint identically exactly when
 // every algorithm in this library would behave identically on them. The
 // fingerprint is what makes graphs first-class resources in a multi-graph
-// daemon: session checkpoints record it (core's OPIMS5 format), and a
+// daemon: session checkpoints record it (core's OPIMS6 format), and a
 // checkpoint resumed against a different graph — same dataset reweighted,
 // wrong file, wrong scale — is refused instead of silently reporting
 // guarantees that hold for nothing.

@@ -143,8 +143,8 @@ const campaignMagic = "OPIMC1\n"
 
 // MarshalBinary serializes the full campaign state — round machine plus
 // posterior — deterministically (identical states produce identical
-// bytes). The blob is what opimd stores in the session checkpoint's
-// OPIMS5 extension block.
+// bytes). The blob is what opimd stores, after the serving spec, in the
+// session checkpoint's OPIMS6 extension blob.
 func (c *Campaign) MarshalBinary() ([]byte, error) {
 	b := make([]byte, 0, len(campaignMagic)+8+8+2+4+4*len(c.seeds)+posteriorSize(c.post.g.M()))
 	b = append(b, campaignMagic...)

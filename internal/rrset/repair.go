@@ -50,37 +50,30 @@ var (
 )
 
 // InvalidatedBy returns the ascending ids of every stored set whose trace
-// could depend on any mutation in the given batches — the sets Repair must
-// regenerate after the batches are applied to the sampling graph. Batches
-// are the ones applied since this collection was last consistent; computing
-// the union against the current (pre-repair) membership is exact even
-// across multiple batches, because a set's membership only changes when
-// some batch invalidates it. Any node-add widens to every id.
-func (c *Collection) InvalidatedBy(batches ...[]graph.Mutation) []int32 {
+// could depend on any mutation in the batch — the sets Repair must
+// regenerate after the batch is applied to the sampling graph. A node add
+// widens to every id.
+func (c *Collection) InvalidatedBy(ms []graph.Mutation) []int32 {
 	count := c.Count()
 	if count == 0 {
 		return nil
 	}
-	for _, ms := range batches {
-		for _, m := range ms {
-			if m.Op == graph.OpAddNode {
-				return c.allIDs()
-			}
+	for _, m := range ms {
+		if m.Op == graph.OpAddNode {
+			return c.allIDs()
 		}
 	}
 	words := make([]uint64, (count+63)/64)
 	marked := 0
-	for _, ms := range batches {
-		for _, m := range ms {
-			if m.To < 0 || m.To >= c.n {
-				continue // edge into a node no stored set can contain
-			}
-			for _, id := range c.index[m.To] {
-				w, b := id>>6, uint64(1)<<(uint(id)&63)
-				if words[w]&b == 0 {
-					words[w] |= b
-					marked++
-				}
+	for _, m := range ms {
+		if m.To < 0 || m.To >= c.n {
+			continue // edge into a node no stored set can contain
+		}
+		for _, id := range c.index[m.To] {
+			w, b := id>>6, uint64(1)<<(uint(id)&63)
+			if words[w]&b == 0 {
+				words[w] |= b
+				marked++
 			}
 		}
 	}

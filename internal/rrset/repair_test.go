@@ -111,10 +111,10 @@ func TestRepairMatchesFromScratch(t *testing.T) {
 }
 
 // TestRepairMultiBatchCatchUp: a collection that missed several mutation
-// batches catches up with ONE repair — the invalidation union computed
-// against its stale membership, regenerated on the final graph — because a
-// set no batch invalidated is bitwise stable across every intermediate
-// epoch.
+// batches catches up with ONE repair of their concatenation — the
+// invalidation union computed against its stale membership, regenerated
+// on the final graph — because a set no batch invalidated is bitwise
+// stable across every intermediate epoch.
 func TestRepairMultiBatchCatchUp(t *testing.T) {
 	g := repairTestGraph(t)
 	ms1 := mutationBatch(t, g)
@@ -130,7 +130,7 @@ func TestRepairMultiBatchCatchUp(t *testing.T) {
 	const count = 500
 	c := NewCollection(g.N())
 	Generate(c, NewSampler(g, diffusion.IC), count, rng.New(5), 4)
-	invalid := c.InvalidatedBy(ms1, ms2)
+	invalid := c.InvalidatedBy(append(append([]graph.Mutation(nil), ms1...), ms2...))
 	c.Repair(NewSampler(g2, diffusion.IC), rng.New(5), invalid, 4)
 	want := NewCollection(g2.N())
 	Generate(want, NewSampler(g2, diffusion.IC), count, rng.New(5), 4)

@@ -151,8 +151,8 @@ func TestRepairStructuralNoOpKeepsArrays(t *testing.T) {
 }
 
 // TestRepairWeightOnlyMultiBatchCatchUp: a collection that missed several
-// weight-only epochs catches up with one repair, exactly like the
-// structural multi-batch contract.
+// weight-only epochs catches up with one repair of their concatenation,
+// exactly like the structural multi-batch contract.
 func TestRepairWeightOnlyMultiBatchCatchUp(t *testing.T) {
 	g := repairTestGraph(t)
 	ms1 := weightOnlyBatch(t, g)
@@ -168,7 +168,7 @@ func TestRepairWeightOnlyMultiBatchCatchUp(t *testing.T) {
 	const count = 500
 	c := NewCollection(g.N())
 	Generate(c, NewSampler(g, diffusion.LT), count, rng.New(5), 4)
-	invalid := c.InvalidatedBy(ms1, ms2)
+	invalid := c.InvalidatedBy(append(append([]graph.Mutation(nil), ms1...), ms2...))
 	c.Repair(NewSampler(g2, diffusion.LT), rng.New(5), invalid, 4)
 	want := NewCollection(g2.N())
 	Generate(want, NewSampler(g2, diffusion.LT), count, rng.New(5), 4)

@@ -36,42 +36,70 @@ func WriteCollection(w io.Writer, c *Collection) error {
 	if _, err := bw.WriteString(collectionMagic); err != nil {
 		return err
 	}
-	// Everything between magic and trailer runs through the CRC.
-	sum := crc32.New(crcTable)
-	body := io.MultiWriter(bw, sum)
-	var hdr [28]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(c.n))
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(c.Count()))
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(c.pool)))
-	binary.LittleEndian.PutUint64(hdr[20:28], uint64(c.edgesExamined))
-	if _, err := body.Write(hdr[:]); err != nil {
+	var sum uint32
+	if err := c.encodeBody(func(b []byte) error {
+		sum = crc32.Update(sum, crcTable, b)
+		_, err := bw.Write(b)
+		return err
+	}); err != nil {
 		return err
 	}
-	var b8 [8]byte
-	for _, off := range c.offs {
-		binary.LittleEndian.PutUint64(b8[:], uint64(off))
-		if _, err := body.Write(b8[:]); err != nil {
-			return err
-		}
-	}
-	var b4 [4]byte
-	for _, v := range c.pool {
-		binary.LittleEndian.PutUint32(b4[:], uint32(v))
-		if _, err := body.Write(b4[:]); err != nil {
-			return err
-		}
-	}
-	for _, e := range c.exam {
-		binary.LittleEndian.PutUint64(b8[:], uint64(e))
-		if _, err := body.Write(b8[:]); err != nil {
-			return err
-		}
-	}
-	binary.LittleEndian.PutUint32(b4[:], sum.Sum32())
-	if _, err := bw.Write(b4[:]); err != nil {
+	if _, err := bw.Write(binary.LittleEndian.AppendUint32(nil, sum)); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// Checksum is the CRC-32C of c's OPIMR3 body — the trailer WriteCollection
+// would write — computed without materializing the frame. Session
+// checkpoints record it to verify that regeneration reproduced the
+// collection they were saved from.
+func (c *Collection) Checksum() uint32 {
+	var sum uint32
+	_ = c.encodeBody(func(b []byte) error { // emit never fails
+		sum = crc32.Update(sum, crcTable, b)
+		return nil
+	})
+	return sum
+}
+
+// encodeChunk is the size of the buffer encodeBody fills before each emit.
+const encodeChunk = 64 << 10
+
+// encodeBody streams c's OPIMR3 body — header, offsets, pool, per-set γ,
+// everything between magic and trailer — to emit in chunks of at most
+// encodeChunk bytes, reusing one buffer. It stops at the first emit error.
+func (c *Collection) encodeBody(emit func([]byte) error) error {
+	buf := make([]byte, 0, encodeChunk)
+	var err error
+	room := func(n int) {
+		if len(buf)+n > cap(buf) {
+			if err == nil {
+				err = emit(buf)
+			}
+			buf = buf[:0]
+		}
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.n))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Count()))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(c.pool)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.edgesExamined))
+	for _, off := range c.offs {
+		room(8)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(off))
+	}
+	for _, v := range c.pool {
+		room(4)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+	}
+	for _, e := range c.exam {
+		room(8)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(e))
+	}
+	if err != nil {
+		return err
+	}
+	return emit(buf)
 }
 
 // ReadCollection deserializes an OPIMR3 frame, rebuilding the inverted

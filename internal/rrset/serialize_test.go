@@ -29,6 +29,29 @@ func sampleCollection(t *testing.T) (*Collection, *Sampler) {
 	return c, s
 }
 
+// TestChecksumMatchesTrailer: Checksum is the CRC trailer WriteCollection
+// writes, across bodies of one and many encoder chunks, and it moves when
+// a single set does.
+func TestChecksumMatchesTrailer(t *testing.T) {
+	c, s := sampleCollection(t)
+	for _, extra := range []int{0, 20000} { // the second spans several encodeChunk buffers
+		Generate(c, s, extra, rng.New(3), 2)
+		var buf bytes.Buffer
+		if err := WriteCollection(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+		frame := buf.Bytes()
+		if got, want := c.Checksum(), binary.LittleEndian.Uint32(frame[len(frame)-4:]); got != want {
+			t.Fatalf("%d sets: Checksum %08x, trailer %08x", c.Count(), got, want)
+		}
+	}
+	other := NewCollection(c.N())
+	Generate(other, s, c.Count(), rng.New(4), 2)
+	if other.Checksum() == c.Checksum() {
+		t.Fatal("collections from different seeds share a checksum")
+	}
+}
+
 func TestCollectionRoundTrip(t *testing.T) {
 	c, _ := sampleCollection(t)
 	var buf bytes.Buffer

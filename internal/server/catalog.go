@@ -8,12 +8,14 @@ package server
 // naming the graph (DELETE /graphs/{name} answers 409 while it is
 // non-zero), and `loadedRefs` counts sessions currently resident in
 // memory — only a graph with zero loadedRefs may be unloaded. With
-// Config.MaxLoadedGraphs set, idle graphs are LRU-unloaded (mirroring PR
-// 4's session eviction, but without a disk write: a graph reloads from its
-// GraphSpec) and transparently reloaded on the next session touch, with
-// the reloaded content verified against the entry's recorded fingerprint
-// so a dataset edited on disk surfaces as a loud error, never as silently
-// different guarantees.
+// Config.MaxLoadedGraphs set, idle graphs are LRU-unloaded (mirroring
+// session eviction, but without a disk write: a graph reloads from its
+// GraphSpec, then replays its mutation journal the way startup does) and
+// transparently reloaded on the next session touch, with the reloaded
+// content verified against the entry's recorded fingerprint and lineage
+// so a dataset or journal edited on disk surfaces as a loud error, never
+// as silently different guarantees. Without a CheckpointDir there is no
+// journal, so a mutated graph stays resident.
 //
 // Lock order: sess.mu → entry.mu → gmu (the catalog table lock). gmu is
 // never held across a graph load or any entry.mu acquisition.
@@ -63,7 +65,7 @@ type graphIdent struct {
 // specString, fingerprint) are immutable after the entry is published, so
 // they are readable without any lock; the current identity lives in ident
 // (lock-free reads); the residency fields (g, sampler) and the epoch
-// chain (history, lineages) transition under mu.
+// chain (lineages) transition under mu.
 type graphEntry struct {
 	name       string
 	spec       cliutil.GraphSpec
@@ -87,17 +89,12 @@ type graphEntry struct {
 	g       *graph.Graph   // nil while unloaded
 	sampler *rrset.Sampler // nil while unloaded
 
-	// The epoch chain, guarded by mu: history[i] advanced epoch
-	// baseEpoch+i, lineages[i] is the chain hash at epoch baseEpoch+i
-	// (len(lineages) == len(history)+1; lineages[0] == fingerprint while
-	// baseEpoch is 0). Stale checkpoints are verified against — and caught
-	// up with — this. After journal compaction baseEpoch is the snapshot's
-	// epoch and snapFP its content fingerprint: reloads then start from
-	// the snapshot file instead of replaying the full chain from the spec.
-	history   [][]graph.Mutation
+	// The epoch chain, guarded by mu: lineages[i] is the chain hash at
+	// epoch baseEpoch+i (lineages[0] == fingerprint while baseEpoch is 0),
+	// and the last entry is the current epoch's. A checkpoint resumes only
+	// from an epoch on it. The batches themselves live in the journal.
 	lineages  []string
 	baseEpoch int64
-	snapFP    string
 
 	// mutating serializes mutation batches: one at a time per graph, and
 	// engine-touching session requests answer 409 while it is set.
@@ -146,9 +143,10 @@ func (s *Server) graphForSession(name string) (*graphEntry, int, error) {
 }
 
 // acquireGraph returns e's shared sampler for a session about to become
-// resident, loading the graph from its spec first when it was unloaded.
-// The loadedRefs increment happens under e.mu, atomically with the load.
-// Every successful acquire must be paired with a releaseGraph.
+// resident, loading the graph from its spec and replaying its mutation
+// journal first when it was unloaded. The loadedRefs increment happens
+// under e.mu, atomically with the load. Every successful acquire must be
+// paired with a releaseGraph.
 func (s *Server) acquireGraph(e *graphEntry) (*rrset.Sampler, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -165,33 +163,16 @@ func (s *Server) acquireGraph(e *graphEntry) (*rrset.Sampler, error) {
 			return nil, fmt.Errorf("graph %q changed on disk: spec %q now fingerprints %s, catalog recorded %s",
 				e.name, e.specString, fp, e.fingerprint)
 		}
-		if e.baseEpoch > 0 {
-			// The journal was compacted: the chain before baseEpoch is gone,
-			// so the reload starts from the compaction snapshot (verified
-			// against its recorded fingerprint) rather than the spec's base.
-			snapPath := MutationSnapshotPath(s.cfg.CheckpointDir, e.name, e.baseEpoch)
-			snap, err := readGraphSnapshot(snapPath, e.snapFP)
-			if err != nil {
+		// A mutated graph comes back through its journal — the path startup
+		// takes — and must land exactly where the entry's chain ends.
+		if s.cfg.CheckpointDir != "" {
+			if g, _, err = ReplayMutationLog(s.cfg.CheckpointDir, e.name, g); err != nil {
 				return nil, fmt.Errorf("reloading graph %q: %w", e.name, err)
 			}
-			if err := snap.AdoptEpochIdentity(e.baseEpoch, e.lineages[0]); err != nil {
-				return nil, fmt.Errorf("reloading graph %q: %w", e.name, err)
-			}
-			g = snap
 		}
-		// Re-walk the epoch chain: the recorded history advances the base
-		// (or snapshot) graph back to the current epoch, and each step
-		// re-verifies its chained lineage.
-		for i, ms := range e.history {
-			ng, err := g.WithMutations(ms)
-			if err != nil {
-				return nil, fmt.Errorf("reloading graph %q: replaying mutation batch %d: %w", e.name, i, err)
-			}
-			if ng.EpochLineage() != e.lineages[i+1] {
-				return nil, fmt.Errorf("reloading graph %q: batch %d replays to lineage %s, chain recorded %s",
-					e.name, i, ng.EpochLineage(), e.lineages[i+1])
-			}
-			g = ng
+		if cur := e.lineages[len(e.lineages)-1]; g.EpochLineage() != cur {
+			return nil, fmt.Errorf("reloading graph %q: journal replays to epoch %d lineage %.12s, catalog is at lineage %.12s",
+				e.name, g.Epoch(), g.EpochLineage(), cur)
 		}
 		e.g, e.sampler = g, rrset.NewSampler(g, model)
 		e.isLoaded.Store(true)
@@ -223,20 +204,18 @@ func (s *Server) releaseGraph(e *graphEntry) {
 }
 
 // newGraphEntry builds a loaded catalog slot for g at the epoch glog
-// replays to. baseFP is the epoch-0 content fingerprint (the spec-reload
-// verification anchor); glog supplies the chain walked so far.
-func newGraphEntry(name string, spec cliutil.GraphSpec, baseFP string, g *graph.Graph, sampler *rrset.Sampler, glog *GraphLog) *graphEntry {
+// replays to; glog supplies the lineages of the chain so far and the
+// epoch-0 content fingerprint (the spec-reload verification anchor).
+func newGraphEntry(name string, spec cliutil.GraphSpec, g *graph.Graph, sampler *rrset.Sampler, glog *GraphLog) *graphEntry {
 	e := &graphEntry{
 		name:        name,
 		spec:        spec,
 		specString:  spec.String(),
-		fingerprint: baseFP,
+		fingerprint: glog.BaseFingerprint,
 		g:           g,
 		sampler:     sampler,
-		history:     glog.History,
 		lineages:    glog.Lineages,
-		baseEpoch:   g.Epoch() - int64(len(glog.History)),
-		snapFP:      glog.SnapshotFP,
+		baseEpoch:   g.Epoch() - int64(glog.Epochs()),
 	}
 	e.ident.Store(&graphIdent{
 		fingerprint: g.Fingerprint(),
@@ -269,8 +248,7 @@ func (s *Server) registerGraph(name string, spec cliutil.GraphSpec) (*graphEntry
 	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("loading graph %q: %w", name, err)
 	}
-	baseFP := g.Fingerprint()
-	glog := &GraphLog{Lineages: []string{g.EpochLineage()}}
+	glog := &GraphLog{Lineages: []string{g.EpochLineage()}, BaseFingerprint: g.Fingerprint()}
 	if s.cfg.CheckpointDir != "" {
 		// A journal left by a previous run replays the graph forward to the
 		// epoch its sessions last checkpointed against.
@@ -278,7 +256,7 @@ func (s *Server) registerGraph(name string, spec cliutil.GraphSpec) (*graphEntry
 			return nil, http.StatusBadRequest, err
 		}
 	}
-	e := newGraphEntry(name, spec, baseFP, g, rrset.NewSampler(g, model), glog)
+	e := newGraphEntry(name, spec, g, rrset.NewSampler(g, model), glog)
 	s.gmu.Lock()
 	if _, taken := s.graphs[name]; taken {
 		s.gmu.Unlock()
@@ -364,8 +342,9 @@ func (s *Server) removeGraph(name string) (int, error) {
 
 // maybeUnloadGraphs enforces MaxLoadedGraphs: while too many graphs are
 // resident it drops the least-recently-used idle one (zero loadedRefs,
-// reloadable spec, never keep). Unlike session eviction there is no disk
-// write — the graph reloads from its spec — so no evicting state is
+// reloadable spec, never keep, and — without a journal to replay — never
+// one past epoch 0). Unlike session eviction there is no disk write — the
+// graph reloads from its spec and journal — so no evicting state is
 // needed; a victim that gains a reference between pick and unload is
 // simply skipped.
 func (s *Server) maybeUnloadGraphs(keep *graphEntry) {
@@ -397,6 +376,9 @@ func (s *Server) pickUnloadVictim(keep *graphEntry, skip map[*graphEntry]bool) *
 	for _, e := range s.graphs {
 		if e == keep || skip[e] || e.specString == "" || !e.isLoaded.Load() || e.loadedRefs.Load() != 0 {
 			continue
+		}
+		if s.cfg.CheckpointDir == "" && e.ident.Load().epoch > 0 {
+			continue // no journal: the mutated content exists only in memory
 		}
 		if victim == nil || e.lastTouch < victim.lastTouch {
 			victim = e

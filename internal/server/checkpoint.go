@@ -1,11 +1,13 @@
 package server
 
 // Crash-safe checkpointing: each session is periodically (and on
-// shutdown, and on eviction) serialized through core.SaveSession onto an
-// atomic write path (fsutil.WriteAtomic: tmp + fsync + rename, previous
-// generation kept), and restore brings it back — at startup (Resume), and
+// shutdown, and on eviction) serialized through core.SaveSession — its
+// recipe, a few hundred bytes plus the extension — onto an atomic write
+// path (fsutil.WriteAtomic: tmp + fsync + rename, previous generation
+// kept), and restore brings it back — at startup (Resume), and
 // transparently when an evicted session is touched — falling back to the
-// previous generation when the current one is corrupt. Because save →
+// previous generation when the current one is corrupt. Restore
+// regenerates the RR sets on the graph's current epoch, and because save →
 // load → Advance is byte-identical to a never-paused session
 // (core/persist.go), a daemon that crashes and resumes — or a session
 // that is evicted and reloaded — serves exactly the answers (seeds, α,
@@ -22,7 +24,6 @@ import (
 
 	"github.com/reprolab/opim/internal/core"
 	"github.com/reprolab/opim/internal/fsutil"
-	"github.com/reprolab/opim/internal/graph"
 	"github.com/reprolab/opim/internal/obs"
 	"github.com/reprolab/opim/internal/rrset"
 )
@@ -229,13 +230,14 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, sess *
 //     server_checkpoint_recoveries_total when the file existed);
 //  2. take sess.graph — or, adopting (sess.graph nil), the catalog graph
 //     the checkpoint names, registered from its recorded spec if needed;
-//  3. place the checkpoint's (epoch, lineage) on that graph's epoch chain
-//     (chainSuffix): off the chain is core.ErrGraphMismatch;
-//  4. load it onto the graph's current sampler — AcceptStale when batches
-//     landed since the save — and repair exactly those batches;
-//  5. publish an adopted session, re-check the engine against the
-//     graph's current sampler (catchUp: a batch may have landed during
-//     the load), and install it, replacing any resident engine.
+//  3. check that the checkpoint's (epoch, lineage) lies on that graph's
+//     epoch chain (onChain): off the chain is core.ErrGraphMismatch;
+//  4. regenerate it on the graph's current sampler, whatever epoch it was
+//     saved at;
+//  5. publish an adopted session with the serving spec its extension
+//     records, re-check the engine against the graph's current sampler
+//     (catchUp: a batch may have landed during the load), and install
+//     it, replacing any resident engine.
 //
 // On success the session is loaded and holds one loadedRefs reference on
 // sess.graph. On failure nothing is installed (an adopted session that
@@ -247,8 +249,7 @@ func (s *Server) restore(sess *Session) error {
 	// none yet.
 	adopt := sess.graph == nil
 	var e *graphEntry
-	var missed [][]graph.Mutation
-	var cur *rrset.Sampler
+	var savedEpoch int64
 	load := func(path string) (*core.Online, error) {
 		e = nil
 		f, err := os.Open(path)
@@ -271,13 +272,12 @@ func (s *Server) restore(sess *Session) error {
 			if _, err := s.acquireGraph(g); err != nil {
 				return nil, err
 			}
-			ms, sampler, err := g.chainSuffix(meta.Epoch, meta.Lineage)
+			sampler, err := g.onChain(meta.Epoch, meta.Lineage)
 			if err != nil {
 				s.releaseGraph(g)
 				return nil, err
 			}
-			e, missed, cur = g, ms, sampler
-			meta.AcceptStale = len(ms) > 0
+			e, savedEpoch = g, meta.Epoch
 			return sampler, nil
 		})
 		if err != nil && e != nil {
@@ -308,15 +308,14 @@ func (s *Server) restore(sess *Session) error {
 		}
 		log.Printf("server: checkpoint current generation %s unusable (%v); recovered from previous generation %s", path, err, prev)
 	}
-	if len(missed) > 0 {
-		regen := online.RepairForMutations(cur, missed...)
-		mSessionsCaughtUp.Inc()
-		log.Printf("server: session %q checkpoint caught up %d epoch(s) on graph %q (%d RR sets regenerated)",
-			sess.ID, len(missed), e.name, regen)
-	}
 	online.SetEvents(s.cfg.Events)
 	online.SetGenerator(s.cfg.Generator)
 	if adopt {
+		spec, _, err := splitExt(online.Extension())
+		if err != nil {
+			log.Printf("server: session %q: checkpoint extension unreadable (%v); adopting with server-default serving spec", sess.ID, err)
+		}
+		s.applySessionSpec(sess, spec)
 		sess.graph = e
 		e.sessions.Add(1)
 		if err := s.addSession(sess); err != nil {
@@ -326,9 +325,10 @@ func (s *Server) restore(sess *Session) error {
 			return err
 		}
 	}
-	if err := s.catchUp(online, e); err != nil {
-		s.releaseGraph(e)
-		return err
+	if resampled := s.catchUp(online, e); resampled || online.Sampler().Graph().Epoch() > savedEpoch {
+		mSessionsCaughtUp.Inc()
+		log.Printf("server: session %q checkpointed at epoch %d of graph %q restored onto epoch %d",
+			sess.ID, savedEpoch, e.name, online.Sampler().Graph().Epoch())
 	}
 	if sess.online != nil {
 		s.releaseGraph(e) // the replaced engine's residency reference

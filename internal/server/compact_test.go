@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
@@ -83,8 +84,9 @@ func TestJournalCompaction(t *testing.T) {
 	if g2.Epoch() != 4 || g2.EpochLineage() != last.Lineage {
 		t.Fatalf("replayed graph at epoch %d lineage %.12s, live graph at 4/%.12s", g2.Epoch(), g2.EpochLineage(), last.Lineage)
 	}
-	if glog.BaseEpoch != 3 || glog.Epochs() != 1 || glog.SnapshotFP == "" {
-		t.Fatalf("replayed log = {BaseEpoch:%d Epochs:%d SnapshotFP:%q}, want base 3 with one entry", glog.BaseEpoch, glog.Epochs(), glog.SnapshotFP)
+	if glog.BaseEpoch != 3 || glog.Epochs() != 1 || glog.BaseFingerprint != base.Fingerprint() {
+		t.Fatalf("replayed log = {BaseEpoch:%d Epochs:%d BaseFingerprint:%.12s}, want base 3 with one entry, anchored to the epoch-0 dataset",
+			glog.BaseEpoch, glog.Epochs(), glog.BaseFingerprint)
 	}
 
 	// The epoch-0 checkpoint now predates the snapshot: refused loudly.
@@ -124,9 +126,10 @@ func TestJournalCompaction(t *testing.T) {
 }
 
 // TestCompactedGraphReloadFromSnapshot: after compaction an unloaded
-// catalog graph reloads through the snapshot (the pre-snapshot chain is
-// gone), re-verifying the snapshot's fingerprint — and a corrupted
-// snapshot file fails the reload loudly.
+// catalog graph reloads through its journal, which starts from the
+// snapshot (the pre-snapshot chain is gone) and re-verifies the
+// snapshot's fingerprint — and a corrupted snapshot file fails the reload
+// loudly.
 func TestCompactedGraphReloadFromSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts := newCkServer(t, robustSampler(t), Config{Batch: 500, CheckpointDir: dir, JournalCompactEvery: 2})
@@ -140,17 +143,18 @@ func TestCompactedGraphReloadFromSnapshot(t *testing.T) {
 
 	entry := srv.lookupGraph("cg")
 	entry.mu.Lock()
-	baseEpoch, snapFP := entry.baseEpoch, entry.snapFP
+	baseEpoch, lineages := entry.baseEpoch, len(entry.lineages)
 	entry.mu.Unlock()
-	if baseEpoch != 2 || snapFP == "" {
-		t.Fatalf("entry after compaction: baseEpoch=%d snapFP=%q, want the snapshot identity", baseEpoch, snapFP)
+	if baseEpoch != 2 || lineages != 1 {
+		t.Fatalf("entry after compaction: baseEpoch=%d with %d lineage(s), want the snapshot epoch alone", baseEpoch, lineages)
 	}
 	if !srv.unloadGraph(entry) {
 		t.Fatal("idle graph refused to unload")
 	}
 
 	// The next session touch reloads: base from the spec, then the
-	// snapshot, then (empty) history — ending at the live identity.
+	// journal — its snapshot, then no entries — ending at the live
+	// identity.
 	if _, err := c.CreateSession(SessionSpec{ID: "s1", K: 3, Delta: 0.05, Seed: 7, Graph: "cg"}); err != nil {
 		t.Fatal(err)
 	}
@@ -280,5 +284,32 @@ func TestEvictedSessionSurvivesCompaction(t *testing.T) {
 	if got := saveBytes(t, srv, "evictee"); !bytes.Equal(got,
 		refBytes(t, gm, core.Options{K: 4, Delta: 0.05, Variant: core.Plus, Seed: 77}, 1000)) {
 		t.Fatal("evicted session's catch-up diverged from a fresh run on the mutated graph")
+	}
+}
+
+// TestDefaultGraphCompactsAcrossRestarts: the default graph restarts from
+// a compacted journal, compacts again, and restarts again. Every
+// compaction must keep the journal anchored to the epoch-0 dataset's
+// fingerprint, not to the snapshot the previous restart began from, or
+// the next restart cannot replay the journal at all.
+func TestDefaultGraphCompactsAcrossRestarts(t *testing.T) {
+	dir := t.TempDir()
+	base := robustSampler(t).Graph()
+	for round := 0; round < 3; round++ {
+		g, glog, err := ReplayMutationLog(dir, DefaultGraphName, robustSampler(t).Graph())
+		if err != nil {
+			t.Fatalf("restart %d: %v", round, err)
+		}
+		if g.Epoch() != int64(2*round) {
+			t.Fatalf("restart %d replayed to epoch %d, want %d", round, g.Epoch(), 2*round)
+		}
+		srv, _, err := restart(t, rrset.NewSampler(g, diffusion.IC), Config{Batch: 500, CheckpointDir: dir, JournalCompactEvery: 2, DefaultGraphLog: glog})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		p := float32(round+1) / 10
+		setWeightBatches(t, NewClient(ts.URL), DefaultGraphName, base, []float32{p, p + 0.05})
+		ts.Close()
 	}
 }

@@ -15,7 +15,7 @@ package server
 //	                                  updates and the round closes
 //
 // Durability: the campaign's serialized state rides inside the engine's
-// OPIMS5 extension blob, and both endpoints checkpoint synchronously
+// OPIMS6 extension blob, and both endpoints checkpoint synchronously
 // before acknowledging, so a kill −9 at any instant loses no acknowledged
 // observation. The protocol is replay-safe end to end: a round retried
 // after a crash re-derives the same realization (absolute target weights
@@ -90,22 +90,6 @@ type ObservationResponse struct {
 	Entropy float64 `json:"entropy"`
 }
 
-// syncLearnExtLocked re-serializes the campaign into the engine's OPIMS5
-// extension blob so the next checkpoint — synchronous, periodic, eviction
-// or shutdown — carries the current learner state. Callers hold sess.mu.
-func (sess *Session) syncLearnExtLocked() {
-	if sess.campaign == nil || sess.online == nil {
-		return
-	}
-	b, err := sess.campaign.MarshalBinary()
-	if err != nil {
-		// Marshal of an in-memory campaign cannot fail today; guard anyway
-		// so a future encoding bug cannot silently checkpoint stale state.
-		panic(fmt.Sprintf("server: serializing learner state for session %q: %v", sess.ID, err))
-	}
-	sess.online.SetExtension(b)
-}
-
 // checkpointLearn makes the campaign state durable before an
 // acknowledgement leaves the server. Without a checkpoint path durability
 // is not configured and the in-memory state is all there is.
@@ -132,7 +116,7 @@ func (sess *Session) restoreCampaign(prev []byte) {
 		panic(fmt.Sprintf("server: restoring learner state for session %q: %v", sess.ID, err))
 	}
 	sess.campaign = c
-	sess.syncLearnExtLocked()
+	sess.syncExtLocked()
 }
 
 // handleRounds is POST /sessions/{id}/rounds: start the next
@@ -213,7 +197,7 @@ func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request, sess *Sess
 	// Refine the realization's RR sets before deriving seeds. Partial
 	// progress on failure is harmless — RR sets are valid at any count —
 	// but the round itself must be retried from StartRound.
-	rr := sess.roundRR
+	rr := sess.spec.RoundRR
 	if rr <= 0 {
 		rr = defaultRoundRR
 	}
@@ -240,7 +224,7 @@ func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request, sess *Sess
 	}
 	snap := sess.online.Snapshot()
 	sess.campaign.ServeSeeds(snap.Seeds)
-	sess.syncLearnExtLocked()
+	sess.syncExtLocked()
 	sess.refreshStatsLocked()
 	resp := s.roundResponseLocked(sess, len(ms), false)
 	resp.Alpha = snap.Alpha
@@ -333,7 +317,7 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request, sess
 		return
 	}
 	if applied {
-		sess.syncLearnExtLocked()
+		sess.syncExtLocked()
 	}
 	resp := ObservationResponse{
 		Session:      sess.ID,
@@ -381,11 +365,10 @@ func (s *Server) EnableLearning(id string, seed uint64, roundRR int) error {
 	if sess.online == nil {
 		return fmt.Errorf("server: session %q is not loaded", id)
 	}
-	sess.roundRR = roundRR
-	if sess.campaign != nil {
-		return nil // restored from the checkpoint; keep the learned posterior
+	sess.spec.RoundRR = roundRR
+	if sess.campaign == nil { // else restored from the checkpoint; keep the learned posterior
+		sess.campaign = learn.NewCampaign(sess.online.Sampler().Graph(), seed)
 	}
-	sess.campaign = learn.NewCampaign(sess.online.Sampler().Graph(), seed)
-	sess.syncLearnExtLocked()
+	sess.syncExtLocked()
 	return nil
 }

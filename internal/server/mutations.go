@@ -12,10 +12,11 @@ package server
 // the epoch and chains the lineage hash (graph.ChainFingerprint), the
 // batch is journaled durably before the in-memory swap (mutlog.go), and
 // session checkpoints record the epoch they were taken at. A checkpoint
-// that resumes onto a later epoch is placed on the chain (chainSuffix)
-// and caught up with exactly the missed batches — deliberate,
+// that resumes onto a later epoch must lie on the chain (onChain); it then
+// regenerates on the current epoch directly — deliberate,
 // loud-on-divergence rebasing instead of core.ErrGraphMismatch refusing
-// every resume after the first edge insert.
+// every resume after the first edge insert. Memory keeps one lineage hash
+// per epoch, never the batches.
 //
 // Concurrency: one batch at a time per graph (the `mutating` flag answers
 // 409 to a second batch and to engine-touching session requests while the
@@ -87,8 +88,8 @@ type UpdateGraphResponse struct {
 	// Applied is the number of ops in the batch.
 	Applied int `json:"applied"`
 	// Repaired lists the loaded sessions rebased onto the new epoch, with
-	// their regenerated RR-set counts. Unloaded sessions catch up lazily
-	// from their checkpoints on next touch.
+	// their regenerated RR-set counts. Unloaded sessions regenerate on the
+	// then-current epoch when next touched.
 	Repaired []SessionRepair `json:"repaired,omitempty"`
 }
 
@@ -128,8 +129,10 @@ func (s *Server) handleGraphUpdates(w http.ResponseWriter, r *http.Request) {
 
 // mutateGraph applies one batch to e's graph: validate + derive the new
 // epoch (WithMutations), journal it durably, swap the entry's residency,
-// then sweep every loaded session on e through RepairForMutations. The
-// returned status is the HTTP code for the failure.
+// then sweep every loaded session on e: an engine on the batch's parent
+// epoch is repaired with the batch, any other (one published between two
+// sweeps, still further behind) resampled. The returned status is the
+// HTTP code for the failure.
 func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation) (*UpdateGraphResponse, int, error) {
 	if !e.mutating.CompareAndSwap(false, true) {
 		mMutationConflicts.Inc()
@@ -171,7 +174,6 @@ func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation) (*UpdateGraphRe
 	newSampler := rrset.NewSampler(ng, sampler.Model())
 	e.mu.Lock()
 	e.g, e.sampler = ng, newSampler
-	e.history = append(e.history, ms)
 	e.lineages = append(e.lineages, ng.EpochLineage())
 	e.mu.Unlock()
 	e.ident.Store(&graphIdent{
@@ -186,8 +188,9 @@ func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation) (*UpdateGraphRe
 	// Rebase every loaded session on this graph. Each repair holds only
 	// that session's mutex; sessions on other graphs are untouched. A
 	// session published after this snapshot of the table is caught by the
-	// catchUp re-check in createSession and restore — and repair is
-	// idempotent, so the two paths overlapping is harmless.
+	// catchUp re-check in createSession and restore. Only an engine on the
+	// parent sampler may take this batch alone; one that missed an earlier
+	// batch too resamples.
 	var repaired []SessionRepair
 	for _, sess := range s.snapshotSessions() {
 		if sess.graph != e {
@@ -195,7 +198,13 @@ func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation) (*UpdateGraphRe
 		}
 		sess.mu.Lock()
 		if sess.online != nil && sess.online.Sampler() != newSampler {
-			regen := sess.online.RepairForMutations(newSampler, ms)
+			var regen int
+			if sess.online.Sampler() == sampler {
+				regen = sess.online.RepairForMutations(newSampler, ms)
+			} else {
+				sess.online.Resample(newSampler)
+				regen = int(sess.online.NumRR())
+			}
 			sess.refreshStatsLocked()
 			sess.lastSnap.Store(nil)
 			repaired = append(repaired, SessionRepair{Session: sess.ID, Regenerated: regen})
@@ -233,19 +242,19 @@ func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation) (*UpdateGraphRe
 // match. Called from mutateGraph while e.mutating is held, so no batch
 // can append concurrently. Compaction is deferred — logged, and retried by
 // the next batch — while any unloaded session on e holds a checkpoint
-// older than the current epoch: that checkpoint could no longer be placed
-// on the chain, stranding the session. A loaded session is current (the
-// batch's repair sweep rebased it), but its last checkpoint on disk may
-// still predate the snapshot, and a restart before its next checkpoint
-// refuses it with "outside the journaled chain". A compaction failure
-// only logs: the journal keeps its full history and the next batch
-// retries.
+// older than the current epoch: that checkpoint's epoch would leave the
+// chain, and its lineage check would strand the session. A loaded
+// session is current (the batch's repair sweep rebased it), but its last
+// checkpoint on disk may still predate the snapshot, and a restart before
+// its next checkpoint refuses it with "outside the journaled chain". A
+// compaction failure only logs: the journal keeps its full history and
+// the next batch retries.
 func (s *Server) maybeCompactJournal(e *graphEntry, ng *graph.Graph) {
 	if s.cfg.JournalCompactEvery <= 0 || s.cfg.CheckpointDir == "" {
 		return
 	}
 	e.mu.Lock()
-	n := len(e.history)
+	n := len(e.lineages) - 1
 	e.mu.Unlock()
 	if n < s.cfg.JournalCompactEvery {
 		return
@@ -262,10 +271,8 @@ func (s *Server) maybeCompactJournal(e *graphEntry, ng *graph.Graph) {
 		return
 	}
 	e.mu.Lock()
-	e.history = nil
 	e.lineages = []string{ng.EpochLineage()}
 	e.baseEpoch = ng.Epoch()
-	e.snapFP = ng.Fingerprint()
 	e.mu.Unlock()
 	mJournalCompacts.Inc()
 	obs.Emit(s.cfg.Events, "journal_compaction", map[string]any{
@@ -278,44 +285,37 @@ func (s *Server) maybeCompactJournal(e *graphEntry, ng *graph.Graph) {
 	log.Printf("server: compacted mutation journal for graph %q at epoch %d (%d entries folded into snapshot)", e.name, ng.Epoch(), n)
 }
 
-// chainSuffix places the graph state (epoch, lineage) on e's epoch chain
-// and returns the batches applied since, oldest first (nil when it is
-// current), together with e's current sampler — both read under one e.mu
-// hold, so the suffix leads exactly to that sampler. A position off the
-// chain is core.ErrGraphMismatch: before the journal's base epoch
-// (compacted away) or past its head, or a lineage from a different
-// history — rebasing RR sets across unrelated graphs would be silent
-// corruption. Callers hold a loadedRefs reference, so e is resident.
-func (e *graphEntry) chainSuffix(epoch int64, lineage string) ([][]graph.Mutation, *rrset.Sampler, error) {
+// onChain checks that the graph state (epoch, lineage) lies on e's epoch
+// chain and returns e's current sampler. A position off the chain is
+// core.ErrGraphMismatch: before the journal's base epoch (compacted away)
+// or past its head, or a lineage from a different history — regenerating
+// a session recorded on an unrelated graph would be silent corruption.
+// Callers hold a loadedRefs reference, so e is resident.
+func (e *graphEntry) onChain(epoch int64, lineage string) (*rrset.Sampler, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	idx := epoch - e.baseEpoch
 	if idx < 0 || idx >= int64(len(e.lineages)) {
-		return nil, nil, fmt.Errorf("%w: epoch %d of graph %q is outside the journaled chain [%d, %d] (mutation journal compacted past it, truncated or missing?)",
-			core.ErrGraphMismatch, epoch, e.name, e.baseEpoch, e.baseEpoch+int64(len(e.history)))
+		return nil, fmt.Errorf("%w: epoch %d of graph %q is outside the journaled chain [%d, %d] (mutation journal compacted past it, truncated or missing?)",
+			core.ErrGraphMismatch, epoch, e.name, e.baseEpoch, e.baseEpoch+int64(len(e.lineages))-1)
 	}
 	if e.lineages[idx] != lineage {
-		return nil, nil, fmt.Errorf("%w: graph %q lineage %.12s at epoch %d is not on this graph's epoch chain (%.12s): it descends from a different history",
+		return nil, fmt.Errorf("%w: graph %q lineage %.12s at epoch %d is not on this graph's epoch chain (%.12s): it descends from a different history",
 			core.ErrGraphMismatch, e.name, lineage, epoch, e.lineages[idx])
 	}
-	return append([][]graph.Mutation(nil), e.history[idx:]...), e.sampler, nil
+	return e.sampler, nil
 }
 
-// catchUp rebases o — an engine on graph e, not yet visible to e's
-// repair sweeps — onto e's current sampler, repairing exactly the batches
-// applied since o's own epoch; with no batch in between it is a pointer
+// catchUp resamples o — an engine on graph e, not yet visible to e's
+// mutation sweeps — onto e's current sampler when a batch landed since o's
+// sampler was taken, and reports whether it did; otherwise it is a pointer
 // compare. It closes the window between taking a sampler and publishing
-// the engine, in which a batch's sweep misses the session. An error means
-// o's epoch has left the chain (a compaction dropped it).
-func (s *Server) catchUp(o *core.Online, e *graphEntry) error {
-	g := o.Sampler().Graph()
-	missed, cur, err := e.chainSuffix(g.Epoch(), g.EpochLineage())
-	if err != nil {
-		return err
+// the engine, in which a batch's sweep misses the session.
+func (s *Server) catchUp(o *core.Online, e *graphEntry) bool {
+	cur := e.current()
+	if cur == o.Sampler() {
+		return false
 	}
-	if cur != o.Sampler() {
-		o.RepairForMutations(cur, missed...)
-		mSessionsCaughtUp.Inc()
-	}
-	return nil
+	o.Resample(cur)
+	return true
 }

@@ -8,10 +8,13 @@ package server
 // record (write-ahead ordering). The file is JSONL: a header line naming
 // the graph and its base (epoch-0) content fingerprint, then one entry per
 // batch carrying the resulting epoch, the chained lineage hash, and the
-// batch's ops in wire form. At startup ReplayMutationLog re-derives the
+// batch's ops in wire form. At startup — and when an unloaded graph is
+// reloaded under MaxLoadedGraphs — ReplayMutationLog re-derives the
 // current-epoch graph by re-applying every batch to the freshly loaded
 // base graph, verifying each step against the recorded lineage — an edited
-// journal, a swapped dataset, or a divergent replay all fail loudly.
+// journal, a swapped dataset, or a divergent replay all fail loudly. The
+// journal is the only record of the batches: memory keeps one lineage
+// hash per epoch.
 //
 // A crash mid-append leaves a torn final line. That line is dropped on
 // replay: the batch it described was never applied in memory (the apply
@@ -48,31 +51,27 @@ import (
 	"github.com/reprolab/opim/internal/graph"
 )
 
-// GraphLog is a graph's mutation history from its base epoch: History[i]
-// is the batch that advanced epoch BaseEpoch+i to BaseEpoch+i+1, and
-// Lineages[i] is the epoch-chain hash at epoch BaseEpoch+i, so
-// len(Lineages) == len(History)+1. BaseEpoch is 0 for an uncompacted
-// journal (Lineages[0] is then the base content fingerprint); after
-// compaction it is the snapshot's epoch and SnapshotFP records the
-// snapshot's content hash. It is what a stale checkpoint is verified
-// against — and caught up with — when it resumes onto a mutated graph.
+// GraphLog is a graph's epoch chain from its base epoch: Lineages[i] is
+// the epoch-chain hash at epoch BaseEpoch+i. BaseEpoch is 0 for an
+// uncompacted journal (Lineages[0] is then the base content fingerprint);
+// after compaction it is the snapshot's epoch. A checkpoint's (epoch,
+// lineage) must lie on it to resume onto the graph's current epoch.
 type GraphLog struct {
-	History  [][]graph.Mutation
 	Lineages []string
 	// BaseEpoch is the epoch the log starts from: 0, or the compaction
 	// snapshot's epoch. Checkpoints recorded before it cannot resume.
 	BaseEpoch int64
-	// SnapshotFP is the compaction snapshot's content fingerprint
-	// ("" when BaseEpoch is 0) — the reload-verification anchor.
-	SnapshotFP string
+	// BaseFingerprint is the epoch-0 dataset's content fingerprint, which
+	// every journal header — compacted or not — is anchored to.
+	BaseFingerprint string
 }
 
-// Epochs returns the number of recorded mutation batches.
+// Epochs returns the number of journaled mutation batches.
 func (l *GraphLog) Epochs() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.History)
+	return len(l.Lineages) - 1
 }
 
 // MutationLogPath returns where the named graph's mutation journal lives
@@ -111,7 +110,7 @@ type mutlogEntry struct {
 
 // ReplayMutationLog applies the journal for the named graph (if any) to g
 // — a freshly loaded base (epoch-0) graph — and returns the current-epoch
-// graph plus the verified history. Each replayed batch must reproduce the
+// graph plus its verified epoch chain. Each replayed batch must reproduce the
 // recorded lineage, so any divergence between the journal and the dataset
 // on disk is a hard error, never a silently different graph. A torn final
 // line (crash mid-append) is dropped with a log line; a torn or
@@ -121,7 +120,7 @@ type mutlogEntry struct {
 // missing journal with a .prev generation beside it (a crash between
 // WriteAtomic's renames) falls back to the previous generation.
 func ReplayMutationLog(dir, name string, g *graph.Graph) (*graph.Graph, *GraphLog, error) {
-	glog := &GraphLog{Lineages: []string{g.EpochLineage()}}
+	glog := &GraphLog{Lineages: []string{g.EpochLineage()}, BaseFingerprint: g.Fingerprint()}
 	path := MutationLogPath(dir, name)
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -174,7 +173,6 @@ func ReplayMutationLog(dir, name string, g *graph.Graph) (*graph.Graph, *GraphLo
 		}
 		g = snap
 		glog.BaseEpoch = hdr.SnapshotEpoch
-		glog.SnapshotFP = hdr.SnapshotFP
 		glog.Lineages = []string{hdr.SnapshotLineage}
 	}
 
@@ -203,7 +201,6 @@ func ReplayMutationLog(dir, name string, g *graph.Graph) (*graph.Graph, *GraphLo
 				path, i+1, ng.Epoch(), ng.EpochLineage(), e.Epoch, e.Lineage)
 		}
 		g = ng
-		glog.History = append(glog.History, ms)
 		glog.Lineages = append(glog.Lineages, e.Lineage)
 	}
 	return g, glog, nil

@@ -267,15 +267,23 @@ func validateQoSSpec(spec SessionSpec) error {
 	return nil
 }
 
-// applySessionQoS resolves the session's serving-discipline parameters
-// from spec values (0 = server default) and installs them: weight for the
-// DWRR sampler, rate/burst for the admission token bucket. A negative
-// rate is the explicit "unlimited" override of a server-wide DefaultRate.
-func (s *Server) applySessionQoS(sess *Session, weight, rate, burst float64) {
-	if weight <= 0 {
-		weight = 1
+// applySessionSpec resolves the session's RR budget (capped by the
+// server's) and serving-discipline parameters from spec values (0 =
+// server default) and installs them before the session is published:
+// weight for the DWRR sampler, rate/burst for the admission token bucket.
+// A negative rate is the explicit "unlimited" override of a server-wide
+// DefaultRate.
+func (s *Server) applySessionSpec(sess *Session, spec servingSpec) {
+	sess.spec = spec
+	sess.maxRR = spec.MaxRR
+	if sess.maxRR <= 0 || sess.maxRR > s.cfg.MaxRR {
+		sess.maxRR = s.cfg.MaxRR
 	}
-	sess.weight = weight
+	sess.weight = spec.Weight
+	if sess.weight <= 0 {
+		sess.weight = 1
+	}
+	rate, burst := spec.Rate, spec.Burst
 	if rate == 0 {
 		rate = s.cfg.DefaultRate
 	}

@@ -136,8 +136,9 @@ type Config struct {
 	DefaultGraphSpec string
 	// DefaultGraphLog, when non-nil, is the default graph's replayed
 	// mutation journal (ReplayMutationLog): the graph handed to New is at
-	// the journal's final epoch, and the log supplies the chain that stale
-	// checkpoints are verified against and caught up with. Nil means the
+	// the journal's final epoch, and the log supplies the chain of
+	// lineages that checkpoints from earlier epochs must lie on, plus the
+	// epoch-0 fingerprint the journal is anchored to. Nil means the
 	// default graph starts at its base epoch.
 	DefaultGraphLog *GraphLog
 	// CheckpointInterval is the cadence of StartCheckpointer
@@ -253,8 +254,8 @@ func New(session *core.Online, cfg Config) *Server {
 	// sessions never being evictable). Pre-publication: no concurrency yet.
 	g := session.Sampler().Graph()
 	glog := cfg.DefaultGraphLog
-	if glog == nil || glog.Epochs() == 0 {
-		glog = &GraphLog{Lineages: []string{g.EpochLineage()}}
+	if glog == nil {
+		glog = &GraphLog{Lineages: []string{g.EpochLineage()}, BaseFingerprint: g.Fingerprint()}
 	}
 	var spec cliutil.GraphSpec
 	specString := cfg.DefaultGraphSpec
@@ -268,7 +269,7 @@ func New(session *core.Online, cfg Config) *Server {
 			spec = parsed
 		}
 	}
-	def := newGraphEntry(DefaultGraphName, spec, glog.Lineages[0], g, session.Sampler(), glog)
+	def := newGraphEntry(DefaultGraphName, spec, g, session.Sampler(), glog)
 	def.specString = specString
 	def.sessions.Store(1)   // the default session
 	def.loadedRefs.Store(1) // ... which starts resident
@@ -279,9 +280,9 @@ func New(session *core.Online, cfg Config) *Server {
 	session.SetGraphIdentity(DefaultGraphName, def.specString)
 	session.SetGenerator(cfg.Generator)
 
-	defSess := &Session{ID: DefaultSessionID, maxRR: cfg.MaxRR, ckPath: s.ckPathFor(DefaultSessionID), graph: def}
-	s.applySessionQoS(defSess, 0, 0, 0) // server-default weight and rate
-	defSess.setOnlineLocked(session)    // pre-publication: no concurrent access yet
+	defSess := &Session{ID: DefaultSessionID, ckPath: s.ckPathFor(DefaultSessionID), graph: def}
+	s.applySessionSpec(defSess, servingSpec{}) // server-default budget, weight and rate
+	defSess.setOnlineLocked(session)           // pre-publication: no concurrent access yet
 	s.addSession(defSess)
 	return s
 }

@@ -15,6 +15,7 @@ package server
 // the Go client treats that exactly like a load-shed 503.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,7 +34,6 @@ import (
 	"github.com/reprolab/opim/internal/fsutil"
 	"github.com/reprolab/opim/internal/learn"
 	"github.com/reprolab/opim/internal/obs"
-	"github.com/reprolab/opim/internal/rrset"
 )
 
 // DefaultSessionID names the session New registers from the engine it is
@@ -123,16 +123,19 @@ type Session struct {
 	// maybeCompactJournal keeps the chain suffix that checkpoint needs.
 	ckEpoch atomic.Int64
 
+	// spec is the serving spec as the client gave it; it rides in the
+	// engine's checkpoint extension (syncExtLocked), so an adopting daemon
+	// re-applies it. spec.RoundRR is the RR-set budget a learning round
+	// generates before seeds are served (0 = defaultRoundRR).
+	spec servingSpec
+
 	// campaign, when non-nil, makes this a learning session: the
 	// feedback-driven round machine of learn.Campaign (see learn.go).
-	// Guarded by mu; its serialized state rides inside the engine's OPIMS5
+	// Guarded by mu; its serialized state rides inside the engine's OPIMS6
 	// extension blob, so it survives eviction, restart and kill −9 with
-	// the checkpoint. roundRR is the RR-set budget generated per round
-	// before seeds are served (0 = defaultRoundRR); roundBusy serializes
-	// POST /rounds per session without holding mu across the graph
-	// mutation.
+	// the checkpoint. roundBusy serializes POST /rounds per session
+	// without holding mu across the graph mutation.
 	campaign  *learn.Campaign
-	roundRR   int
 	roundBusy atomic.Bool
 
 	// lastTouch orders LRU eviction; guarded by the server's smu.
@@ -147,24 +150,77 @@ func (sess *Session) refreshStatsLocked() {
 }
 
 // setOnlineLocked installs an engine (created or reloaded) and refreshes
-// every mirror; callers hold sess.mu. A checkpoint extension blob, when
-// present, restores the session's learning campaign exactly where the
-// serialized round machine left off.
+// every mirror; callers hold sess.mu. Learner state in the checkpoint
+// extension, when present, restores the session's learning campaign
+// exactly where the serialized round machine left off.
 func (sess *Session) setOnlineLocked(online *core.Online) {
 	sess.online = online
 	opts := online.Options()
 	sess.opts.Store(&opts)
 	sess.refreshStatsLocked()
-	if ext := online.Extension(); len(ext) > 0 {
-		c, err := learn.UnmarshalCampaign(ext, online.Sampler().Graph())
-		if err != nil {
-			// Keep serving the session (the RR state is intact) but say
-			// loudly that the feedback loop lost its posterior.
-			log.Printf("server: session %q: cannot restore learner state from checkpoint extension: %v", sess.ID, err)
-			return
+	_, learner, err := splitExt(online.Extension())
+	if err == nil && len(learner) > 0 {
+		var c *learn.Campaign
+		if c, err = learn.UnmarshalCampaign(learner, online.Sampler().Graph()); err == nil {
+			sess.campaign = c
 		}
-		sess.campaign = c
 	}
+	if err != nil {
+		// Keep serving the session (the RR state is intact) but say
+		// loudly that the feedback loop lost its posterior.
+		log.Printf("server: session %q: cannot restore learner state from checkpoint extension: %v", sess.ID, err)
+	}
+}
+
+// servingSpec is the server-owned head of a session's checkpoint
+// extension: the SessionSpec serving fields as the client gave them (0 =
+// server default), re-applied when a restarted daemon adopts the session.
+// A learning session's campaign state follows the head's newline.
+type servingSpec struct {
+	MaxRR   int64   `json:"max_rr,omitempty"`
+	Weight  float64 `json:"weight,omitempty"`
+	Rate    float64 `json:"rate,omitempty"`
+	Burst   float64 `json:"burst,omitempty"`
+	RoundRR int     `json:"round_rr,omitempty"`
+}
+
+// syncExtLocked re-serializes the server-owned checkpoint extension — the
+// serving spec, then any learner state — into the engine, so the next
+// checkpoint (synchronous, periodic, eviction or shutdown) carries both.
+// A session with a default spec and no campaign carries none. Callers
+// hold sess.mu.
+func (sess *Session) syncExtLocked() {
+	if sess.online == nil {
+		return
+	}
+	var learner []byte
+	if sess.campaign != nil {
+		b, err := sess.campaign.MarshalBinary()
+		if err != nil {
+			// Marshal of an in-memory campaign cannot fail today; guard anyway
+			// so a future encoding bug cannot silently checkpoint stale state.
+			panic(fmt.Sprintf("server: serializing learner state for session %q: %v", sess.ID, err))
+		}
+		learner = b
+	}
+	if sess.spec == (servingSpec{}) && learner == nil {
+		sess.online.SetExtension(nil)
+		return
+	}
+	head, _ := json.Marshal(sess.spec) // finite numbers only: cannot fail
+	sess.online.SetExtension(append(append(head, '\n'), learner...))
+}
+
+// splitExt parses an extension written by syncExtLocked into the serving
+// spec and the learner state (nil when absent).
+func splitExt(ext []byte) (servingSpec, []byte, error) {
+	var spec servingSpec
+	if len(ext) == 0 {
+		return spec, nil, nil
+	}
+	head, learner, _ := bytes.Cut(ext, []byte{'\n'})
+	err := json.Unmarshal(head, &spec)
+	return spec, learner, err
 }
 
 // SessionSpec is the POST /sessions request body. Zero values take the
@@ -338,45 +394,35 @@ func (s *Server) createSession(spec SessionSpec) (*Session, int, error) {
 		entry.sessions.Add(-1)
 		return nil, status, err
 	}
-	sess := &Session{ID: spec.ID, maxRR: maxRR, ckPath: s.ckPathFor(spec.ID), graph: entry}
-	s.applySessionQoS(sess, spec.Weight, spec.Rate, spec.Burst)
-	// install builds the session's engine (and learning campaign) on
-	// sampler; callers hold sess.mu.
-	install := func(sampler *rrset.Sampler) error {
-		delta := spec.Delta
-		if delta == 0 {
-			delta = 1 / float64(sampler.Graph().N())
-		}
-		online, err := core.NewOnline(sampler, core.Options{
-			K:           spec.K,
-			Delta:       delta,
-			Variant:     variant,
-			Seed:        spec.Seed,
-			Workers:     spec.Workers,
-			UnionBudget: spec.Union,
-			Exact:       spec.Exact,
-			BaseSeeds:   spec.BaseSeeds,
-			Events:      s.cfg.Events,
-			Generator:   s.cfg.Generator,
-		})
-		if err != nil {
-			return err
-		}
-		online.SetGraphIdentity(entry.name, entry.specString)
-		sess.setOnlineLocked(online)
-		if spec.Learn != nil {
-			sess.roundRR = spec.Learn.RoundRR
-			sess.campaign = learn.NewCampaign(sampler.Graph(), spec.Learn.Seed)
-			sess.syncLearnExtLocked()
-		}
-		return nil
+	delta := spec.Delta
+	if delta == 0 {
+		delta = 1 / float64(sampler.Graph().N())
 	}
-	sess.mu.Lock()
-	err = install(sampler)
-	sess.mu.Unlock()
+	online, err := core.NewOnline(sampler, core.Options{
+		K:           spec.K,
+		Delta:       delta,
+		Variant:     variant,
+		Seed:        spec.Seed,
+		Workers:     spec.Workers,
+		UnionBudget: spec.Union,
+		Exact:       spec.Exact,
+		BaseSeeds:   spec.BaseSeeds,
+		Events:      s.cfg.Events,
+		Generator:   s.cfg.Generator,
+	})
 	if err != nil {
 		return fail(http.StatusBadRequest, err)
 	}
+	online.SetGraphIdentity(entry.name, entry.specString)
+	sess := &Session{ID: spec.ID, ckPath: s.ckPathFor(spec.ID), graph: entry}
+	serving := servingSpec{MaxRR: spec.MaxRR, Weight: spec.Weight, Rate: spec.Rate, Burst: spec.Burst}
+	if spec.Learn != nil {
+		serving.RoundRR = spec.Learn.RoundRR
+		sess.campaign = learn.NewCampaign(sampler.Graph(), spec.Learn.Seed)
+	}
+	s.applySessionSpec(sess, serving)
+	sess.setOnlineLocked(online) // pre-publication: no concurrent access yet
+	sess.syncExtLocked()
 	if s.createHook != nil {
 		s.createHook(spec.ID)
 	}
@@ -384,15 +430,10 @@ func (s *Server) createSession(spec SessionSpec) (*Session, int, error) {
 		return fail(http.StatusConflict, err)
 	}
 	// A batch that landed while the engine was being built swept the table
-	// before addSession published this session: catch up now. If a
-	// compaction has since dropped the engine's epoch from the chain,
-	// rebuild it on the current sampler instead — exact, because it holds
-	// no RR sets yet.
+	// before addSession published this session: catch up now.
 	sess.mu.Lock()
-	if s.catchUp(sess.online, entry) != nil {
-		// Cannot fail: the options validated against a graph no larger
-		// (mutations never remove nodes).
-		_ = install(entry.current())
+	if s.catchUp(sess.online, entry) {
+		mSessionsCaughtUp.Inc()
 	}
 	sess.refreshStatsLocked()
 	sess.mu.Unlock()
@@ -450,9 +491,8 @@ func (s *Server) Resume() ([]string, error) {
 		if de.IsDir() || !ok || !sessionIDRe.MatchString(id) || s.lookup(id) != nil {
 			continue
 		}
-		sess := &Session{ID: id, maxRR: s.cfg.MaxRR, ckPath: s.ckPathFor(id)}
+		sess := &Session{ID: id, ckPath: s.ckPathFor(id)}
 		sess.state.Store(int32(stateUnloaded))
-		s.applySessionQoS(sess, 0, 0, 0)
 		sess.mu.Lock()
 		err := s.restore(sess)
 		sess.mu.Unlock()

@@ -214,12 +214,15 @@ func NewOnline(sampler *Sampler, opts Options) (*Online, error) {
 	return core.NewOnline(sampler, opts)
 }
 
-// SaveSession serializes a paused Online session; the graph itself is not
-// saved (LoadSession requires an equivalent sampler).
+// SaveSession serializes a paused Online session as its recipe — options,
+// query counter, RR-set counts and a checksum of each half — in a few
+// hundred bytes; neither the RR sets nor the graph are saved (LoadSession
+// requires an equivalent sampler).
 func SaveSession(w io.Writer, o *Online) error { return core.SaveSession(w, o) }
 
 // LoadSession restores a session saved by SaveSession onto a sampler built
-// over the same graph and model. A resumed session continues the exact
+// over the same graph and model, regenerating every RR set — a load costs
+// about the original sampling. A resumed session continues the exact
 // sample stream of the original: save → load → Advance is byte-identical
 // to never pausing.
 func LoadSession(r io.Reader, sampler *Sampler) (*Online, error) {
