@@ -3,15 +3,20 @@
 //
 // Usage:
 //
-//	gengraph -profile synth-twitter -scale 800 -out twitter.bin
+//	gengraph -profile synth-twitter -scale 800 -out twitter.csr
 //	gengraph -gen pa -n 100000 -deg 10 -weights wc -out pa.txt -format text
-//	gengraph -gen er -n 10000 -m 100000 -weights uniform:0.01 -out er.bin
+//	gengraph -gen er -n 10000 -m 100000 -weights uniform:0.01 -out er.csr
+//
+// -format csr (the default) writes OPIMG2, the binary format opimd and
+// every CLI load via mmap; -format text writes the edge-list interchange
+// format.
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -40,11 +45,18 @@ func main() {
 		weights = flag.String("weights", "wc", "wc | uniform:<p> | trivalency | none")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		out     = flag.String("out", "", "output path (required)")
-		format  = flag.String("format", "binary", "binary | csr | text")
+		format  = flag.String("format", "csr", "csr | text")
 	)
 	flag.Parse()
 	if *out == "" {
 		fatalf("-out is required")
+	}
+	write := map[string]func(io.Writer, *graph.Graph) error{
+		"csr":  graph.WriteCSR,
+		"text": graph.WriteText,
+	}[*format]
+	if write == nil {
+		fatalf("unknown format %q (want csr or text)", *format)
 	}
 
 	var g *opim.Graph
@@ -99,18 +111,7 @@ func main() {
 		fatalf("%v", err)
 	}
 	defer f.Close()
-	switch *format {
-	case "binary":
-		err = graph.WriteBinary(f, g)
-	case "csr":
-		// OPIMG2: the serving cache format opimd loads via mmap.
-		err = graph.WriteCSR(f, g)
-	case "text":
-		err = graph.WriteText(f, g)
-	default:
-		fatalf("unknown format %q", *format)
-	}
-	if err != nil {
+	if err := write(f, g); err != nil {
 		fatalf("writing %s: %v", *out, err)
 	}
 	// The fingerprint lets operators check that a graph registered in an

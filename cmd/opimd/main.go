@@ -53,9 +53,11 @@
 //     session, the default included, is written atomically to DIR/<id>.ck
 //     every -checkpoint-interval (default 30s), on POST
 //     /sessions/{id}/checkpoint, and on graceful shutdown, and every
-//     graph's mutation batches are journaled there. At startup the daemon
-//     replays each graph's journal, then resumes every checkpointed
-//     session through one restore path (server.Resume): current
+//     graph's mutation batches are journaled there, compacted into an
+//     OPIMG2 snapshot once a journal outgrows its graph. At startup
+//     server.Resume replays the default graph's journal (every other
+//     graph replays its own when registered), then resumes every
+//     checkpointed session through one restore path: current
 //     generation, else <id>.ck.prev, checked against the graph's epoch
 //     chain and regenerated on its current epoch — a load costs about the
 //     original sampling. A checkpoint that exists but cannot be resumed
@@ -139,7 +141,6 @@ func main() {
 		learnOn    = flag.Bool("learn", false, "run the default session as a feedback-driven learning campaign: POST /sessions/default/rounds serves explore/exploit seeds, POST /sessions/default/observations feeds cascades back (see docs/LEARNING.md)")
 		learnSeed  = flag.Uint64("learn-seed", 1, "random seed for the learner's Thompson-sampling draws")
 		learnRR    = flag.Int("learn-round-rr", 0, "RR sets generated per learning round (0 = 1024)")
-		jCompact   = flag.Int("journal-compact-every", 0, "compact a graph's mutation journal into an OPIMG2 snapshot once it holds this many entries (0 = never; see docs/ROBUSTNESS.md)")
 	)
 	flag.Parse()
 
@@ -179,28 +180,9 @@ func main() {
 			fatalf("creating -checkpoint-dir: %v", err)
 		}
 	}
-	// Replay the default graph's mutation journal: a daemon that applied
-	// POST /graphs/default/updates batches before it stopped must come back
-	// on the mutated graph, at the right epoch, so its sessions' checkpoints
-	// place correctly on the epoch chain.
-	var glog *server.GraphLog
-	if *ckDir != "" {
-		var rerr error
-		g, glog, rerr = server.ReplayMutationLog(*ckDir, server.DefaultGraphName, g)
-		if rerr != nil {
-			fatalf("%v (remove the mutation journal to start from the base graph, abandoning its epochs)", rerr)
-		}
-		// g.Epoch() > 0 with zero journal entries happens when a compaction
-		// folded the whole history into its snapshot — the sampler must
-		// still move off the base graph.
-		if g.Epoch() > 0 {
-			sampler = opim.NewSampler(g, model)
-			fmt.Printf("opimd: default graph at epoch %d after journal replay (%d batch(es) replayed, %d folded into the compaction snapshot; n=%d m=%d)\n",
-				g.Epoch(), glog.Epochs(), glog.BaseEpoch, g.N(), g.M())
-		}
-	}
-	// A fresh default session on the replayed graph; Resume replaces it
-	// with its checkpoint when one exists.
+	// A fresh default session on the dataset as loaded; Resume replays the
+	// default graph's mutation journal and moves the session onto the
+	// replayed epoch, then replaces it with its checkpoint when one exists.
 	session, err := opim.NewOnline(sampler, opim.Options{
 		K: *k, Delta: delta, Variant: variant, Seed: *seed, Workers: *workers, UnionBudget: *union,
 		Events: flushingSinkOrNil(events),
@@ -224,33 +206,34 @@ func main() {
 	}
 
 	srv := server.New(session, server.Config{
-		Batch:               *batch,
-		MaxRR:               *maxRR,
-		RequestTimeout:      *reqTimeout,
-		MaxInflight:         *maxInfl,
-		MaxQueue:            *maxQueue,
-		MaxQueueWait:        *maxQWait,
-		DefaultRate:         *defRate,
-		DefaultBurst:        *defBurst,
-		CheckpointDir:       *ckDir,
-		MaxLoadedSessions:   *maxLoaded,
-		MaxLoadedGraphs:     *maxGraphs,
-		CheckpointInterval:  *ckInterval,
-		JournalCompactEvery: *jCompact,
-		DefaultGraphSpec:    spec.String(),
-		DefaultGraphLog:     glog,
-		Events:              flushingSinkOrNil(events),
-		Generator:           generatorOrNil(coordinator),
+		Batch:              *batch,
+		MaxRR:              *maxRR,
+		RequestTimeout:     *reqTimeout,
+		MaxInflight:        *maxInfl,
+		MaxQueue:           *maxQueue,
+		MaxQueueWait:       *maxQWait,
+		DefaultRate:        *defRate,
+		DefaultBurst:       *defBurst,
+		CheckpointDir:      *ckDir,
+		MaxLoadedSessions:  *maxLoaded,
+		MaxLoadedGraphs:    *maxGraphs,
+		CheckpointInterval: *ckInterval,
+		DefaultGraphSpec:   spec.String(),
+		Events:             flushingSinkOrNil(events),
+		Generator:          generatorOrNil(coordinator),
 	})
-	// Resume every checkpointed session. A checkpoint that exists but
-	// cannot be loaded (both generations bad, or off its graph's epoch
-	// chain) stops startup — silently discarding a session would forget
+	// Replay the default graph's journal and resume every checkpointed
+	// session. A journal that does not replay, or a checkpoint that exists
+	// but cannot be loaded (both generations bad, or off its graph's epoch
+	// chain), stops startup — silently discarding a session would forget
 	// every spent unit of δ budget, the exact failure mode resume exists
-	// to prevent. The operator must remove the file to start fresh.
+	// to prevent. The error names the file the operator must remove to
+	// start fresh.
 	adopted, err := srv.Resume()
 	if err != nil {
-		fatalf("cannot resume: %v (remove the checkpoint to start fresh)", err)
+		fatalf("cannot resume: %v", err)
 	}
+	g = session.Sampler().Graph() // the replayed default graph, for the banner
 	if len(adopted) > 0 {
 		fmt.Printf("opimd: adopted %d checkpointed session(s) from %s: %v\n", len(adopted), *ckDir, adopted)
 	}

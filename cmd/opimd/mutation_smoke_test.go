@@ -14,6 +14,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/reprolab/opim/internal/cliutil"
+	"github.com/reprolab/opim/internal/graph"
 )
 
 func TestOpimdMutationKillResume(t *testing.T) {
@@ -50,14 +53,8 @@ func TestOpimdMutationKillResume(t *testing.T) {
 	// Restart: the journal replay must land the daemon on epoch 1 and the
 	// pre-mutation checkpoint must be caught up, not refused.
 	b := startDaemon(t, bin, "-checkpoint-dir", dir, "-checkpoint-interval", "1h")
-	replayed := false
-	for _, line := range b.lines {
-		if strings.Contains(line, "after journal replay (1 batch(es) replayed") {
-			replayed = true
-		}
-	}
-	if !replayed {
-		t.Fatalf("restart never reported replaying the mutation journal; stdout: %q", b.lines)
+	if gi := b.mustGet(t, "/graphs/default"); gi["epoch"] != float64(1) || gi["lineage"] != up["lineage"] {
+		t.Fatalf("restart did not replay the mutation journal: /graphs/default = %v, want epoch 1 lineage %v", gi, up["lineage"])
 	}
 	st := b.mustGet(t, "/sessions/default/status")
 	if got := numRR(t, st); got != 1000 {
@@ -87,26 +84,37 @@ func TestOpimdMutationKillResume(t *testing.T) {
 
 // Regression: when compaction folds every journal entry into its snapshot,
 // the journal holds zero trailing batches but the graph is still past epoch
-// 0. The restart must rebuild the sampler from the snapshot epoch (keyed on
-// g.Epoch(), not on the count of replayed entries) or resuming the
-// post-mutation checkpoint dies with a graph fingerprint mismatch.
+// 0. The restart must land on the snapshot's epoch, or resuming the
+// post-mutation checkpoint dies with a graph fingerprint mismatch. A batch
+// reweighting every edge journals more bytes than the graph's OPIMG2
+// encoding holds, so it compacts at once.
 func TestOpimdCompactedJournalKillResume(t *testing.T) {
 	bin := buildOpimd(t)
 	dir := t.TempDir()
-	flags := []string{"-checkpoint-dir", dir, "-checkpoint-interval", "1h", "-journal-compact-every", "1"}
+	flags := []string{"-checkpoint-dir", dir, "-checkpoint-interval", "1h"}
+
+	// The daemon's default graph, loaded the way its flags load it.
+	g, _, err := cliutil.GraphSpec{Profile: "synth-pokec", Scale: 20000, Seed: 7}.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ups []string
+	g.Edges(func(e graph.Edge) bool {
+		ups = append(ups, fmt.Sprintf(`{"op":"set_weight","from":%d,"to":%d,"p":0.05}`, e.From, e.To))
+		return true
+	})
+	batch := `{"updates":[` + strings.Join(ups, ",") + `]}`
 
 	a := startDaemon(t, bin, flags...)
-	a.mustPost(t, "/sessions/default/advance?count=1000")
-	n, ok := a.mustGet(t, "/graphs/default")["n"].(float64)
-	if !ok || n <= 0 {
-		t.Fatal("graph info has no node count")
+	if fp := a.mustGet(t, "/graphs/default")["graph_fingerprint"]; fp != g.Fingerprint() {
+		t.Fatalf("daemon graph fingerprints %v, the test's copy %s", fp, g.Fingerprint())
 	}
-	batch := fmt.Sprintf(`{"updates":[{"op":"node_add"},{"op":"edge_insert","from":%d,"to":0,"p":0.25}]}`, int(n))
+	a.mustPost(t, "/sessions/default/advance?count=1000")
 	if _, err := a.reqBody(http.MethodPost, "/graphs/default/updates", batch); err != nil {
 		t.Fatal(err)
 	}
-	// The threshold of 1 compacts immediately: the batch now lives only in
-	// graph-default.e1.snap and the journal body is empty.
+	// The batch now lives only in graph-default.e1.snap and the journal
+	// body is empty.
 	if _, err := os.Stat(filepath.Join(dir, "graph-default.e1.snap")); err != nil {
 		t.Fatalf("compaction snapshot missing after the batch: %v", err)
 	}
@@ -117,14 +125,8 @@ func TestOpimdCompactedJournalKillResume(t *testing.T) {
 	a.cmd.Wait()
 
 	b := startDaemon(t, bin, flags...)
-	landed := false
-	for _, line := range b.lines {
-		if strings.Contains(line, "after journal replay (0 batch(es) replayed, 1 folded into the compaction snapshot") {
-			landed = true
-		}
-	}
-	if !landed {
-		t.Fatalf("restart never reported landing on the compacted epoch; stdout: %q", b.lines)
+	if gi := b.mustGet(t, "/graphs/default"); gi["epoch"] != float64(1) {
+		t.Fatalf("restart did not land on the compacted epoch: /graphs/default = %v", gi)
 	}
 	st := b.mustGet(t, "/sessions/default/status")
 	if st["graph_epoch"] != float64(1) {

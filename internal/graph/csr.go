@@ -1,25 +1,25 @@
 package graph
 
-// OPIMG2: the CSR cache format behind mmap-backed loading. Unlike OPIMG1
-// (an edge-record stream that must be re-sorted and merged through Builder
-// on every load), an OPIMG2 file stores the Graph's frozen CSR arrays in
-// their in-memory layout, little-endian, each section 8-byte aligned. On
-// supported platforms LoadFile maps such a file read-only (mmap.go) and
-// the Graph's slices alias the mapping directly: loading is O(1) regardless
+// OPIMG2: the binary graph format, and the one the mmap loader reads. An
+// OPIMG2 file stores the Graph's frozen CSR arrays in their in-memory
+// layout, little-endian, each section 8-byte aligned. On supported
+// platforms LoadFile maps such a file read-only (mmap_unix.go) and the
+// Graph's slices alias the mapping directly: loading is O(1) regardless
 // of graph size, page-in is lazy, and N opimd processes serving the same
 // dataset share one page-cache copy. ReadCSR is the portable copy decoder
-// — the fallback for unsupported platforms, big-endian hosts, and
-// OPIM_NO_MMAP=1 — and the validating authority on the format: it verifies
-// canonical form (sorted, merged, no self-loops), probability ranges, that
-// the in-adjacency is exactly the counting-sort derivative of the
-// out-adjacency, and that inPSum matches bit for bit, so the fingerprint
-// guarantee ("hashing the out side pins every edge") survives untrusted
-// files. The mmap path checks header sanity (m bounded by the file size),
-// section bounds and offset monotonicity only (O(n), no page-in of edge
-// data); it is a cache format written by this package, and end-to-end
-// corruption is caught by the graph fingerprint wherever one is recorded
-// (catalog reloads, checkpoint resume). Both decoders are fuzzed
-// (FuzzReadCSR, FuzzCSRFromMapping): neither may panic on any input.
+// — the fallback for unsupported platforms, big-endian hosts and
+// opim_nommap builds — and the validating authority on the format: it
+// verifies canonical form (sorted, merged, no self-loops), probability
+// ranges, that the in-adjacency is exactly the counting-sort derivative
+// of the out-adjacency, and that inPSum matches bit for bit, so the
+// fingerprint guarantee ("hashing the out side pins every edge") survives
+// untrusted files. The mmap path checks header sanity (m bounded by the
+// file size), section bounds and offset monotonicity only (O(n), no
+// page-in of edge data); it is a cache format written by this package,
+// and end-to-end corruption is caught by the graph fingerprint wherever
+// one is recorded (catalog reloads, checkpoint resume). Both decoders are
+// fuzzed (FuzzReadCSR, FuzzCSRFromMapping): neither may panic on any
+// input.
 //
 // Layout (all little-endian, offsets from start of file):
 //
@@ -34,8 +34,7 @@ package graph
 //	…       inPSum  n×float32 bits, zero-padded to 8
 //
 // Section offsets are fully determined by (n, m), so there is no section
-// table to trust. WriteBinary/ReadBinary (OPIMG1) remain the interchange
-// format; OPIMG2 is the serving cache.
+// table to trust. The text edge list (io.go) is the interchange format.
 
 import (
 	"bufio"
@@ -80,6 +79,9 @@ func layoutCSR(n int32, m int64) csrLayout {
 	l.total = off
 	return l
 }
+
+// CSRSize returns the byte size of g's OPIMG2 encoding.
+func CSRSize(g *Graph) int64 { return layoutCSR(g.n, g.m).total }
 
 // WriteCSR writes g in the OPIMG2 CSR cache format.
 func WriteCSR(w io.Writer, g *Graph) error {
@@ -231,7 +233,7 @@ func ReadCSR(r io.Reader) (*Graph, error) {
 
 // chunked section readers: data is appended in bounded chunks so a forged
 // header over a truncated file errors out early instead of forcing a
-// multi-gigabyte allocation (the same policy as ReadBinary's clamped hint).
+// multi-gigabyte allocation.
 // Each chunk's element count is clamped to the buffer before it is scaled
 // to bytes, so a forged count cannot overflow the product.
 

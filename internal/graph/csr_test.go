@@ -94,15 +94,22 @@ func TestCSRRoundTripEmpty(t *testing.T) {
 }
 
 // TestLoadFileFingerprintInvariance is the tentpole invariant on the
-// loading side: the same graph saved as OPIMG1, as OPIMG2 read through the
-// copy decoder, and as OPIMG2 read through mmap yields the same
-// fingerprint as the in-memory original.
+// loading side: the same graph saved as text, as OPIMG2 read through
+// LoadFile (mmap where available) and as OPIMG2 read through the ReadCSR
+// copy decoder yields the same fingerprint as the in-memory original.
 func TestLoadFileFingerprintInvariance(t *testing.T) {
 	g := testGraph(t, 400)
 	dir := t.TempDir()
 
-	p1 := filepath.Join(dir, "g.opimg1")
-	if err := graph.SaveFile(p1, g); err != nil {
+	p1 := filepath.Join(dir, "g.txt")
+	f, err := os.Create(p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.WriteText(f, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	p2 := filepath.Join(dir, "g.opimg2")
@@ -110,11 +117,11 @@ func TestLoadFileFingerprintInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fromV1, err := graph.LoadFile(p1)
+	fromText, err := graph.LoadFile(p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameGraph(t, g, fromV1)
+	requireSameGraph(t, g, fromText)
 
 	fromV2, err := graph.LoadFile(p2)
 	if err != nil {
@@ -122,19 +129,22 @@ func TestLoadFileFingerprintInvariance(t *testing.T) {
 	}
 	defer fromV2.Close()
 	requireSameGraph(t, g, fromV2)
-	wantMapped := graph.MmapAvailable() && os.Getenv("OPIM_NO_MMAP") == ""
-	if fromV2.Mapped() != wantMapped {
-		t.Errorf("LoadFile(OPIMG2).Mapped() = %v, want %v", fromV2.Mapped(), wantMapped)
+	if fromV2.Mapped() != graph.MmapAvailable() {
+		t.Errorf("LoadFile(OPIMG2).Mapped() = %v, want %v", fromV2.Mapped(), graph.MmapAvailable())
 	}
 
 	// Copy path, forced: must agree with the mmap path bit for bit.
-	t.Setenv("OPIM_NO_MMAP", "1")
-	forced, err := graph.LoadFile(p2)
+	cf, err := os.Open(p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cf.Close()
+	forced, err := graph.ReadCSR(cf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if forced.Mapped() {
-		t.Error("OPIM_NO_MMAP load reports Mapped")
+		t.Error("ReadCSR load reports Mapped")
 	}
 	requireSameGraph(t, fromV2, forced)
 }
@@ -240,29 +250,22 @@ func TestCSRDecodersRejectForgedEdgeCount(t *testing.T) {
 	}
 }
 
-// BenchmarkLoadFile tracks graph load latency across the three binary
-// paths; csr_mmap is the headline number behind the "large graph loads in
-// milliseconds" claim (docs/PERFORMANCE.md).
+// BenchmarkLoadFile tracks OPIMG2 load latency through the ReadCSR copy
+// decoder and through LoadFile's mmap path; csr_mmap is the headline
+// number behind the "large graph loads in milliseconds" claim
+// (docs/PERFORMANCE.md).
 func BenchmarkLoadFile(b *testing.B) {
 	g := testGraph(b, 20000)
-	dir := b.TempDir()
-	p1 := filepath.Join(dir, "g.opimg1")
-	if err := graph.SaveFile(p1, g); err != nil {
+	path := filepath.Join(b.TempDir(), "g.opimg2")
+	if err := graph.SaveFileCSR(path, g); err != nil {
 		b.Fatal(err)
 	}
-	p2 := filepath.Join(dir, "g.opimg2")
-	if err := graph.SaveFileCSR(p2, g); err != nil {
-		b.Fatal(err)
-	}
-	bench := func(name, path, noMmap string) {
+	bench := func(name string, load func() (*graph.Graph, error)) {
 		b.Run(name, func(b *testing.B) {
-			if noMmap != "" {
-				b.Setenv("OPIM_NO_MMAP", noMmap)
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g, err := graph.LoadFile(path)
+				g, err := load()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -273,7 +276,13 @@ func BenchmarkLoadFile(b *testing.B) {
 			}
 		})
 	}
-	bench("opimg1", p1, "")
-	bench("csr_copy", p2, "1")
-	bench("csr_mmap", p2, "")
+	bench("csr_copy", func() (*graph.Graph, error) {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return graph.ReadCSR(f)
+	})
+	bench("csr_mmap", func() (*graph.Graph, error) { return graph.LoadFile(path) })
 }

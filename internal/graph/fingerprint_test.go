@@ -58,7 +58,7 @@ func rebuild(t *testing.T, n int32, edges []Edge, perm *rand.Rand) *Graph {
 
 // TestFingerprintInvariantAcrossLoadPaths: the same influence instance must
 // fingerprint identically whether it arrives via the builder (any insertion
-// order), a text round-trip, or a binary round-trip — the property the
+// order), a text round-trip, or an OPIMG2 round-trip — the property the
 // daemon's checkpoint verification rests on.
 func TestFingerprintInvariantAcrossLoadPaths(t *testing.T) {
 	g := fpTestGraph(t, 200, 1500, 7)
@@ -88,15 +88,15 @@ func TestFingerprintInvariantAcrossLoadPaths(t *testing.T) {
 	}
 
 	var bin bytes.Buffer
-	if err := WriteBinary(&bin, g); err != nil {
+	if err := WriteCSR(&bin, g); err != nil {
 		t.Fatal(err)
 	}
-	viaBin, err := ReadBinary(&bin)
+	viaBin, err := ReadCSR(&bin)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := viaBin.Fingerprint(); got != want {
-		t.Fatalf("binary round-trip changed the fingerprint: %s vs %s", got, want)
+		t.Fatalf("OPIMG2 round-trip changed the fingerprint: %s vs %s", got, want)
 	}
 }
 

@@ -38,29 +38,6 @@ func FuzzReadText(f *testing.F) {
 	})
 }
 
-// FuzzReadBinary checks the binary decoder never panics and rejects or
-// round-trips arbitrary bytes.
-func FuzzReadBinary(f *testing.F) {
-	g := mustLine(f)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte("OPIMG1\n"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, in []byte) {
-		g, err := ReadBinary(bytes.NewReader(in))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := WriteBinary(&out, g); err != nil {
-			t.Fatalf("accepted graph failed to serialize: %v", err)
-		}
-	})
-}
-
 // FuzzReadCSR checks the OPIMG2 copy decoder never panics and that
 // everything it accepts is readable row by row and round-trips through
 // WriteCSR to the same fingerprint.

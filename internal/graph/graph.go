@@ -136,9 +136,10 @@ func (g *Graph) EpochLineage() string {
 }
 
 // AdoptEpochIdentity stamps a loaded graph with an externally recorded
-// epoch and lineage. Graph files (OPIMG1/2) carry content, not history, so
-// a snapshot of a mutated graph reloads at epoch 0; the holder of the
-// mutation journal re-applies the identity it recorded at snapshot time.
+// epoch and lineage. Graph files (OPIMG2, text) carry content, not
+// history, so a snapshot of a mutated graph reloads at epoch 0; the
+// holder of the mutation journal re-applies the identity it recorded at
+// snapshot time.
 // Valid only on a graph whose identity has not already diverged (epoch 0).
 func (g *Graph) AdoptEpochIdentity(epoch int64, lineage string) error {
 	if g.epoch != 0 || g.lineage != "" {

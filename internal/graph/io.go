@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -14,13 +13,8 @@ import (
 
 // Text format: one edge per line, "from to [prob]", '#'-prefixed comment
 // lines ignored, whitespace separated. If prob is omitted the edge gets
-// probability 0 and the caller is expected to Reweight.
-//
-// Binary format (little-endian): magic "OPIMG1\n", int32 n, int64 m, then
-// m records of (int32 from, int32 to, float32 p). This mirrors how the
-// reference implementations cache preprocessed graphs for large datasets.
-
-const binaryMagic = "OPIMG1\n"
+// probability 0 and the caller is expected to Reweight. It is the
+// interchange format; OPIMG2 (csr.go) is the binary one.
 
 // MaxNodes bounds node ids accepted by the file decoders (2^28 ≈ 268M —
 // comfortably above the largest published social graphs). The limit exists
@@ -85,86 +79,15 @@ func WriteText(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ErrBadFormat reports a malformed binary graph stream.
+// ErrBadFormat reports a malformed OPIMG2 stream.
 var ErrBadFormat = errors.New("graph: bad binary format")
 
-// WriteBinary writes g in the binary format.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	hdr := make([]byte, 12)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(g.N()))
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(g.M()))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	rec := make([]byte, 12)
-	var err error
-	g.Edges(func(e Edge) bool {
-		binary.LittleEndian.PutUint32(rec[0:4], uint32(e.From))
-		binary.LittleEndian.PutUint32(rec[4:8], uint32(e.To))
-		binary.LittleEndian.PutUint32(rec[8:12], floatBits(e.P))
-		_, err = bw.Write(rec)
-		return err == nil
-	})
-	if err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary parses the binary format from r.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("%w: short magic: %v", ErrBadFormat, err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("%w: magic %q", ErrBadFormat, magic)
-	}
-	hdr := make([]byte, 12)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("%w: short header: %v", ErrBadFormat, err)
-	}
-	n := int32(binary.LittleEndian.Uint32(hdr[0:4]))
-	m := int64(binary.LittleEndian.Uint64(hdr[4:12]))
-	if n < 0 || m < 0 || n > MaxNodes {
-		return nil, fmt.Errorf("%w: n=%d m=%d", ErrBadFormat, n, m)
-	}
-	// Clamp the capacity hint: a forged header must not force a huge
-	// allocation before any edge bytes exist. The slice grows naturally
-	// with real data.
-	hint := m
-	if hint > 1<<20 {
-		hint = 1 << 20
-	}
-	b := NewBuilder(n, int(hint))
-	rec := make([]byte, 12)
-	for i := int64(0); i < m; i++ {
-		if _, err := io.ReadFull(br, rec); err != nil {
-			return nil, fmt.Errorf("%w: short edge record %d: %v", ErrBadFormat, i, err)
-		}
-		from := int32(binary.LittleEndian.Uint32(rec[0:4]))
-		to := int32(binary.LittleEndian.Uint32(rec[4:8]))
-		if from < 0 || from >= n || to < 0 || to >= n {
-			return nil, fmt.Errorf("%w: edge %d: node ⟨%d,%d⟩ outside declared n=%d", ErrBadFormat, i, from, to, n)
-		}
-		p := floatFromBits(binary.LittleEndian.Uint32(rec[8:12]))
-		b.AddEdge(from, to, p)
-	}
-	return b.Build()
-}
-
 // LoadFile reads a graph from path, dispatching on the leading magic:
-// OPIMG2 files (the CSR cache format, csr.go) load via mmap on supported
-// platforms — falling back to the ReadCSR copy decoder when mapping is
-// unavailable, the build carries the opim_nommap tag, or OPIM_NO_MMAP is
-// set in the environment — OPIMG1 files use ReadBinary, and anything else
-// is parsed as a text edge list. The graph fingerprint is computed from
-// the CSR arrays and therefore identical across every path.
+// OPIMG2 files (the CSR format, csr.go) load via mmap on supported
+// platforms — the ReadCSR copy decoder when mapping is unavailable or the
+// build carries the opim_nommap tag — and anything else is parsed as a
+// text edge list. The graph fingerprint is computed from the CSR arrays
+// and therefore identical across every path.
 func LoadFile(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -172,37 +95,19 @@ func LoadFile(path string) (*Graph, error) {
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
-	peek, err := br.Peek(len(binaryMagic))
-	if err == nil && string(peek) == csrMagic {
-		if mmapSupported && os.Getenv("OPIM_NO_MMAP") == "" {
+	if peek, err := br.Peek(len(csrMagic)); err == nil && string(peek) == csrMagic {
+		if mmapSupported {
 			return mmapCSRFile(f)
 		}
 		return ReadCSR(br)
-	}
-	if err == nil && string(peek) == binaryMagic {
-		return ReadBinary(br)
 	}
 	return ReadText(br)
 }
 
 // MmapAvailable reports whether this build and platform support the
 // aliasing mmap path for OPIMG2 files (little-endian unix, not compiled
-// with the opim_nommap tag). OPIM_NO_MMAP=1 still forces the copy decoder
-// at load time even when this returns true.
+// with the opim_nommap tag).
 func MmapAvailable() bool { return mmapSupported }
-
-// SaveFile writes g to path in binary format.
-func SaveFile(path string, g *Graph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteBinary(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
 
 func floatBits(f float32) uint32     { return math.Float32bits(f) }
 func floatFromBits(b uint32) float32 { return math.Float32frombits(b) }

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -90,56 +89,21 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g := buildTest(t, 1000, []Edge{{0, 999, 0.015625}, {5, 7, 0.5}, {7, 5, 0.25}})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphsEqual(g, g2) {
-		t.Fatal("binary round trip changed graph")
-	}
-}
-
-func TestReadBinaryBadMagic(t *testing.T) {
-	_, err := ReadBinary(strings.NewReader("NOTMAGIC plus padding"))
-	if !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("error = %v, want ErrBadFormat", err)
-	}
-}
-
-func TestReadBinaryTruncated(t *testing.T) {
-	g := buildTest(t, 3, []Edge{{0, 1, 0.5}, {1, 2, 0.5}})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for _, cut := range []int{3, len(binaryMagic) + 4, len(full) - 5} {
-		if _, err := ReadBinary(bytes.NewReader(full[:cut])); !errors.Is(err, ErrBadFormat) {
-			t.Errorf("truncation at %d: error = %v, want ErrBadFormat", cut, err)
-		}
-	}
-}
-
 func TestLoadSaveFile(t *testing.T) {
 	dir := t.TempDir()
 	g := buildTest(t, 5, []Edge{{0, 1, 0.5}, {3, 4, 0.125}})
 
-	binPath := filepath.Join(dir, "g.bin")
-	if err := SaveFile(binPath, g); err != nil {
+	binPath := filepath.Join(dir, "g.csr")
+	if err := SaveFileCSR(binPath, g); err != nil {
 		t.Fatal(err)
 	}
 	g2, err := LoadFile(binPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer g2.Close()
 	if !graphsEqual(g, g2) {
-		t.Fatal("binary file round trip changed graph")
+		t.Fatal("OPIMG2 file round trip changed graph")
 	}
 
 	txtPath := filepath.Join(dir, "g.txt")

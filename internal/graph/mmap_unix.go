@@ -21,8 +21,8 @@ package graph
 // The OPIMG2 sections are little-endian; aliasing is only correct on a
 // little-endian host, so mmapSupported is a runtime byte-order probe and
 // big-endian builds transparently use the ReadCSR copy decoder (which
-// byte-swaps element-wise). The opim_nommap build tag or OPIM_NO_MMAP=1
-// force the copy path on any platform.
+// byte-swaps element-wise). The opim_nommap build tag forces the copy
+// path on any platform.
 
 import (
 	"fmt"

@@ -65,7 +65,7 @@ type graphIdent struct {
 // specString, fingerprint) are immutable after the entry is published, so
 // they are readable without any lock; the current identity lives in ident
 // (lock-free reads); the residency fields (g, sampler) and the epoch
-// chain (lineages) transition under mu.
+// chain (lineages) transition under mu, through installLocked.
 type graphEntry struct {
 	name       string
 	spec       cliutil.GraphSpec
@@ -89,12 +89,11 @@ type graphEntry struct {
 	g       *graph.Graph   // nil while unloaded
 	sampler *rrset.Sampler // nil while unloaded
 
-	// The epoch chain, guarded by mu: lineages[i] is the chain hash at
-	// epoch baseEpoch+i (lineages[0] == fingerprint while baseEpoch is 0),
-	// and the last entry is the current epoch's. A checkpoint resumes only
-	// from an epoch on it. The batches themselves live in the journal.
-	lineages  []string
-	baseEpoch int64
+	// The epoch chain, guarded by mu: the lineages of consecutive epochs
+	// ending at the current epoch's (lineages[0] == fingerprint while the
+	// chain starts at epoch 0). A checkpoint resumes only from an epoch on
+	// it. The batches themselves live in the journal.
+	lineages []string
 
 	// mutating serializes mutation batches: one at a time per graph, and
 	// engine-touching session requests answer 409 while it is set.
@@ -165,17 +164,15 @@ func (s *Server) acquireGraph(e *graphEntry) (*rrset.Sampler, error) {
 		}
 		// A mutated graph comes back through its journal — the path startup
 		// takes — and must land exactly where the entry's chain ends.
-		if s.cfg.CheckpointDir != "" {
-			if g, _, err = ReplayMutationLog(s.cfg.CheckpointDir, e.name, g); err != nil {
-				return nil, fmt.Errorf("reloading graph %q: %w", e.name, err)
-			}
+		g, chain, err := replayMutationLog(s.cfg.CheckpointDir, e.name, g)
+		if err != nil {
+			return nil, fmt.Errorf("reloading graph %q: %w", e.name, err)
 		}
 		if cur := e.lineages[len(e.lineages)-1]; g.EpochLineage() != cur {
 			return nil, fmt.Errorf("reloading graph %q: journal replays to epoch %d lineage %.12s, catalog is at lineage %.12s",
 				e.name, g.Epoch(), g.EpochLineage(), cur)
 		}
-		e.g, e.sampler = g, rrset.NewSampler(g, model)
-		e.isLoaded.Store(true)
+		e.installLocked(g, rrset.NewSampler(g, model), chain)
 		gGraphsLoaded.Set(float64(s.loadedGraphs.Add(1)))
 		mGraphLoadTime.Observe(time.Since(t0))
 		obs.Emit(s.cfg.Events, "graph_load", map[string]any{
@@ -203,20 +200,11 @@ func (s *Server) releaseGraph(e *graphEntry) {
 	s.touchGraph(e)
 }
 
-// newGraphEntry builds a loaded catalog slot for g at the epoch glog
-// replays to; glog supplies the lineages of the chain so far and the
-// epoch-0 content fingerprint (the spec-reload verification anchor).
-func newGraphEntry(name string, spec cliutil.GraphSpec, g *graph.Graph, sampler *rrset.Sampler, glog *GraphLog) *graphEntry {
-	e := &graphEntry{
-		name:        name,
-		spec:        spec,
-		specString:  spec.String(),
-		fingerprint: glog.BaseFingerprint,
-		g:           g,
-		sampler:     sampler,
-		lineages:    glog.Lineages,
-		baseEpoch:   g.Epoch() - int64(glog.Epochs()),
-	}
+// installLocked makes g — served through sampler, at the end of the
+// epoch chain — e's resident graph and publishes its identity. Callers
+// hold e.mu, or own e before publication.
+func (e *graphEntry) installLocked(g *graph.Graph, sampler *rrset.Sampler, chain []string) {
+	e.g, e.sampler, e.lineages = g, sampler, chain
 	e.ident.Store(&graphIdent{
 		fingerprint: g.Fingerprint(),
 		epoch:       g.Epoch(),
@@ -225,7 +213,6 @@ func newGraphEntry(name string, spec cliutil.GraphSpec, g *graph.Graph, sampler 
 		m:           g.M(),
 	})
 	e.isLoaded.Store(true)
-	return e
 }
 
 // registerGraph loads spec and publishes it under name. The returned
@@ -244,19 +231,18 @@ func (s *Server) registerGraph(name string, spec cliutil.GraphSpec) (*graphEntry
 		return nil, http.StatusConflict, fmt.Errorf("graph %q already exists", name)
 	}
 	t0 := time.Now()
-	g, model, err := spec.Load()
+	base, model, err := spec.Load()
 	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("loading graph %q: %w", name, err)
 	}
-	glog := &GraphLog{Lineages: []string{g.EpochLineage()}, BaseFingerprint: g.Fingerprint()}
-	if s.cfg.CheckpointDir != "" {
-		// A journal left by a previous run replays the graph forward to the
-		// epoch its sessions last checkpointed against.
-		if g, glog, err = ReplayMutationLog(s.cfg.CheckpointDir, name, g); err != nil {
-			return nil, http.StatusBadRequest, err
-		}
+	// A journal left by a previous run replays the graph forward to the
+	// epoch its sessions last checkpointed against.
+	g, chain, err := replayMutationLog(s.cfg.CheckpointDir, name, base)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
 	}
-	e := newGraphEntry(name, spec, g, rrset.NewSampler(g, model), glog)
+	e := &graphEntry{name: name, spec: spec, specString: spec.String(), fingerprint: base.Fingerprint()}
+	e.installLocked(g, rrset.NewSampler(g, model), chain)
 	s.gmu.Lock()
 	if _, taken := s.graphs[name]; taken {
 		s.gmu.Unlock()

@@ -24,8 +24,8 @@ import (
 	"github.com/reprolab/opim/internal/rrset"
 )
 
-// writeCatalogGraph generates a small distinct graph and writes it to a
-// binary file registerable through a path-based GraphSpec.
+// writeCatalogGraph generates a small distinct graph and writes it to an
+// OPIMG2 file registerable through a path-based GraphSpec.
 func writeCatalogGraph(t *testing.T, n int32, seed uint64) (string, *graph.Graph) {
 	t.Helper()
 	g, err := gen.PreferentialAttachment(n, 6, 0.15, seed)
@@ -36,15 +36,8 @@ func writeCatalogGraph(t *testing.T, n int32, seed uint64) (string, *graph.Graph
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), fmt.Sprintf("g%d.bin", seed))
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := graph.WriteBinary(f, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	path := filepath.Join(t.TempDir(), fmt.Sprintf("g%d.csr", seed))
+	if err := graph.SaveFileCSR(path, g); err != nil {
 		t.Fatal(err)
 	}
 	return path, g
@@ -500,14 +493,13 @@ func TestGraphReloadDetectsChangedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	// Replace the file rather than rewrite it in place: the unloaded
+	// graph may still map the old one until it is collected.
+	tmp := path + ".tmp"
+	if err := graph.SaveFileCSR(tmp, other); err != nil {
 		t.Fatal(err)
 	}
-	if err := graph.WriteBinary(f, other); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
 		t.Fatal(err)
 	}
 

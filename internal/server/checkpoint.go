@@ -116,6 +116,7 @@ func (s *Server) saveSessionCheckpointFP(sess *Session) (int64, engineFP, error)
 		})
 		return n, fp, fmt.Errorf("server: checkpoint %s: %w", path, err)
 	}
+	sess.ckEpoch.Store(fp.epoch)
 	mCkWrites.Inc()
 	mCkBytes.Add(n)
 	return n, fp, nil
@@ -325,6 +326,7 @@ func (s *Server) restore(sess *Session) error {
 			return err
 		}
 	}
+	sess.ckEpoch.Store(savedEpoch)
 	if resampled := s.catchUp(online, e); resampled || online.Sampler().Graph().Epoch() > savedEpoch {
 		mSessionsCaughtUp.Inc()
 		log.Printf("server: session %q checkpointed at epoch %d of graph %q restored onto epoch %d",

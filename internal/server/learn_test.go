@@ -18,7 +18,6 @@ import (
 	"github.com/reprolab/opim/internal/graph"
 	"github.com/reprolab/opim/internal/learn"
 	"github.com/reprolab/opim/internal/rng"
-	"github.com/reprolab/opim/internal/rrset"
 )
 
 // observeRound simulates one real-world cascade of the round's seeds on
@@ -216,17 +215,11 @@ func TestLearningCampaignConvergesAndSurvivesKill(t *testing.T) {
 	}
 	ts1.Close() // simulated SIGKILL: no Shutdown, no final checkpoint
 
-	// Restart the way opimd does: replay the journal over a freshly
-	// loaded base graph, build a fresh default session on the replayed
-	// sampler, New, Resume, re-enable learning (which must keep the
-	// restored campaign, not reset to the uniform prior).
-	base := robustSampler(t).Graph()
-	g2, glog, err := ReplayMutationLog(dir, DefaultGraphName, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampler2 := rrset.NewSampler(g2, diffusion.IC)
-	srv2 := New(robustSession(t, sampler2), Config{Batch: 500, CheckpointDir: dir, DefaultGraphLog: glog})
+	// Restart the way opimd does: a fresh default session on a freshly
+	// loaded base graph, New, Resume (which replays the journal), re-enable
+	// learning (which must keep the restored campaign, not reset to the
+	// uniform prior).
+	srv2 := New(robustSession(t, robustSampler(t)), Config{Batch: 500, CheckpointDir: dir})
 	if _, err := srv2.Resume(); err != nil {
 		t.Fatal(err)
 	}

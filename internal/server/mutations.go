@@ -32,6 +32,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"slices"
 	"time"
 
 	"github.com/reprolab/opim/internal/core"
@@ -161,9 +162,10 @@ func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation) (*UpdateGraphRe
 
 	// Write-ahead journal: the batch is durable before anything observes
 	// it. A failure here applies nothing.
+	var journalBytes int64
 	if s.cfg.CheckpointDir != "" {
 		entry := mutlogEntry{Epoch: ng.Epoch(), Lineage: ng.EpochLineage(), Updates: mutationsToUpdates(ms)}
-		if err := appendMutationLog(s.cfg.CheckpointDir, e.name, e.fingerprint, entry); err != nil {
+		if journalBytes, err = appendMutationLog(s.cfg.CheckpointDir, e.name, e.fingerprint, entry); err != nil {
 			return nil, http.StatusInternalServerError, err
 		}
 	}
@@ -173,16 +175,8 @@ func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation) (*UpdateGraphRe
 	// rebased below.
 	newSampler := rrset.NewSampler(ng, sampler.Model())
 	e.mu.Lock()
-	e.g, e.sampler = ng, newSampler
-	e.lineages = append(e.lineages, ng.EpochLineage())
+	e.installLocked(ng, newSampler, append(e.lineages, ng.EpochLineage()))
 	e.mu.Unlock()
-	e.ident.Store(&graphIdent{
-		fingerprint: ng.Fingerprint(),
-		epoch:       ng.Epoch(),
-		lineage:     ng.EpochLineage(),
-		n:           ng.N(),
-		m:           ng.M(),
-	})
 	mGraphMutations.Inc()
 
 	// Rebase every loaded session on this graph. Each repair holds only
@@ -223,7 +217,9 @@ func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation) (*UpdateGraphRe
 	})
 	// Still inside the e.mutating critical section, so no concurrent
 	// append can interleave with the journal rewrite.
-	s.maybeCompactJournal(e, ng)
+	if journalBytes > graph.CSRSize(ng) {
+		s.compactJournal(e, ng, journalBytes)
+	}
 	return &UpdateGraphResponse{
 		Graph:       e.name,
 		Epoch:       ng.Epoch(),
@@ -236,43 +232,35 @@ func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation) (*UpdateGraphRe
 	}, 0, nil
 }
 
-// maybeCompactJournal compacts e's mutation journal once it holds
-// Config.JournalCompactEvery entries: snapshot the current graph, rewrite
-// the journal to start from it, and truncate the in-memory chain to
-// match. Called from mutateGraph while e.mutating is held, so no batch
-// can append concurrently. Compaction is deferred — logged, and retried by
-// the next batch — while any unloaded session on e holds a checkpoint
-// older than the current epoch: that checkpoint's epoch would leave the
-// chain, and its lineage check would strand the session. A loaded
-// session is current (the batch's repair sweep rebased it), but its last
-// checkpoint on disk may still predate the snapshot, and a restart before
-// its next checkpoint refuses it with "outside the journaled chain". A
-// compaction failure only logs: the journal keeps its full history and
-// the next batch retries.
-func (s *Server) maybeCompactJournal(e *graphEntry, ng *graph.Graph) {
-	if s.cfg.JournalCompactEvery <= 0 || s.cfg.CheckpointDir == "" {
-		return
-	}
-	e.mu.Lock()
-	n := len(e.lineages) - 1
-	e.mu.Unlock()
-	if n < s.cfg.JournalCompactEvery {
-		return
-	}
+// compactJournal compacts e's mutation journal, which a batch just left
+// larger than ng's OPIMG2 encoding: snapshot ng, rewrite the journal to
+// start from it, and truncate the in-memory chain to match. The chain
+// keeps every epoch from the oldest checkpoint any session on e has on
+// disk (ckEpoch), so no checkpoint leaves it. Reading the ckEpochs under
+// saveMu makes that exact: no checkpoint write is in flight, and every
+// later write serializes an engine the batch's sweep has already moved to
+// ng, whose epoch the chain always keeps. Called from mutateGraph while
+// e.mutating is held, so no batch can append concurrently. A failure
+// only logs: the journal keeps its full history and the next batch
+// retries.
+func (s *Server) compactJournal(e *graphEntry, ng *graph.Graph, journalBytes int64) {
+	oldest := ng.Epoch()
+	s.saveMu.Lock()
 	for _, sess := range s.snapshotSessions() {
-		if sess.graph == e && sessionState(sess.state.Load()) == stateUnloaded && sess.ckEpoch.Load() < ng.Epoch() {
-			log.Printf("server: deferring compaction of graph %q's mutation journal: unloaded session %q checkpointed at epoch %d, graph at %d (next batch retries)",
-				e.name, sess.ID, sess.ckEpoch.Load(), ng.Epoch())
-			return
+		if ck := sess.ckEpoch.Load(); sess.graph == e && ck >= 0 && ck < oldest {
+			oldest = ck
 		}
 	}
-	if err := compactMutationLog(s.cfg.CheckpointDir, e.name, e.fingerprint, ng); err != nil {
+	s.saveMu.Unlock()
+	e.mu.Lock()
+	kept := e.lineages[max(0, len(e.lineages)-1-int(ng.Epoch()-oldest)):]
+	e.mu.Unlock()
+	if err := compactMutationLog(s.cfg.CheckpointDir, e.name, e.fingerprint, ng, kept[:len(kept)-1]); err != nil {
 		log.Printf("server: compacting mutation journal for graph %q: %v (history kept; next batch retries)", e.name, err)
 		return
 	}
 	e.mu.Lock()
-	e.lineages = []string{ng.EpochLineage()}
-	e.baseEpoch = ng.Epoch()
+	e.lineages = slices.Clone(kept)
 	e.mu.Unlock()
 	mJournalCompacts.Inc()
 	obs.Emit(s.cfg.Events, "journal_compaction", map[string]any{
@@ -280,25 +268,28 @@ func (s *Server) maybeCompactJournal(e *graphEntry, ng *graph.Graph) {
 		"epoch":             ng.Epoch(),
 		"lineage":           ng.EpochLineage(),
 		"graph_fingerprint": ng.Fingerprint(),
-		"entries_dropped":   n,
+		"journal_bytes":     journalBytes,
 	})
-	log.Printf("server: compacted mutation journal for graph %q at epoch %d (%d entries folded into snapshot)", e.name, ng.Epoch(), n)
+	log.Printf("server: compacted graph %q's %d-byte mutation journal at epoch %d (chain kept from epoch %d)", e.name, journalBytes, ng.Epoch(), oldest)
 }
 
 // onChain checks that the graph state (epoch, lineage) lies on e's epoch
 // chain and returns e's current sampler. A position off the chain is
-// core.ErrGraphMismatch: before the journal's base epoch (compacted away)
+// core.ErrGraphMismatch: before its first epoch (compacted away: a stray
+// copy of a checkpoint, or a .prev generation older than the kept chain)
 // or past its head, or a lineage from a different history — regenerating
 // a session recorded on an unrelated graph would be silent corruption.
 // Callers hold a loadedRefs reference, so e is resident.
 func (e *graphEntry) onChain(epoch int64, lineage string) (*rrset.Sampler, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	idx := epoch - e.baseEpoch
-	if idx < 0 || idx >= int64(len(e.lineages)) {
+	head := e.g.Epoch()
+	first := head - int64(len(e.lineages)) + 1
+	if epoch < first || epoch > head {
 		return nil, fmt.Errorf("%w: epoch %d of graph %q is outside the journaled chain [%d, %d] (mutation journal compacted past it, truncated or missing?)",
-			core.ErrGraphMismatch, epoch, e.name, e.baseEpoch, e.baseEpoch+int64(len(e.lineages))-1)
+			core.ErrGraphMismatch, epoch, e.name, first, head)
 	}
+	idx := epoch - first
 	if e.lineages[idx] != lineage {
 		return nil, fmt.Errorf("%w: graph %q lineage %.12s at epoch %d is not on this graph's epoch chain (%.12s): it descends from a different history",
 			core.ErrGraphMismatch, e.name, lineage, epoch, e.lineages[idx])

@@ -192,9 +192,9 @@ func TestMutateRepairMatchesFreshRun(t *testing.T) {
 	}
 }
 
-// TestMutationJournalReplayRestart: simulated SIGKILL after a mutation. The
-// restart replays the journal (ReplayMutationLog), then Resume restores a
-// pre-mutation default checkpoint (AcceptStale + catch-up) and adopts a
+// TestMutationJournalReplayRestart: simulated SIGKILL after a mutation. On
+// restart Resume replays the default graph's journal, restores a
+// pre-mutation default checkpoint onto the mutated epoch and adopts a
 // pre-mutation session checkpoint from the directory, and both sessions
 // end byte-identical to never-crashed runs on the mutated graph.
 func TestMutationJournalReplayRestart(t *testing.T) {
@@ -237,24 +237,17 @@ func TestMutationJournalReplayRestart(t *testing.T) {
 	// epoch-0 checkpoints and the mutation journal survive.
 	ts1.Close()
 
-	// Restart, the way opimd does: replay the journal over the spec-loaded
-	// base graph, then resume the default checkpoint against the current
-	// epoch's sampler.
+	// Restart, the way opimd does: New on the spec-loaded base graph, then
+	// Resume, which replays the journal before restoring the checkpoints.
 	base := robustSampler(t).Graph()
-	g2, glog, err := ReplayMutationLog(dir, DefaultGraphName, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if glog.Epochs() != 1 || g2.Epoch() != 1 || g2.EpochLineage() != up.Lineage {
-		t.Fatalf("journal replay: epochs=%d epoch=%d lineage=%q, want 1/1/%q",
-			glog.Epochs(), g2.Epoch(), g2.EpochLineage(), up.Lineage)
-	}
-	sampler2 := rrset.NewSampler(g2, diffusion.IC)
 	before := counters(t).Counters["server_sessions_caught_up_total"]
-	srv2 := New(robustSession(t, sampler2), Config{Batch: 500, CheckpointDir: dir, DefaultGraphLog: glog})
+	srv2 := New(robustSession(t, rrset.NewSampler(base, diffusion.IC)), Config{Batch: 500, CheckpointDir: dir})
 	adopted, err := srv2.Resume()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if epoch, lineage, n := graphChain(srv2, DefaultGraphName); epoch != 1 || lineage != up.Lineage || n != 2 {
+		t.Fatalf("journal replay: epoch=%d lineage=%q with %d lineages, want 1/%q with 2", epoch, lineage, n, up.Lineage)
 	}
 	if d := counters(t).Counters["server_sessions_caught_up_total"] - before; d != 2 {
 		t.Fatalf("stale checkpoints: %d caught up, want both the default and aug caught up on resume", d)

@@ -8,13 +8,14 @@ package server
 // record (write-ahead ordering). The file is JSONL: a header line naming
 // the graph and its base (epoch-0) content fingerprint, then one entry per
 // batch carrying the resulting epoch, the chained lineage hash, and the
-// batch's ops in wire form. At startup — and when an unloaded graph is
-// reloaded under MaxLoadedGraphs — ReplayMutationLog re-derives the
-// current-epoch graph by re-applying every batch to the freshly loaded
-// base graph, verifying each step against the recorded lineage — an edited
-// journal, a swapped dataset, or a divergent replay all fail loudly. The
-// journal is the only record of the batches: memory keeps one lineage
-// hash per epoch.
+// batch's ops in wire form. The server owns every replay: Resume replays
+// the default graph's journal, registration every other graph's, and a
+// graph reloaded under MaxLoadedGraphs replays its own. replayMutationLog
+// re-derives the current-epoch graph by re-applying every batch to the
+// freshly loaded base graph, verifying each step against the recorded
+// lineage — an edited journal, a swapped dataset, or a divergent replay
+// all fail loudly. The journal is the only record of the batches: memory
+// keeps one lineage hash per epoch.
 //
 // A crash mid-append leaves a torn final line. That line is dropped on
 // replay: the batch it described was never applied in memory (the apply
@@ -23,11 +24,14 @@ package server
 // epoch chain is what makes this detectable rather than assumed — a
 // partially recorded batch cannot chain-hash to a valid lineage.
 //
-// Compaction (Config.JournalCompactEvery) bounds replay time: once the
-// journal accumulates K entries, the current graph is written to an
-// OPIMG2 snapshot (graph-<name>.e<epoch>.snap) and the journal is
-// atomically rewritten to a single header line referencing it. Replay
-// then starts from the snapshot — verified against the recorded
+// Compaction bounds the journal by the graph's size: once a batch leaves
+// the journal larger than the new graph's OPIMG2 encoding — past that
+// point a replay reads more than loading the snapshot would — the current
+// graph is written to an OPIMG2 snapshot (graph-<name>.e<epoch>.snap) and
+// the journal is atomically rewritten to a single header line referencing
+// it. The header keeps the lineages back to the oldest epoch any session
+// checkpoint on disk records, so compaction never strands a checkpoint.
+// Replay then starts from the snapshot — verified against the recorded
 // fingerprint and stamped with the recorded (epoch, lineage) — instead of
 // the epoch-0 base. The crash orderings are all safe: the snapshot is
 // written before the header that references it (an orphan snapshot under
@@ -35,10 +39,10 @@ package server
 // a new snapshot can never clobber the one the current header points at,
 // and the header rewrite goes through fsutil.WriteAtomic (a crash between
 // its renames leaves the previous journal generation at .prev, which
-// replay falls back to).
+// replay falls back to and puts back in place for the next append).
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -50,29 +54,6 @@ import (
 	"github.com/reprolab/opim/internal/fsutil"
 	"github.com/reprolab/opim/internal/graph"
 )
-
-// GraphLog is a graph's epoch chain from its base epoch: Lineages[i] is
-// the epoch-chain hash at epoch BaseEpoch+i. BaseEpoch is 0 for an
-// uncompacted journal (Lineages[0] is then the base content fingerprint);
-// after compaction it is the snapshot's epoch. A checkpoint's (epoch,
-// lineage) must lie on it to resume onto the graph's current epoch.
-type GraphLog struct {
-	Lineages []string
-	// BaseEpoch is the epoch the log starts from: 0, or the compaction
-	// snapshot's epoch. Checkpoints recorded before it cannot resume.
-	BaseEpoch int64
-	// BaseFingerprint is the epoch-0 dataset's content fingerprint, which
-	// every journal header — compacted or not — is anchored to.
-	BaseFingerprint string
-}
-
-// Epochs returns the number of journaled mutation batches.
-func (l *GraphLog) Epochs() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.Lineages) - 1
-}
 
 // MutationLogPath returns where the named graph's mutation journal lives
 // under a checkpoint directory.
@@ -91,13 +72,16 @@ func MutationSnapshotPath(dir, name string, epoch int64) string {
 // mutlogHeader is the journal's first line. BaseFingerprint always
 // anchors the epoch-0 dataset; the Snapshot fields are set by compaction
 // and redirect replay to start from the referenced OPIMG2 snapshot
-// instead of the base graph.
+// instead of the base graph. KeptLineages are the lineages of the epochs
+// just before SnapshotEpoch, oldest first, that compaction kept because a
+// session checkpoint records one of them.
 type mutlogHeader struct {
-	Graph           string `json:"graph"`
-	BaseFingerprint string `json:"base_fingerprint"`
-	SnapshotEpoch   int64  `json:"snapshot_epoch,omitempty"`
-	SnapshotLineage string `json:"snapshot_lineage,omitempty"`
-	SnapshotFP      string `json:"snapshot_fingerprint,omitempty"`
+	Graph           string   `json:"graph"`
+	BaseFingerprint string   `json:"base_fingerprint"`
+	SnapshotEpoch   int64    `json:"snapshot_epoch,omitempty"`
+	SnapshotLineage string   `json:"snapshot_lineage,omitempty"`
+	SnapshotFP      string   `json:"snapshot_fingerprint,omitempty"`
+	KeptLineages    []string `json:"kept_lineages,omitempty"`
 }
 
 // mutlogEntry is one journal line after the header: the batch that
@@ -108,49 +92,50 @@ type mutlogEntry struct {
 	Updates []GraphUpdate `json:"updates"`
 }
 
-// ReplayMutationLog applies the journal for the named graph (if any) to g
-// — a freshly loaded base (epoch-0) graph — and returns the current-epoch
-// graph plus its verified epoch chain. Each replayed batch must reproduce the
-// recorded lineage, so any divergence between the journal and the dataset
-// on disk is a hard error, never a silently different graph. A torn final
-// line (crash mid-append) is dropped with a log line; a torn or
-// unparsable line anywhere else is corruption and fails the replay.
-// With no journal present g is returned unchanged under an empty log. A
-// journal rewritten by compaction redirects replay to its snapshot; a
-// missing journal with a .prev generation beside it (a crash between
-// WriteAtomic's renames) falls back to the previous generation.
-func ReplayMutationLog(dir, name string, g *graph.Graph) (*graph.Graph, *GraphLog, error) {
-	glog := &GraphLog{Lineages: []string{g.EpochLineage()}, BaseFingerprint: g.Fingerprint()}
+// replayMutationLog applies the journal for the named graph (if any) to
+// g — a freshly loaded base (epoch-0) graph — and returns the
+// current-epoch graph plus its verified epoch chain: the lineages of
+// consecutive epochs ending at the returned graph's. Each replayed batch
+// must reproduce the recorded lineage, so any divergence between the
+// journal and the dataset on disk is a hard error, never a silently
+// different graph. A torn final line (crash mid-append) is dropped with a
+// log line; a torn or unparsable line anywhere else is corruption and
+// fails the replay. With no checkpoint dir or no journal, g is returned
+// unchanged with a one-epoch chain. A journal rewritten by compaction
+// redirects replay to its snapshot; a missing journal with a .prev
+// generation beside it (a crash between WriteAtomic's renames) falls back
+// to the previous generation and renames it back into place. Lines are
+// read without a length cap: the journal is the server's own file, and
+// one learning round over a large graph journals an entry of tens of
+// megabytes.
+func replayMutationLog(dir, name string, g *graph.Graph) (*graph.Graph, []string, error) {
+	chain := []string{g.EpochLineage()}
+	if dir == "" {
+		return g, chain, nil
+	}
 	path := MutationLogPath(dir, name)
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		f, err = os.Open(path + fsutil.PrevSuffix)
-		if errors.Is(err, os.ErrNotExist) {
-			return g, glog, nil
-		}
-		if err == nil {
+		if data, err = os.ReadFile(path + fsutil.PrevSuffix); errors.Is(err, os.ErrNotExist) {
+			return g, chain, nil
+		} else if err == nil {
 			log.Printf("server: mutation journal %s missing; replaying previous generation %s (crash between compaction renames)", path, path+fsutil.PrevSuffix)
+			// Put it back, so the next batch extends the history it holds
+			// instead of starting a journal without it.
+			err = os.Rename(path+fsutil.PrevSuffix, path)
 		}
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("server: opening mutation journal %s: %w", path, err)
+		return nil, nil, fmt.Errorf("server: mutation journal %s: %w", path, err)
 	}
-	defer f.Close()
-
 	var lines [][]byte
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
-	for sc.Scan() {
-		line := append([]byte(nil), sc.Bytes()...)
+	for _, line := range bytes.Split(data, []byte{'\n'}) {
 		if len(line) > 0 {
 			lines = append(lines, line)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("server: reading mutation journal %s: %w", path, err)
-	}
 	if len(lines) == 0 {
-		return g, glog, nil
+		return g, chain, nil
 	}
 
 	var hdr mutlogHeader
@@ -172,8 +157,7 @@ func ReplayMutationLog(dir, name string, g *graph.Graph) (*graph.Graph, *GraphLo
 			return nil, nil, fmt.Errorf("server: journal snapshot %s: %w", snapPath, err)
 		}
 		g = snap
-		glog.BaseEpoch = hdr.SnapshotEpoch
-		glog.Lineages = []string{hdr.SnapshotLineage}
+		chain = append(hdr.KeptLineages, hdr.SnapshotLineage)
 	}
 
 	for i, line := range lines[1:] {
@@ -201,44 +185,45 @@ func ReplayMutationLog(dir, name string, g *graph.Graph) (*graph.Graph, *GraphLo
 				path, i+1, ng.Epoch(), ng.EpochLineage(), e.Epoch, e.Lineage)
 		}
 		g = ng
-		glog.Lineages = append(glog.Lineages, e.Lineage)
+		chain = append(chain, e.Lineage)
 	}
-	return g, glog, nil
+	return g, chain, nil
 }
 
 // appendMutationLog durably records one applied batch: open (creating
-// with the header when new), append the entry line, fsync. The caller
-// applies the batch in memory only after this returns nil — write-ahead
-// order is what makes crash-mid-mutation detectable rather than silent.
-func appendMutationLog(dir, name, baseFP string, e mutlogEntry) error {
+// with the header when new), append the entry line, fsync. It returns the
+// journal's size after the append. The caller applies the batch in memory
+// only after this returns nil — write-ahead order is what makes
+// crash-mid-mutation detectable rather than silent.
+func appendMutationLog(dir, name, baseFP string, e mutlogEntry) (int64, error) {
 	path := MutationLogPath(dir, name)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("server: opening mutation journal %s: %w", path, err)
+		return 0, fmt.Errorf("server: opening mutation journal %s: %w", path, err)
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	var buf []byte
 	if st.Size() == 0 {
 		hdr, err := json.Marshal(mutlogHeader{Graph: name, BaseFingerprint: baseFP})
 		if err != nil {
-			return err
+			return 0, err
 		}
 		buf = append(append(buf, hdr...), '\n')
 	}
 	line, err := json.Marshal(e)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	buf = append(append(buf, line...), '\n')
 	if _, err := f.Write(buf); err != nil {
-		return fmt.Errorf("server: appending to mutation journal %s: %w", path, err)
+		return 0, fmt.Errorf("server: appending to mutation journal %s: %w", path, err)
 	}
 	if err := f.Sync(); err != nil {
-		return fmt.Errorf("server: syncing mutation journal %s: %w", path, err)
+		return 0, fmt.Errorf("server: syncing mutation journal %s: %w", path, err)
 	}
 	if st.Size() == 0 {
 		// First write also created the file; make the directory entry
@@ -249,7 +234,7 @@ func appendMutationLog(dir, name, baseFP string, e mutlogEntry) error {
 			d.Close()
 		}
 	}
-	return nil
+	return st.Size() + int64(len(buf)), nil
 }
 
 // readGraphSnapshot loads a compaction snapshot and verifies its content
@@ -273,12 +258,13 @@ func readGraphSnapshot(path, wantFP string) (*graph.Graph, error) {
 
 // compactMutationLog rewrites the named graph's journal to start from g:
 // g is written to an epoch-suffixed OPIMG2 snapshot, then the journal is
-// atomically replaced with a single header line referencing it. Write
-// order makes every crash point safe — the snapshot lands before any
-// header mentions it, and the journal swap is WriteAtomic (old generation
-// kept at .prev). Snapshots from earlier compactions are removed best-
-// effort afterwards; a leftover one is just disk, never read.
-func compactMutationLog(dir, name, baseFP string, g *graph.Graph) error {
+// atomically replaced with a single header line referencing it and
+// carrying kept, the lineages of the epochs just before g's. Write order
+// makes every crash point safe — the snapshot lands before any header
+// mentions it, and the journal swap is WriteAtomic (old generation kept
+// at .prev). Snapshots from earlier compactions are removed best-effort
+// afterwards; a leftover one is just disk, never read.
+func compactMutationLog(dir, name, baseFP string, g *graph.Graph, kept []string) error {
 	snapPath := MutationSnapshotPath(dir, name, g.Epoch())
 	if _, err := fsutil.WriteAtomic(snapPath, func(w io.Writer) error {
 		return graph.WriteCSR(w, g)
@@ -291,6 +277,7 @@ func compactMutationLog(dir, name, baseFP string, g *graph.Graph) error {
 		SnapshotEpoch:   g.Epoch(),
 		SnapshotLineage: g.EpochLineage(),
 		SnapshotFP:      g.Fingerprint(),
+		KeptLineages:    kept,
 	})
 	if err != nil {
 		return err

@@ -3,18 +3,18 @@ package server
 // Model-based differential test of the restore path. Each seed draws a
 // random sequence of operations against one 400-node graph with
 // CheckpointDir set and MaxLoadedSessions 1 — create, advance, checkpoint,
-// a mutation batch, touching another session (which evicts the resident
-// one), and kill −9 followed by the opimd restart sequence (replay the
-// journal, fresh default session, New, Resume). At the end every session
-// must serialize to exactly the bytes of a fresh core.Online with its
-// options, run on the final graph and advanced to its RR count.
+// a one-op mutation batch, a batch reweighting every edge (which outgrows
+// the graph's OPIMG2 encoding and so compacts the journal), touching
+// another session (which evicts the resident one), and kill −9 followed
+// by the opimd restart sequence (fresh default session on the base graph,
+// New, Resume). At the end every session must serialize to exactly the
+// bytes of a fresh core.Online with its options, run on the final graph
+// and advanced to its RR count.
 //
 // The model tracks what survives a kill: each session's RR count at its
-// last checkpoint, written by POST checkpoint or by an eviction. Journal
-// compaction is left out (it has its own tests and refuses a restart from
-// a checkpoint older than its snapshot), and so are snapshots (each one
-// advances the δ query counter, which a reference cannot replay across a
-// kill that loses it).
+// last checkpoint, written by POST checkpoint or by an eviction.
+// Snapshots are left out (each one advances the δ query counter, which a
+// reference cannot replay across a kill that loses it).
 
 import (
 	"bytes"
@@ -24,9 +24,7 @@ import (
 	"testing"
 
 	"github.com/reprolab/opim/internal/core"
-	"github.com/reprolab/opim/internal/diffusion"
 	"github.com/reprolab/opim/internal/graph"
-	"github.com/reprolab/opim/internal/rrset"
 )
 
 func TestRestoreModel(t *testing.T) {
@@ -60,13 +58,7 @@ func runRestoreModel(t *testing.T, seed int64) {
 	var srv *Server
 	var ts *httptest.Server
 	start := func() {
-		base := robustSampler(t).Graph()
-		g2, glog, err := ReplayMutationLog(dir, DefaultGraphName, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv = New(robustSession(t, rrset.NewSampler(g2, diffusion.IC)),
-			Config{Batch: 500, CheckpointDir: dir, MaxLoadedSessions: 1, DefaultGraphLog: glog})
+		srv = New(robustSession(t, robustSampler(t)), Config{Batch: 500, CheckpointDir: dir, MaxLoadedSessions: 1})
 		adopted, err := srv.Resume()
 		if err != nil {
 			t.Fatalf("restart: %v", err)
@@ -106,7 +98,7 @@ func runRestoreModel(t *testing.T, seed int64) {
 		}
 	}()
 	for step := 0; step < 30; step++ {
-		switch op := r.Intn(6); op {
+		switch op := r.Intn(7); op {
 		case 0: // create
 			id := []string{"s1", "s2"}[r.Intn(2)]
 			if _, ok := numRR[id]; ok {
@@ -169,6 +161,23 @@ func runRestoreModel(t *testing.T, seed int64) {
 			}
 			resident = ""
 			start()
+		case 6: // a batch over every edge, which compacts the journal
+			ups, ms := reweightAll(t, g, float32(0.01+0.2*r.Float64()))
+			trace = append(trace, "reweight-all")
+			before := compactions(t)
+			resp, err := c().UpdateGraph(DefaultGraphName, ups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if compactions(t) == before {
+				t.Fatalf("a batch over all %d edges did not compact the journal", len(ups))
+			}
+			if g, err = g.WithMutations(ms); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Lineage != g.EpochLineage() {
+				t.Fatalf("server graph at lineage %.12s, model at %.12s", resp.Lineage, g.EpochLineage())
+			}
 		}
 	}
 

@@ -19,6 +19,7 @@ import (
 	"github.com/reprolab/opim/internal/cliutil"
 	"github.com/reprolab/opim/internal/core"
 	"github.com/reprolab/opim/internal/diffusion"
+	"github.com/reprolab/opim/internal/fsutil"
 	"github.com/reprolab/opim/internal/graph"
 	"github.com/reprolab/opim/internal/rrset"
 )
@@ -158,10 +159,11 @@ func TestSweepResamplesEngineTwoEpochsBehind(t *testing.T) {
 // on the final graph. A journal that no longer leads to that lineage
 // fails the reload loudly.
 func TestMutatedGraphReloadsThroughJournal(t *testing.T) {
+	// compact-every-N: every N-th batch of the subtest compacts (0: none).
 	for _, every := range []int{0, 2} {
 		t.Run(fmt.Sprintf("compact-every-%d", every), func(t *testing.T) {
 			dir := t.TempDir()
-			srv, ts := newCkServer(t, robustSampler(t), Config{Batch: 500, CheckpointDir: dir, MaxLoadedSessions: 1, JournalCompactEvery: every})
+			srv, ts := newCkServer(t, robustSampler(t), Config{Batch: 500, CheckpointDir: dir, MaxLoadedSessions: 1})
 			c := NewClient(ts.URL)
 			path, cg := writeCatalogGraph(t, 250, 73)
 			if _, err := c.CreateGraph(CreateGraphRequest{Name: "cg", GraphSpec: cliutil.GraphSpec{Path: path}}); err != nil {
@@ -175,7 +177,28 @@ func TestMutatedGraphReloadsThroughJournal(t *testing.T) {
 			if _, err := s.Advance(600); err != nil {
 				t.Fatal(err)
 			}
-			applied, last := setWeightBatches(t, c, "cg", cg, []float32{0.3, 0.5, 0.7})
+			var applied [][]graph.Mutation
+			var last UpdateGraphResponse
+			e := firstEdge(t, cg)
+			for i, p := range []float32{0.3, 0.5, 0.7} {
+				ups := []GraphUpdate{{Op: "set_weight", From: e.From, To: e.To, P: p}}
+				compacts := every > 0 && (i+1)%every == 0
+				if compacts {
+					ups, _ = reweightAll(t, cg, p/4)
+				}
+				ms, err := updatesToMutations(ups)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := compactions(t)
+				if last, err = c.UpdateGraph("cg", ups); err != nil {
+					t.Fatal(err)
+				}
+				if d := compactions(t) - before; (d == 1) != compacts {
+					t.Fatalf("batch %d: %d compaction(s), want compaction %v", i+1, d, compacts)
+				}
+				applied = append(applied, ms)
+			}
 			// Touching the default session evicts s, at the current epoch.
 			if _, err := c.Session(DefaultSessionID).Advance(100); err != nil {
 				t.Fatal(err)
@@ -215,8 +238,9 @@ func TestMutatedGraphReloadsThroughJournal(t *testing.T) {
 				t.Fatal("session on the reloaded graph is not byte-identical to a fresh run on the final graph")
 			}
 
-			// Without its journal the reload lands on an earlier lineage
-			// (the base, or the previous generation a compaction left).
+			// Without its journal — both generations, as a compaction
+			// leaves the previous one beside it — the reload lands on the
+			// base lineage.
 			if err := c.DeleteSession("s"); err != nil {
 				t.Fatal(err)
 			}
@@ -226,6 +250,7 @@ func TestMutatedGraphReloadsThroughJournal(t *testing.T) {
 			if err := os.Remove(MutationLogPath(dir, "cg")); err != nil {
 				t.Fatal(err)
 			}
+			os.Remove(MutationLogPath(dir, "cg") + fsutil.PrevSuffix)
 			_, err = c.CreateSession(SessionSpec{ID: "s2", Graph: "cg", K: 3, Delta: 0.05})
 			if err == nil || !strings.Contains(err.Error(), "catalog is at lineage") {
 				t.Fatalf("reload without the journal: err = %v, want a loud lineage refusal", err)
@@ -248,7 +273,7 @@ func TestMutatedGraphPinnedWithoutJournal(t *testing.T) {
 	}
 	setWeightBatches(t, c, "mutated", g1, []float32{0.3})
 	for _, p := range []string{p2, p3} {
-		name := strings.TrimSuffix(p[strings.LastIndex(p, "/")+1:], ".bin")
+		name := strings.TrimSuffix(p[strings.LastIndex(p, "/")+1:], ".csr")
 		if _, err := c.CreateGraph(CreateGraphRequest{Name: name, GraphSpec: cliutil.GraphSpec{Path: p}}); err != nil {
 			t.Fatal(err)
 		}

@@ -115,8 +115,10 @@ type Config struct {
 	// CheckpointDir, when non-empty, enables crash-safe checkpointing:
 	// every session, the default included, checkpoints to
 	// CheckpointDir/<id>.ck (previous generation kept at <id>.ck.prev),
-	// every graph journals its mutation batches there, Resume restores the
-	// sessions at startup, and LRU eviction becomes possible.
+	// every graph journals its mutation batches there (compacted once a
+	// journal outgrows its graph), Resume replays the default graph's
+	// journal and restores the sessions at startup, and LRU eviction
+	// becomes possible.
 	CheckpointDir string
 	// MaxLoadedSessions bounds how many sessions are resident in memory;
 	// above it the least-recently-used idle session is checkpointed and
@@ -134,22 +136,9 @@ type Config struct {
 	// reloadable (so it participates in MaxLoadedGraphs) and is recorded in
 	// every default-graph session checkpoint for restart-time verification.
 	DefaultGraphSpec string
-	// DefaultGraphLog, when non-nil, is the default graph's replayed
-	// mutation journal (ReplayMutationLog): the graph handed to New is at
-	// the journal's final epoch, and the log supplies the chain of
-	// lineages that checkpoints from earlier epochs must lie on, plus the
-	// epoch-0 fingerprint the journal is anchored to. Nil means the
-	// default graph starts at its base epoch.
-	DefaultGraphLog *GraphLog
 	// CheckpointInterval is the cadence of StartCheckpointer
 	// (≤ 0 defaults to DefaultCheckpointInterval).
 	CheckpointInterval time.Duration
-	// JournalCompactEvery, when > 0, compacts a graph's mutation journal
-	// once it accumulates that many entries: the current graph is written
-	// to an OPIMG2 snapshot beside the journal and the journal restarts
-	// from the snapshot's epoch, bounding restart replay time and journal
-	// size. ≤ 0 disables compaction (the journal grows without bound).
-	JournalCompactEvery int
 	// Events, when non-nil, receives structured server events: one
 	// "server_panic" per recovered handler panic and one
 	// "checkpoint_failure" per failed checkpoint write.
@@ -220,9 +209,11 @@ type Server struct {
 }
 
 // New wraps session — which becomes the "default" session, on the graph
-// registered as "default" — with the given configuration. Further graphs
-// are registered over HTTP (POST /graphs), further sessions created
-// (POST /sessions); Resume restores every session from its checkpoint.
+// registered as "default" — with the given configuration. The session's
+// graph is the dataset as loaded (epoch 0). Further graphs are registered
+// over HTTP (POST /graphs), further sessions created (POST /sessions);
+// Resume replays the default graph's mutation journal and restores every
+// session from its checkpoint.
 func New(session *core.Online, cfg Config) *Server {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 10000
@@ -253,10 +244,6 @@ func New(session *core.Online, cfg Config) *Server {
 	// without, it can never be unloaded (symmetric with ckPath-less
 	// sessions never being evictable). Pre-publication: no concurrency yet.
 	g := session.Sampler().Graph()
-	glog := cfg.DefaultGraphLog
-	if glog == nil {
-		glog = &GraphLog{Lineages: []string{g.EpochLineage()}, BaseFingerprint: g.Fingerprint()}
-	}
 	var spec cliutil.GraphSpec
 	specString := cfg.DefaultGraphSpec
 	if specString != "" {
@@ -269,8 +256,8 @@ func New(session *core.Online, cfg Config) *Server {
 			spec = parsed
 		}
 	}
-	def := newGraphEntry(DefaultGraphName, spec, g, session.Sampler(), glog)
-	def.specString = specString
+	def := &graphEntry{name: DefaultGraphName, spec: spec, specString: specString, fingerprint: g.Fingerprint()}
+	def.installLocked(g, session.Sampler(), []string{g.EpochLineage()})
 	def.sessions.Store(1)   // the default session
 	def.loadedRefs.Store(1) // ... which starts resident
 	s.graphs[DefaultGraphName] = def
@@ -280,7 +267,7 @@ func New(session *core.Online, cfg Config) *Server {
 	session.SetGraphIdentity(DefaultGraphName, def.specString)
 	session.SetGenerator(cfg.Generator)
 
-	defSess := &Session{ID: DefaultSessionID, ckPath: s.ckPathFor(DefaultSessionID), graph: def}
+	defSess := s.newSession(DefaultSessionID, def)
 	s.applySessionSpec(defSess, servingSpec{}) // server-default budget, weight and rate
 	defSess.setOnlineLocked(session)           // pre-publication: no concurrent access yet
 	s.addSession(defSess)

@@ -34,6 +34,7 @@ import (
 	"github.com/reprolab/opim/internal/fsutil"
 	"github.com/reprolab/opim/internal/learn"
 	"github.com/reprolab/opim/internal/obs"
+	"github.com/reprolab/opim/internal/rrset"
 )
 
 // DefaultSessionID names the session New registers from the engine it is
@@ -118,9 +119,11 @@ type Session struct {
 	// reference while resident (see catalog.go).
 	graph *graphEntry
 
-	// ckEpoch is the graph epoch of the checkpoint the last eviction left
-	// on disk. While an unloaded session's ckEpoch lags its graph,
-	// maybeCompactJournal keeps the chain suffix that checkpoint needs.
+	// ckEpoch is the graph epoch of the session's newest checkpoint on
+	// disk, −1 while it has none: every successful checkpoint write sets it
+	// (under the server's saveMu), and so does restore. Compaction keeps
+	// the epoch chain back to the oldest ckEpoch on the graph, so it never
+	// strands a checkpoint; a session that never checkpoints pins nothing.
 	ckEpoch atomic.Int64
 
 	// spec is the serving spec as the client gave it; it rides in the
@@ -340,6 +343,14 @@ func (s *Server) addSession(sess *Session) error {
 	return nil
 }
 
+// newSession builds an unpublished session on graph e (nil until an
+// adopted session's checkpoint names its graph) with no checkpoint yet.
+func (s *Server) newSession(id string, e *graphEntry) *Session {
+	sess := &Session{ID: id, ckPath: s.ckPathFor(id), graph: e}
+	sess.ckEpoch.Store(-1)
+	return sess
+}
+
 // ckPathFor returns where a session of this id checkpoints
 // ("" when checkpointing is not configured).
 func (s *Server) ckPathFor(id string) string {
@@ -414,7 +425,7 @@ func (s *Server) createSession(spec SessionSpec) (*Session, int, error) {
 		return fail(http.StatusBadRequest, err)
 	}
 	online.SetGraphIdentity(entry.name, entry.specString)
-	sess := &Session{ID: spec.ID, ckPath: s.ckPathFor(spec.ID), graph: entry}
+	sess := s.newSession(spec.ID, entry)
 	serving := servingSpec{MaxRR: spec.MaxRR, Weight: spec.Weight, Rate: spec.Rate, Burst: spec.Burst}
 	if spec.Learn != nil {
 		serving.RoundRR = spec.Learn.RoundRR
@@ -426,12 +437,15 @@ func (s *Server) createSession(spec SessionSpec) (*Session, int, error) {
 	if s.createHook != nil {
 		s.createHook(spec.ID)
 	}
+	// A batch that landed while the engine was being built swept the table
+	// before addSession published this session: catch up now, holding the
+	// session lock from publication on, so no checkpoint can serialize the
+	// engine on an epoch that batch's compaction dropped.
+	sess.mu.Lock()
 	if err := s.addSession(sess); err != nil {
+		sess.mu.Unlock()
 		return fail(http.StatusConflict, err)
 	}
-	// A batch that landed while the engine was being built swept the table
-	// before addSession published this session: catch up now.
-	sess.mu.Lock()
 	if s.catchUp(sess.online, entry) {
 		mSessionsCaughtUp.Inc()
 	}
@@ -444,7 +458,12 @@ func (s *Server) createSession(spec SessionSpec) (*Session, int, error) {
 }
 
 // Resume restores every checkpointed session in CheckpointDir after a
-// restart, each through restore, in two phases:
+// restart. It first replays the default graph's mutation journal onto the
+// graph New registered (the dataset as loaded) and resamples the engines
+// on it — at startup only the fresh default session — so every restore
+// checks its checkpoint against the replayed epoch chain. A replay error
+// fails Resume. Then it restores each session through restore, in two
+// phases:
 //
 //  1. every registered session (at startup, the default session New
 //     created) is restored in place, replacing its fresh engine — which is
@@ -466,6 +485,26 @@ func (s *Server) Resume() ([]string, error) {
 	if s.cfg.CheckpointDir == "" {
 		return nil, nil
 	}
+	def := s.lookupGraph(DefaultGraphName)
+	def.mu.Lock()
+	g, chain, err := replayMutationLog(s.cfg.CheckpointDir, def.name, def.g)
+	if err == nil && g != def.g {
+		def.installLocked(g, rrset.NewSampler(g, def.sampler.Model()), chain)
+	}
+	def.mu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("%w (remove the mutation journal to start from the base graph, abandoning its epochs)", err)
+	}
+	if g.Epoch() > 0 {
+		for _, sess := range s.snapshotSessions() {
+			sess.mu.Lock()
+			if sess.graph == def && sess.online != nil {
+				s.catchUp(sess.online, def)
+			}
+			sess.mu.Unlock()
+		}
+		log.Printf("server: default graph at epoch %d after journal replay (n=%d m=%d)", g.Epoch(), g.N(), g.M())
+	}
 	for _, sess := range s.snapshotSessions() {
 		sess.mu.Lock()
 		err := s.restore(sess)
@@ -475,7 +514,7 @@ func (s *Server) Resume() ([]string, error) {
 		case err == nil:
 			log.Printf("server: resumed session %q from %s (num_rr=%d); its parameters come from the checkpoint", sess.ID, sess.ckPath, numRR)
 		case !errors.Is(err, os.ErrNotExist):
-			return nil, fmt.Errorf("server: resuming session %q: %w", sess.ID, err)
+			return nil, fmt.Errorf("server: resuming session %q: %w (remove the checkpoint to start fresh)", sess.ID, err)
 		}
 	}
 	entries, err := os.ReadDir(s.cfg.CheckpointDir)
@@ -491,14 +530,14 @@ func (s *Server) Resume() ([]string, error) {
 		if de.IsDir() || !ok || !sessionIDRe.MatchString(id) || s.lookup(id) != nil {
 			continue
 		}
-		sess := &Session{ID: id, ckPath: s.ckPathFor(id)}
+		sess := s.newSession(id, nil)
 		sess.state.Store(int32(stateUnloaded))
 		sess.mu.Lock()
 		err := s.restore(sess)
 		sess.mu.Unlock()
 		if err != nil {
 			sort.Strings(adopted)
-			return adopted, fmt.Errorf("server: adopting session %q: %w", id, err)
+			return adopted, fmt.Errorf("server: adopting session %q: %w (remove the checkpoint to start fresh)", id, err)
 		}
 		adopted = append(adopted, id)
 		s.maybeEvict(sess)
@@ -640,7 +679,6 @@ func (s *Server) evictSession(sess *Session) bool {
 		}
 		if fingerprint(sess.online) == fp {
 			sess.online = nil
-			sess.ckEpoch.Store(fp.epoch)
 			sess.state.Store(int32(stateUnloaded))
 			sess.mu.Unlock()
 			gSessionsLoaded.Set(float64(s.loaded.Add(-1)))

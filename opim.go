@@ -80,11 +80,11 @@ func Reweight(g *Graph, scheme WeightScheme, p float64, seed uint64) (*Graph, er
 	return graph.Reweight(g, scheme, p, seed)
 }
 
-// LoadGraph reads a graph from a text or binary edge-list file.
+// LoadGraph reads a graph from an OPIMG2 or text edge-list file.
 func LoadGraph(path string) (*Graph, error) { return graph.LoadFile(path) }
 
-// SaveGraph writes g to a binary edge-list file.
-func SaveGraph(path string, g *Graph) error { return graph.SaveFile(path, g) }
+// SaveGraph writes g to an OPIMG2 file.
+func SaveGraph(path string, g *Graph) error { return graph.SaveFileCSR(path, g) }
 
 // GenerateProfile produces one of the built-in synthetic dataset profiles
 // ("synth-pokec", "synth-orkut", "synth-livejournal", "synth-twitter"),
