@@ -273,11 +273,12 @@ func main() {
 	// Graceful shutdown on SIGINT/SIGTERM: drain in-flight requests first
 	// (so no handler mutates the session underneath the final save), then
 	// stop the sampling loop and checkpointer and write a final
-	// checkpoint.
+	// checkpoint. The handler is registered before "listening on" is
+	// printed, so a SIGTERM sent once that line appears finds it.
 	idle := make(chan struct{})
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
 		fmt.Println("\nopimd: shutting down")
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -376,9 +377,9 @@ func runWorker(sampler *opim.Sampler, g *opim.Graph, model opim.Model, listen st
 		fatalf("%v", err)
 	}
 	idle := make(chan struct{})
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM) // before "listening on", as in the daemon
 	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
 		fmt.Println("\nopimd: worker shutting down")
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)

@@ -554,20 +554,25 @@ func TestAdvanceFor(t *testing.T) {
 
 func TestMaximizeFinalRoundReachesThetaMax(t *testing.T) {
 	// When no round certifies, the final round must hold |R1| ≥ θmax so the
-	// Lemma 6.1 fallback applies. Force exhaustion with a tiny ε on a tiny
-	// graph (α can never reach 1−1/e−ε because σᵘ's additive terms dominate
-	// at small n... use a graph with weak structure instead).
-	g := testGraph(t, 60, 70)
-	s := rrset.NewSampler(g, diffusion.IC)
-	eps, delta := 0.05, 0.1
-	res, err := Maximize(s, 3, eps, delta, Options{Variant: Vanilla, Seed: 71})
+	// Lemma 6.1 fallback applies. On an edgeless graph every RR set is one
+	// node, and Vanilla's σᵘ = Λ1(S*)/(1−1/e) holds α near or below 1−1/e,
+	// so no round reaches 1−1/e−ε and the run exhausts its rounds. Pure
+	// doubling from ⌈θ0⌉ would end below θmax; the top-up must reach it.
+	g, err := graph.NewBuilder(8, 0).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Certified {
-		t.Skip("run certified early; fallback path not reached")
+	s := rrset.NewSampler(g, diffusion.IC)
+	eps, delta := 0.1, 0.1
+	res, err := Maximize(s, 2, eps, delta, Options{Variant: Vanilla, Seed: 71})
+	if err != nil {
+		t.Fatal(err)
 	}
-	thetaMax := bound.ThetaMax(g.N(), 3, eps, delta)
+	if res.Certified || res.Rounds != res.MaxRounds {
+		t.Fatalf("run stopped at round %d of %d (certified=%v); the final round was not reached",
+			res.Rounds, res.MaxRounds, res.Certified)
+	}
+	thetaMax := bound.ThetaMax(g.N(), 2, eps, delta)
 	if float64(res.Theta1) < thetaMax {
 		t.Fatalf("final round θ1 = %d below θmax = %.0f", res.Theta1, thetaMax)
 	}

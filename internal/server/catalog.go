@@ -95,8 +95,7 @@ type graphEntry struct {
 	// it. The batches themselves live in the journal.
 	lineages []string
 
-	// mutating serializes mutation batches: one at a time per graph, and
-	// engine-touching session requests answer 409 while it is set.
+	// mutating serializes mutation batches: one at a time per graph.
 	mutating atomic.Bool
 
 	isLoaded atomic.Bool // mirror of sampler != nil, for lock-free listing

@@ -337,7 +337,7 @@ func TestMultiGraphChurn(t *testing.T) {
 			defer wg.Done()
 			sc := c.Session(id)
 			for i := 0; i < 6; i++ {
-				if _, err := sc.Advance(200); err != nil && !isConflict(err) {
+				if _, err := sc.Advance(200); err != nil {
 					t.Errorf("%s advance: %v", id, err)
 					return
 				}
@@ -347,13 +347,13 @@ func TestMultiGraphChurn(t *testing.T) {
 	wg.Wait()
 
 	// Every session stays reachable (transparently reloading its graph as
-	// needed) and every advance that returned 200 is accounted for.
+	// needed) and every advance is accounted for: none was refused.
 	for _, id := range sessions {
 		st, err := c.Session(id).Status()
 		if err != nil {
 			t.Fatalf("%s status after churn: %v", id, err)
 		}
-		if st.NumRR%200 != 0 || st.NumRR > 1200 {
+		if st.NumRR != 1200 {
 			t.Fatalf("%s lost or duplicated work: %+v", id, st)
 		}
 	}

@@ -14,7 +14,6 @@ package server
 // θ₁, θ₂, δ accounting) an uninterrupted one would have.
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"log"
@@ -41,70 +40,29 @@ var (
 	mCkRecoveries = obs.Default().Counter("server_checkpoint_recoveries_total")
 )
 
-// engineFP fingerprints an engine's mutable state: NumRR moves on every
-// Advance, Queries on every Snapshot and the graph epoch on every repair,
-// so fingerprint equality means "no mutation since the checkpoint bytes
-// were captured". Eviction's serialize-then-verify protocol
-// (evictSession) relies on this to detect a request or repair sweep that
-// slipped in between serialization and unload.
-type engineFP struct {
-	numRR   int64
-	queries int
-	epoch   int64
-}
-
-// fingerprint captures o's engineFP; callers hold the session's mu.
-func fingerprint(o *core.Online) engineFP {
-	return engineFP{numRR: o.NumRR(), queries: o.Queries(), epoch: o.Sampler().Graph().Epoch()}
-}
-
-// saveSessionCheckpoint atomically writes one session to its ckPath. The
-// session is serialized to memory under its own mutex (sampling of that
-// session pauses only for the in-memory copy, not for disk I/O; other
-// sessions are untouched), then written via fsutil.WriteAtomic, so a torn
-// write can never clobber the last good generation. Failures are logged,
-// counted (server_checkpoint_failures_total) and reported to the event
-// sink.
-func (s *Server) saveSessionCheckpoint(sess *Session) (int64, error) {
-	n, _, err := s.saveSessionCheckpointFP(sess)
-	return n, err
-}
-
-// saveSessionCheckpointFP is saveSessionCheckpoint plus the engine
-// fingerprint captured under sess.mu together with the serialized bytes —
-// the fingerprint therefore describes exactly the state that went to
-// disk.
-func (s *Server) saveSessionCheckpointFP(sess *Session) (int64, engineFP, error) {
-	var fp engineFP
+// checkpointLocked atomically writes sess's recipe to its ckPath:
+// core.SaveSession straight into fsutil.WriteAtomic, so a torn write can
+// never clobber the last good generation. Callers hold sess.mu with the
+// engine resident — every writer (POST checkpoint, the periodic
+// checkpointer, the learning acknowledgements, eviction and Shutdown)
+// goes through here, and the lock order is sess.mu → saveMu. Without a
+// checkpoint path durability is not configured and it writes nothing.
+// Failures are logged, counted (server_checkpoint_failures_total) and
+// reported to the event sink.
+func (s *Server) checkpointLocked(sess *Session) (int64, error) {
 	path := sess.ckPath
 	if path == "" {
-		return 0, fp, fmt.Errorf("server: session %q has no checkpoint path", sess.ID)
+		return 0, nil
 	}
 	s.saveMu.Lock()
 	defer s.saveMu.Unlock()
 	t0 := time.Now()
-
-	sess.mu.Lock()
-	var buf bytes.Buffer
-	var err error
-	if sess.online == nil {
-		err = fmt.Errorf("server: session %q is not loaded", sess.ID)
-	} else {
-		err = core.SaveSession(&buf, sess.online)
-		fp = fingerprint(sess.online)
-	}
-	sess.mu.Unlock()
-
-	var n int64
-	if err == nil {
-		n, err = fsutil.WriteAtomic(path, func(w io.Writer) error {
-			if s.ckWrap != nil {
-				w = s.ckWrap(w)
-			}
-			_, werr := w.Write(buf.Bytes())
-			return werr
-		})
-	}
+	n, err := fsutil.WriteAtomic(path, func(w io.Writer) error {
+		if s.ckWrap != nil {
+			w = s.ckWrap(w)
+		}
+		return core.SaveSession(w, sess.online)
+	})
 	mCkTime.Observe(time.Since(t0))
 	if err != nil {
 		mCkFailures.Inc()
@@ -114,12 +72,24 @@ func (s *Server) saveSessionCheckpointFP(sess *Session) (int64, engineFP, error)
 			"path":    path,
 			"error":   err.Error(),
 		})
-		return n, fp, fmt.Errorf("server: checkpoint %s: %w", path, err)
+		return n, fmt.Errorf("server: checkpoint %s: %w", path, err)
 	}
-	sess.ckEpoch.Store(fp.epoch)
+	sess.ckEpoch.Store(sess.online.Sampler().Graph().Epoch())
 	mCkWrites.Inc()
 	mCkBytes.Add(n)
-	return n, fp, nil
+	return n, nil
+}
+
+// checkpointResident checkpoints sess if its engine is resident — the
+// periodic checkpointer's and Shutdown's write.
+func (s *Server) checkpointResident(sess *Session) error {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if !sess.resident.Load() {
+		return nil
+	}
+	_, err := s.checkpointLocked(sess)
+	return err
 }
 
 // StartCheckpointer launches the periodic checkpoint goroutine at
@@ -157,9 +127,7 @@ func (s *Server) StartCheckpointer() {
 				// the checkpointer keeps trying — a transiently full disk
 				// must not end checkpointing forever.
 				for _, sess := range s.snapshotSessions() {
-					if sessionState(sess.state.Load()) == stateLoaded {
-						s.saveSessionCheckpoint(sess)
-					}
+					s.checkpointResident(sess)
 				}
 			}
 		}
@@ -198,17 +166,17 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, sess *
 		http.Error(w, "checkpointing not configured (start opimd with -checkpoint-dir)", http.StatusNotFound)
 		return
 	}
-	// A forced checkpoint serializes the engine under the session lock —
+	// A forced checkpoint writes the engine under the session lock —
 	// engine-touching work, so it pays a token like /advance does.
 	if !s.admitSession(w, sess) {
 		return
 	}
-	s.touch(sess)
-	if status, msg := s.ensureLoaded(sess); status != 0 {
+	if status, msg := s.lockEngine(sess); status != 0 {
 		s.replyError(w, status, msg)
 		return
 	}
-	n, err := s.saveSessionCheckpoint(sess)
+	n, err := s.checkpointLocked(sess)
+	sess.mu.Unlock()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -223,7 +191,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, sess *
 
 // restore is the one way a checkpoint becomes a serving engine: Resume
 // runs it for every registered session and every session it adopts from
-// CheckpointDir, and ensureLoaded runs it to reload an evicted session.
+// CheckpointDir, and lockEngine runs it to reload an evicted session.
 // Callers hold sess.mu. In order:
 //
 //  1. read the current generation of sess.ckPath, falling back to .prev
@@ -335,7 +303,6 @@ func (s *Server) restore(sess *Session) error {
 	if sess.online != nil {
 		s.releaseGraph(e) // the replaced engine's residency reference
 	} else {
-		sess.state.Store(int32(stateLoaded))
 		gSessionsLoaded.Set(float64(s.loaded.Add(1)))
 	}
 	sess.setOnlineLocked(online)

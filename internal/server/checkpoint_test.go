@@ -85,7 +85,10 @@ func engine(t *testing.T, srv *Server, id string) *core.Online {
 
 // saveDefault checkpoints the default session now.
 func saveDefault(srv *Server) (int64, error) {
-	return srv.saveSessionCheckpoint(srv.lookup(DefaultSessionID))
+	sess := srv.lookup(DefaultSessionID)
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return srv.checkpointLocked(sess)
 }
 
 func counters(t *testing.T) obs.Snapshot {

@@ -50,8 +50,8 @@ var defaultHTTPClient = &http.Client{Timeout: defaultClientTimeout}
 // session's semantics:
 //
 //   - 503 (the server's deadline responses), 429 (admission-queue and
-//     token-bucket rejections) and 409 (a request racing a session
-//     eviction) are retried for idempotent requests only — Status,
+//     token-bucket rejections) and 409 (a concurrent mutation batch or
+//     learning round) are retried for idempotent requests only — Status,
 //     Metrics, Start, Stop, PeekSnapshot, ListSessions;
 //   - transport errors (connection refused/reset, timeouts) likewise are
 //     retried for idempotent requests only;
@@ -252,9 +252,9 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		err := fmt.Errorf("opimd: %s %s: %s: %s", method, path, resp.Status, body)
 		// 503: advance deadline. 429: admission queue or per-session token
-		// bucket. 409: the request raced a session eviction; servable again
-		// once the checkpoint write finishes. In each case an idempotent
-		// retry after the server's honest Retry-After (plus jitter) wins.
+		// bucket. 409: a concurrent batch on the graph or round on the
+		// session, over once it finishes. In each case an idempotent retry
+		// after the server's honest Retry-After (plus jitter) wins.
 		switch resp.StatusCode {
 		case http.StatusServiceUnavailable, http.StatusTooManyRequests, http.StatusConflict:
 			if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs > 0 {

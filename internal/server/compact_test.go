@@ -474,8 +474,8 @@ func TestEvictedSessionSurvivesCompaction(t *testing.T) {
 	if _, err := c.Advance(400); err != nil {
 		t.Fatal(err)
 	}
-	if got := sessionState(srv.lookup("evictee").state.Load()); got != stateUnloaded {
-		t.Fatalf("evictee state = %d, want unloaded", got)
+	if srv.lookup("evictee").resident.Load() {
+		t.Fatal("evictee still resident, want unloaded")
 	}
 	ups, ms := reweightAll(t, sampler.Graph(), 0.1)
 	before := compactions(t)

@@ -15,14 +15,15 @@ package server
 //	                                  updates and the round closes
 //
 // Durability: the campaign's serialized state rides inside the engine's
-// OPIMS6 extension blob, and both endpoints checkpoint synchronously
-// before acknowledging, so a kill −9 at any instant loses no acknowledged
-// observation. The protocol is replay-safe end to end: a round retried
-// after a crash re-derives the same realization (absolute target weights
-// + a per-round RNG stream → an empty diff against the already-applied
-// epoch), a rounds request while seeds are outstanding returns the stored
-// seeds, and an observation for an already-closed round is acknowledged
-// as a duplicate without touching the posterior (at-least-once delivery).
+// OPIMS6 extension blob, and both endpoints checkpoint synchronously,
+// under the session lock, before acknowledging, so a kill −9 at any
+// instant loses no acknowledged observation. The protocol is replay-safe
+// end to end: a round retried after a crash re-derives the same
+// realization (absolute target weights + a per-round RNG stream → an
+// empty diff against the already-applied epoch), a rounds request while
+// seeds are outstanding returns the stored seeds, and an observation for
+// an already-closed round is acknowledged as a duplicate without touching
+// the posterior (at-least-once delivery).
 
 import (
 	"context"
@@ -90,26 +91,14 @@ type ObservationResponse struct {
 	Entropy float64 `json:"entropy"`
 }
 
-// checkpointLearn makes the campaign state durable before an
-// acknowledgement leaves the server. Without a checkpoint path durability
-// is not configured and the in-memory state is all there is.
-func (s *Server) checkpointLearn(sess *Session) error {
-	if sess.ckPath == "" {
-		return nil
-	}
-	_, err := s.saveSessionCheckpoint(sess)
-	return err
-}
-
-// restoreCampaign rolls the session's campaign back to a state captured
-// with MarshalBinary — the in-process analogue of a crash-retry, used
-// when a round fails downstream of StartRound so the client's retry
-// re-derives the same round instead of skipping one.
-func (sess *Session) restoreCampaign(prev []byte) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
+// restoreCampaignLocked rolls the session's campaign back to a state
+// captured with MarshalBinary — the in-process analogue of a crash-retry,
+// used when a round fails downstream of StartRound so the client's retry
+// re-derives the same round instead of skipping one, and when an
+// observation's checkpoint fails. Callers hold sess.mu.
+func (sess *Session) restoreCampaignLocked(prev []byte) {
 	if sess.online == nil {
-		return // evicted; the checkpoint on disk is the surviving state
+		return // deleted; nothing will serve the campaign again
 	}
 	c, err := learn.UnmarshalCampaign(prev, sess.online.Sampler().Graph())
 	if err != nil {
@@ -136,16 +125,8 @@ func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request, sess *Sess
 		return
 	}
 	defer sess.roundBusy.Store(false)
-	s.touch(sess)
-	if status, msg := s.ensureLoaded(sess); status != 0 {
+	if status, msg := s.lockEngine(sess); status != 0 {
 		s.replyError(w, status, msg)
-		return
-	}
-
-	sess.mu.Lock()
-	if sess.online == nil {
-		sess.mu.Unlock()
-		s.replyError(w, http.StatusConflict, fmt.Sprintf("session %q was evicted mid-request; retry shortly", sess.ID))
 		return
 	}
 	if sess.campaign == nil {
@@ -159,8 +140,9 @@ func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request, sess *Sess
 		// checkpoint below re-establishes durability for a client retrying
 		// precisely because the previous attempt's checkpoint failed.
 		resp := s.roundResponseLocked(sess, 0, true)
+		_, err := s.checkpointLocked(sess)
 		sess.mu.Unlock()
-		if err := s.checkpointLearn(sess); err != nil {
+		if err != nil {
 			s.replyError(w, http.StatusInternalServerError, fmt.Sprintf("round state not durable: %v; retry", err))
 			return
 		}
@@ -183,12 +165,19 @@ func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request, sess *Sess
 	sess.mu.Unlock()
 
 	// Apply the realization as an ordinary weight-only mutation epoch:
-	// journaled, swept through incremental repair (the weight-only fast
-	// path), visible to every session on the graph. An empty batch means
-	// the graph already realizes this round — nothing to apply.
+	// journaled, swept through incremental repair (the sweep takes this
+	// session's lock, so the round does not hold it here), visible to every
+	// session on the graph. An empty batch means the graph already realizes
+	// this round — nothing to apply. roundBusy keeps the session resident
+	// until the round's last critical section.
+	rollback := func() {
+		sess.mu.Lock()
+		sess.restoreCampaignLocked(prev)
+		sess.mu.Unlock()
+	}
 	if len(ms) > 0 {
 		if _, status, err := s.mutateGraph(sess.graph, ms); err != nil {
-			sess.restoreCampaign(prev)
+			rollback()
 			s.replyError(w, status, fmt.Sprintf("applying round realization: %v", err))
 			return
 		}
@@ -208,7 +197,7 @@ func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request, sess *Sess
 		defer cancel()
 	}
 	if status, msg := s.advanceSession(ctx, sess, rr); status != 0 {
-		sess.restoreCampaign(prev)
+		rollback()
 		if status == statusClientGone {
 			return
 		}
@@ -216,10 +205,8 @@ func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request, sess *Sess
 		return
 	}
 
-	sess.mu.Lock()
-	if sess.online == nil || sess.campaign == nil {
-		sess.mu.Unlock()
-		s.replyError(w, http.StatusConflict, fmt.Sprintf("session %q was evicted mid-request; retry shortly", sess.ID))
+	if status, msg := s.lockEngine(sess); status != 0 {
+		s.replyError(w, status, msg)
 		return
 	}
 	snap := sess.online.Snapshot()
@@ -228,12 +215,12 @@ func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request, sess *Sess
 	sess.refreshStatsLocked()
 	resp := s.roundResponseLocked(sess, len(ms), false)
 	resp.Alpha = snap.Alpha
-	sess.mu.Unlock()
-
 	// Seeds leave the server only after the awaiting round is durable:
 	// a kill −9 after this write resumes with the window open and the
 	// same stored seeds.
-	if err := s.checkpointLearn(sess); err != nil {
+	_, err = s.checkpointLocked(sess)
+	sess.mu.Unlock()
+	if err != nil {
 		s.replyError(w, http.StatusInternalServerError, fmt.Sprintf("round state not durable: %v; retry", err))
 		return
 	}
@@ -287,16 +274,8 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request, sess
 	if !s.admitSession(w, sess) {
 		return
 	}
-	s.touch(sess)
-	if status, msg := s.ensureLoaded(sess); status != 0 {
+	if status, msg := s.lockEngine(sess); status != 0 {
 		s.replyError(w, status, msg)
-		return
-	}
-
-	sess.mu.Lock()
-	if sess.online == nil {
-		sess.mu.Unlock()
-		s.replyError(w, http.StatusConflict, fmt.Sprintf("session %q was evicted mid-request; retry shortly", sess.ID))
 		return
 	}
 	if sess.campaign == nil {
@@ -318,6 +297,13 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request, sess
 	}
 	if applied {
 		sess.syncExtLocked()
+		if _, err := s.checkpointLocked(sess); err != nil {
+			sess.restoreCampaignLocked(prev)
+			sess.mu.Unlock()
+			s.replyError(w, http.StatusInternalServerError,
+				fmt.Sprintf("observation not durable: %v; retry (it was not applied)", err))
+			return
+		}
 	}
 	resp := ObservationResponse{
 		Session:      sess.ID,
@@ -330,12 +316,6 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request, sess
 	sess.mu.Unlock()
 
 	if applied {
-		if err := s.checkpointLearn(sess); err != nil {
-			sess.restoreCampaign(prev)
-			s.replyError(w, http.StatusInternalServerError,
-				fmt.Sprintf("observation not durable: %v; retry (it was not applied)", err))
-			return
-		}
 		obs.Emit(s.cfg.Events, "learn_observation", map[string]any{
 			"session":  sess.ID,
 			"round":    req.Round,
@@ -357,14 +337,10 @@ func (s *Server) EnableLearning(id string, seed uint64, roundRR int) error {
 	if sess == nil {
 		return fmt.Errorf("server: unknown session %q", id)
 	}
-	if status, msg := s.ensureLoaded(sess); status != 0 {
+	if status, msg := s.lockEngine(sess); status != 0 {
 		return fmt.Errorf("server: session %q: %s", id, msg)
 	}
-	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if sess.online == nil {
-		return fmt.Errorf("server: session %q is not loaded", id)
-	}
 	sess.spec.RoundRR = roundRR
 	if sess.campaign == nil { // else restored from the checkpoint; keep the learned posterior
 		sess.campaign = learn.NewCampaign(sess.online.Sampler().Graph(), seed)

@@ -19,11 +19,11 @@ package server
 // per epoch, never the batches.
 //
 // Concurrency: one batch at a time per graph (the `mutating` flag answers
-// 409 to a second batch and to engine-touching session requests while the
-// repair sweep runs), and the background sampler skips sessions whose
-// graph is mid-mutation. Sessions that slip through any gate are still
-// correct — repair is idempotent byte-for-byte — the gates only bound
-// tail latency.
+// 409 to a second batch). Session requests and the background sampler
+// are not gated: the sweep repairs each session under its own lock, so a
+// request waits at most for that one repair, and one served before the
+// sweep reached its session answers for the previous epoch and labels it
+// (SnapshotResponse.GraphEpoch).
 
 import (
 	"encoding/json"

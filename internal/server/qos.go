@@ -192,10 +192,11 @@ func (s *Server) setRetryAfter(w http.ResponseWriter) int {
 	return secs
 }
 
-// replyError writes an error status. Backpressure statuses (409 eviction
-// races, 429 admission, 503 deadlines) carry an honest Retry-After so
-// well-behaved clients back off proportionally to actual server load
-// instead of hammering a fixed cadence.
+// replyError writes an error status. Backpressure statuses (409 for a
+// concurrent mutation batch or learning round, 429 admission, 503
+// deadlines) carry an honest Retry-After so well-behaved clients back off
+// proportionally to actual server load instead of hammering a fixed
+// cadence.
 func (s *Server) replyError(w http.ResponseWriter, status int, msg string) {
 	switch status {
 	case http.StatusConflict, http.StatusTooManyRequests, http.StatusServiceUnavailable:

@@ -2,19 +2,19 @@ package server
 
 // Model-based differential test of the restore path. Each seed draws a
 // random sequence of operations against one 400-node graph with
-// CheckpointDir set and MaxLoadedSessions 1 — create, advance, checkpoint,
-// a one-op mutation batch, a batch reweighting every edge (which outgrows
-// the graph's OPIMG2 encoding and so compacts the journal), touching
-// another session (which evicts the resident one), and kill −9 followed
-// by the opimd restart sequence (fresh default session on the base graph,
-// New, Resume). At the end every session must serialize to exactly the
-// bytes of a fresh core.Online with its options, run on the final graph
-// and advanced to its RR count.
+// CheckpointDir set and MaxLoadedSessions 1 — create, advance, snapshot,
+// checkpoint, a one-op mutation batch, a batch reweighting every edge
+// (which outgrows the graph's OPIMG2 encoding and so compacts the
+// journal), touching another session (which evicts the resident one), and
+// kill −9 followed by the opimd restart sequence (fresh default session on
+// the base graph, New, Resume). At the end every session must serialize to
+// exactly the bytes of a fresh core.Online with its options, run on the
+// final graph, advanced to its RR count and queried as many times as the
+// session was.
 //
-// The model tracks what survives a kill: each session's RR count at its
-// last checkpoint, written by POST checkpoint or by an eviction.
-// Snapshots are left out (each one advances the δ query counter, which a
-// reference cannot replay across a kill that loses it).
+// The model tracks what survives a kill: each session's RR count and δ
+// query count at its last checkpoint, written by POST checkpoint or by an
+// eviction.
 
 import (
 	"bytes"
@@ -24,7 +24,9 @@ import (
 	"testing"
 
 	"github.com/reprolab/opim/internal/core"
+	"github.com/reprolab/opim/internal/diffusion"
 	"github.com/reprolab/opim/internal/graph"
+	"github.com/reprolab/opim/internal/rrset"
 )
 
 func TestRestoreModel(t *testing.T) {
@@ -47,12 +49,16 @@ func runRestoreModel(t *testing.T, seed int64) {
 	dir := t.TempDir()
 	g := robustSampler(t).Graph() // the model's copy of the graph
 
-	// numRR is every live session's RR count; durable the count its last
-	// checkpoint holds (the default session starts durable at 0: with no
+	// live holds every live session's counts; durable the counts its last
+	// checkpoint holds (the default session starts durable at zero: with no
 	// checkpoint, a restart builds it fresh). resident names the one loaded
 	// session when the model knows it changed since its last checkpoint.
-	numRR := map[string]int64{DefaultSessionID: 0}
-	durable := map[string]int64{DefaultSessionID: 0}
+	type counts struct {
+		numRR   int64
+		queries int
+	}
+	live := map[string]counts{DefaultSessionID: {}}
+	durable := map[string]counts{DefaultSessionID: {}}
 	resident := ""
 
 	var srv *Server
@@ -77,14 +83,14 @@ func runRestoreModel(t *testing.T, seed int64) {
 	// checkpointing its current count.
 	use := func(id string) {
 		if resident != "" && resident != id {
-			durable[resident] = numRR[resident]
+			durable[resident] = live[resident]
 		}
 		resident = id
 	}
 	pick := func() string {
-		ids := make([]string, 0, len(numRR))
+		ids := make([]string, 0, len(live))
 		for _, id := range []string{DefaultSessionID, "s1", "s2"} {
-			if _, ok := numRR[id]; ok {
+			if _, ok := live[id]; ok {
 				ids = append(ids, id)
 			}
 		}
@@ -98,10 +104,10 @@ func runRestoreModel(t *testing.T, seed int64) {
 		}
 	}()
 	for step := 0; step < 30; step++ {
-		switch op := r.Intn(7); op {
+		switch op := r.Intn(8); op {
 		case 0: // create
 			id := []string{"s1", "s2"}[r.Intn(2)]
-			if _, ok := numRR[id]; ok {
+			if _, ok := live[id]; ok {
 				continue
 			}
 			o := modelOpts[id]
@@ -110,7 +116,7 @@ func runRestoreModel(t *testing.T, seed int64) {
 				t.Fatal(err)
 			}
 			use(id)
-			numRR[id] = 0
+			live[id] = counts{}
 		case 1: // advance (an even count keeps the R1/R2 split history-free)
 			id, n := pick(), 2*(1+r.Intn(150))
 			trace = append(trace, fmt.Sprintf("advance %s %d", id, n))
@@ -118,7 +124,9 @@ func runRestoreModel(t *testing.T, seed int64) {
 				t.Fatal(err)
 			}
 			use(id)
-			numRR[id] += int64(n)
+			cnt := live[id]
+			cnt.numRR += int64(n)
+			live[id] = cnt
 		case 2: // checkpoint
 			id := pick()
 			trace = append(trace, "checkpoint "+id)
@@ -126,7 +134,7 @@ func runRestoreModel(t *testing.T, seed int64) {
 				t.Fatal(err)
 			}
 			use(id)
-			durable[id] = numRR[id]
+			durable[id] = live[id]
 		case 3: // mutation batch
 			up, ms := modelBatch(t, r, g)
 			trace = append(trace, "mutate "+up.Op)
@@ -144,19 +152,19 @@ func runRestoreModel(t *testing.T, seed int64) {
 			id := pick()
 			trace = append(trace, "touch "+id)
 			sess := srv.lookup(id)
-			srv.touch(sess)
-			if status, msg := srv.ensureLoaded(sess); status != 0 {
+			if status, msg := srv.lockEngine(sess); status != 0 {
 				t.Fatalf("touch %s: %d %s", id, status, msg)
 			}
+			sess.mu.Unlock()
 			use(id)
 		case 5: // kill −9 and restart
 			trace = append(trace, "kill")
 			ts.Close() // no Stop, no Shutdown: only checkpoints and the journal survive
-			for id := range numRR {
-				if n, ok := durable[id]; ok {
-					numRR[id] = n
+			for id := range live {
+				if cnt, ok := durable[id]; ok {
+					live[id] = cnt
 				} else {
-					delete(numRR, id)
+					delete(live, id)
 				}
 			}
 			resident = ""
@@ -178,23 +186,47 @@ func runRestoreModel(t *testing.T, seed int64) {
 			if resp.Lineage != g.EpochLineage() {
 				t.Fatalf("server graph at lineage %.12s, model at %.12s", resp.Lineage, g.EpochLineage())
 			}
+		case 7: // snapshot, which spends one δ query
+			id := pick()
+			trace = append(trace, "snapshot "+id)
+			if _, err := c().Session(id).Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			use(id)
+			cnt := live[id]
+			cnt.queries++
+			live[id] = cnt
 		}
 	}
 
-	for id, n := range numRR {
+	for id, cnt := range live {
 		st, err := c().Session(id).Status()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.NumRR != n {
-			t.Fatalf("session %s at num_rr=%d, model says %d", id, st.NumRR, n)
+		if st.NumRR != cnt.numRR {
+			t.Fatalf("session %s at num_rr=%d, model says %d", id, st.NumRR, cnt.numRR)
 		}
 		sess := srv.lookup(id)
-		if status, msg := srv.ensureLoaded(sess); status != 0 {
+		if status, msg := srv.lockEngine(sess); status != 0 {
 			t.Fatalf("loading %s: %d %s", id, status, msg)
 		}
-		if !bytes.Equal(saveBytes(t, srv, id), refBytes(t, g, modelOpts[id], int(n))) {
-			t.Fatalf("session %s (num_rr=%d) is not byte-identical to a fresh run on the final graph", id, n)
+		sess.mu.Unlock()
+		ref, err := core.NewOnline(rrset.NewSampler(g, diffusion.IC), modelOpts[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.SetGraphIdentity(DefaultGraphName, "")
+		ref.Advance(int(cnt.numRR))
+		for i := 0; i < cnt.queries; i++ {
+			ref.Snapshot()
+		}
+		var want bytes.Buffer
+		if err := core.SaveSession(&want, ref); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(saveBytes(t, srv, id), want.Bytes()) {
+			t.Fatalf("session %s (num_rr=%d, %d queries) is not byte-identical to a fresh run on the final graph", id, cnt.numRR, cnt.queries)
 		}
 	}
 }

@@ -37,7 +37,10 @@
 // responsive even against a session mid-advance. Residency is bounded via
 // Config.MaxLoadedSessions: the least-recently-used idle session is
 // checkpointed and unloaded, then transparently reloaded on next touch
-// (see sessions.go; requests racing an eviction get 409 + Retry-After).
+// (see sessions.go). A session request only ever waits for the session's
+// own lock — never for an eviction or a mutation batch to finish — and a
+// 409 only reports a real conflict (a taken name, a referenced graph, a
+// second concurrent batch or round).
 //
 // The request path is hardened for long-lived deployments: a
 // panic-recovery middleware turns handler panics into 500s (counted in
@@ -169,7 +172,7 @@ type Server struct {
 	rrIdx    int      // next rotation position
 	touchSeq int64
 
-	loaded atomic.Int64 // sessions in stateLoaded (gauge mirror)
+	loaded atomic.Int64 // resident sessions (gauge mirror)
 
 	// gmu guards the graph catalog table (graphs/gtouchSeq and each
 	// entry's lastTouch); like smu it is never held across a load or any
@@ -198,7 +201,7 @@ type Server struct {
 	ckStop chan struct{}
 	ckDone chan struct{}
 
-	saveMu sync.Mutex // serializes checkpoint writes (periodic/forced/final)
+	saveMu sync.Mutex // serializes checkpoint writes; taken under sess.mu
 	// ckWrap, when non-nil, wraps the checkpoint writer — the fault
 	// injection seam used by chaos tests (faultinject.TornWriter etc.).
 	ckWrap func(io.Writer) io.Writer
@@ -397,7 +400,10 @@ type Status struct {
 	GraphEpoch       int64  `json:"graph_epoch,omitempty"`
 }
 
-// SnapshotResponse is the /snapshot response body.
+// SnapshotResponse is the /snapshot response body. GraphEpoch is the
+// epoch of the graph the snapshot's RR sets were sampled on: a snapshot
+// taken after a batch landed but before its repair sweep reached the
+// session describes the previous epoch, and says so.
 type SnapshotResponse struct {
 	Session    string  `json:"session"`
 	Seeds      []int32 `json:"seeds"`
@@ -408,6 +414,7 @@ type SnapshotResponse struct {
 	Theta2     int64   `json:"theta2"`
 	DeltaSpent float64 `json:"delta_spent"`
 	Variant    string  `json:"variant"`
+	GraphEpoch int64   `json:"graph_epoch,omitempty"`
 }
 
 // sessionStatus reads only the lock-free mirrors — a /status poll returns
@@ -420,7 +427,7 @@ func (s *Server) sessionStatus(sess *Session) Status {
 		NumRR:         sess.statNumRR.Load(),
 		EdgesExamined: sess.statEdges.Load(),
 		Running:       sess.running.Load(),
-		Loaded:        sessionState(sess.state.Load()) == stateLoaded,
+		Loaded:        sess.resident.Load(),
 		MaxRR:         sess.maxRR,
 	}
 	id := sess.graph.ident.Load()
@@ -459,20 +466,14 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, sess *Se
 	if !s.admitSession(w, sess) {
 		return
 	}
-	s.touch(sess)
-	if status, msg := s.ensureLoaded(sess); status != 0 {
+	// Snapshot reuses the session's persistent scratch; sess.mu serializes
+	// it against concurrent snapshots and the background sampler.
+	if status, msg := s.lockEngine(sess); status != 0 {
 		s.replyError(w, status, msg)
 		return
 	}
-	// Snapshot reuses the session's persistent scratch; sess.mu serializes
-	// it against concurrent snapshots and the background sampler.
-	sess.mu.Lock()
-	if sess.online == nil {
-		sess.mu.Unlock()
-		s.replyError(w, http.StatusConflict, fmt.Sprintf("session %q was evicted mid-request; retry shortly", sess.ID))
-		return
-	}
 	snap := sess.online.Snapshot()
+	epoch := sess.online.Sampler().Graph().Epoch()
 	sess.refreshStatsLocked()
 	sess.mu.Unlock()
 	resp := SnapshotResponse{
@@ -485,6 +486,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, sess *Se
 		Theta2:     snap.Theta2,
 		DeltaSpent: snap.DeltaSpent,
 		Variant:    snap.Variant.String(),
+		GraphEpoch: epoch,
 	}
 	sess.lastSnap.Store(&resp)
 	writeJSON(w, resp)
@@ -509,14 +511,8 @@ func (s *Server) advanceSession(ctx context.Context, sess *Session, count int) (
 	if int64(count) > sess.maxRR {
 		return http.StatusBadRequest, fmt.Sprintf("count %d exceeds the session RR budget max_rr=%d", count, sess.maxRR)
 	}
-	s.touch(sess)
-	if status, msg := s.ensureLoaded(sess); status != 0 {
+	if status, msg := s.lockEngine(sess); status != 0 {
 		return status, msg
-	}
-	sess.mu.Lock()
-	if sess.online == nil {
-		sess.mu.Unlock()
-		return http.StatusConflict, fmt.Sprintf("session %q was evicted mid-request; retry shortly", sess.ID)
 	}
 	if remaining := sess.maxRR - sess.online.NumRR(); int64(count) > remaining {
 		count = int(remaining)
@@ -601,34 +597,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // startSession adds sess to the background sampling rotation — the
 // /start semantics, shared by the per-session handler and the bulk
 // API. A non-zero return is the HTTP status (and message) of the failure.
-//
-// running must flip to true while the session is verifiably loaded,
-// under sess.mu — set after a bare ensureLoaded, an eviction could pick
-// the still-idle session in between and unload it, leaving running=true
-// on stateUnloaded: /status would report Running while nextQuantum
-// skips it, so background sampling silently never happens. Under
-// sess.mu the flip either precedes the victim pick (running sessions
-// are never picked) or an in-flight eviction sees running=true at its
-// verify step and aborts; if the session was instead evicted in the
-// gap, retry the reload.
+// running flips under sess.mu with the engine resident, and eviction
+// re-checks running under that lock, so a running session is never
+// unloaded behind /start's back.
 func (s *Server) startSession(sess *Session) (int, string) {
-	s.touch(sess)
-	for attempt := 0; ; attempt++ {
-		if status, msg := s.ensureLoaded(sess); status != 0 {
-			return status, msg
-		}
-		sess.mu.Lock()
-		if sess.online != nil && sessionState(sess.state.Load()) == stateLoaded {
-			sess.running.Store(true)
-			sess.mu.Unlock()
-			break
-		}
-		sess.mu.Unlock()
-		if attempt >= 2 {
-			mSessionConflicts.Inc()
-			return http.StatusConflict, fmt.Sprintf("session %q was evicted mid-request; retry shortly", sess.ID)
-		}
+	if status, msg := s.lockEngine(sess); status != 0 {
+		return status, msg
 	}
+	sess.running.Store(true)
+	sess.mu.Unlock()
 	s.startLoop()
 	return 0, ""
 }
@@ -725,10 +702,7 @@ func (s *Server) Shutdown() error {
 	s.stopCheckpointer()
 	var first error
 	for _, sess := range s.snapshotSessions() {
-		if sess.ckPath == "" || sessionState(sess.state.Load()) != stateLoaded {
-			continue
-		}
-		if _, err := s.saveSessionCheckpoint(sess); err != nil && first == nil {
+		if err := s.checkpointResident(sess); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -752,12 +726,7 @@ func (s *Server) nextQuantum() (*Session, int64) {
 	for i := 0; i < n; i++ {
 		idx := (s.rrIdx + i) % n
 		sess := s.sessions[s.order[idx]]
-		if sess == nil || !sess.running.Load() || sessionState(sess.state.Load()) != stateLoaded {
-			continue
-		}
-		if sess.graph.mutating.Load() {
-			// A mutation batch is mid-repair on this graph; skip the visit
-			// rather than contend with the repair sweep for sess.mu.
+		if sess == nil || !sess.running.Load() || !sess.resident.Load() {
 			continue
 		}
 		s.rrIdx = (idx + 1) % n

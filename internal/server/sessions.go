@@ -9,10 +9,9 @@ package server
 //
 // Residency is bounded: with Config.CheckpointDir and MaxLoadedSessions
 // set, the least-recently-used idle session is checkpointed and unloaded
-// (state machine loaded → evicting → unloaded) and transparently reloaded
-// from its checkpoint on the next touch. A request that races an eviction
-// gets 409 + Retry-After rather than blocking on the checkpoint write;
-// the Go client treats that exactly like a load-shed 503.
+// under its own lock, and the next request that needs its engine reloads
+// it under that lock (lockEngine). A request racing an eviction waits for
+// the session lock as it would behind any other request.
 
 import (
 	"bytes"
@@ -51,19 +50,6 @@ var (
 	gSessionsLoaded   = obs.Default().Gauge("server_sessions_loaded")
 )
 
-// sessionState is the residency state of one Session.
-type sessionState int32
-
-const (
-	// stateLoaded: the core.Online lives in memory and serves requests.
-	stateLoaded sessionState = iota
-	// stateEvicting: an eviction is checkpointing the session; requests
-	// answer 409 + Retry-After instead of blocking on the disk write.
-	stateEvicting
-	// stateUnloaded: only the checkpoint exists; the next touch reloads.
-	stateUnloaded
-)
-
 // Session is one managed OPIM session: a core.Online plus the serving
 // state around it. All access to the engine goes through mu, which is
 // per-session — a slow snapshot or advance on one session never blocks
@@ -73,12 +59,12 @@ type Session struct {
 	ID string
 
 	// mu serializes every use of online: handlers, the round-robin
-	// sampler, checkpoint serialization, eviction and reload.
+	// sampler, checkpoint writes, eviction and reload.
 	mu     sync.Mutex
 	online *core.Online // nil while unloaded
 
-	state   atomic.Int32 // sessionState
-	running atomic.Bool  // background round-robin sampling membership
+	resident atomic.Bool // online != nil, for lock-free reads; set under mu
+	running  atomic.Bool // background round-robin sampling membership
 
 	maxRR int64
 
@@ -137,7 +123,8 @@ type Session struct {
 	// Guarded by mu; its serialized state rides inside the engine's OPIMS6
 	// extension blob, so it survives eviction, restart and kill −9 with
 	// the checkpoint. roundBusy serializes POST /rounds per session
-	// without holding mu across the graph mutation.
+	// without holding mu across the graph mutation, and keeps the session
+	// resident between the round's critical sections.
 	campaign  *learn.Campaign
 	roundBusy atomic.Bool
 
@@ -158,6 +145,7 @@ func (sess *Session) refreshStatsLocked() {
 // exactly where the serialized round machine left off.
 func (sess *Session) setOnlineLocked(online *core.Online) {
 	sess.online = online
+	sess.resident.Store(true)
 	opts := online.Options()
 	sess.opts.Store(&opts)
 	sess.refreshStatsLocked()
@@ -337,7 +325,7 @@ func (s *Server) addSession(sess *Session) error {
 	s.order = append(s.order, sess.ID)
 	s.touchSeq++
 	sess.lastTouch = s.touchSeq
-	if sessionState(sess.state.Load()) == stateLoaded {
+	if sess.resident.Load() {
 		gSessionsLoaded.Set(float64(s.loaded.Add(1)))
 	}
 	return nil
@@ -531,7 +519,6 @@ func (s *Server) Resume() ([]string, error) {
 			continue
 		}
 		sess := s.newSession(id, nil)
-		sess.state.Store(int32(stateUnloaded))
 		sess.mu.Lock()
 		err := s.restore(sess)
 		sess.mu.Unlock()
@@ -547,56 +534,45 @@ func (s *Server) Resume() ([]string, error) {
 	return adopted, nil
 }
 
-// ensureLoaded makes sess servable, reloading it from its checkpoint when
-// evicted. A non-zero return is the HTTP status (and message) to answer
-// with: 409 while an eviction is in flight, 500 when the reload failed.
-func (s *Server) ensureLoaded(sess *Session) (int, string) {
-	if sess.graph.mutating.Load() {
-		// A mutation batch is being applied to this session's graph; engine
-		// requests wait it out like an eviction (409 + Retry-After) instead
-		// of contending with the repair sweep. Purely a latency gate — a
-		// request that slips past is still repaired to the right epoch.
-		mSessionConflicts.Inc()
-		return http.StatusConflict, fmt.Sprintf("graph %q is applying a mutation batch; retry shortly", sess.graph.name)
+// lockEngine is the one way a request reaches a session's engine: it
+// touches sess and takes sess.mu, reloading the engine from its checkpoint
+// under that lock when it was evicted, and then enforces
+// MaxLoadedSessions without dropping the lock (eviction only try-locks).
+// On success the caller holds sess.mu; otherwise the lock is released and
+// the status and message say why: 404 when a DELETE already unregistered
+// the session, 500 when the reload failed.
+func (s *Server) lockEngine(sess *Session) (int, string) {
+	s.touch(sess)
+	sess.mu.Lock()
+	if sess.resident.Load() {
+		return 0, ""
 	}
-	switch sessionState(sess.state.Load()) {
-	case stateEvicting:
-		mSessionConflicts.Inc()
-		return http.StatusConflict, fmt.Sprintf("session %q is being evicted; retry shortly", sess.ID)
-	case stateUnloaded:
-		sess.mu.Lock()
-		if sessionState(sess.state.Load()) == stateUnloaded {
-			// A handler can hold a *Session that a concurrent DELETE already
-			// unregistered; reloading it would increment the loaded counter
-			// for a session no eviction can ever find again. (Taking smu via
-			// lookup inside sess.mu is safe: nothing locks in the opposite
-			// order.)
-			if s.lookup(sess.ID) != sess {
-				sess.mu.Unlock()
-				return http.StatusNotFound, fmt.Sprintf("session %q was deleted", sess.ID)
-			}
-			if err := s.restore(sess); err != nil {
-				sess.mu.Unlock()
-				return http.StatusInternalServerError,
-					fmt.Sprintf("session %q: reload from checkpoint %s failed: %v", sess.ID, sess.ckPath, err)
-			}
-			mSessionsReloaded.Inc()
-		}
+	// Reloading a session a DELETE already unregistered would count it
+	// loaded where no eviction can find it. (smu inside sess.mu: nothing
+	// locks in the opposite order.)
+	if s.lookup(sess.ID) != sess {
 		sess.mu.Unlock()
-		s.maybeEvict(sess)
+		return http.StatusNotFound, fmt.Sprintf("session %q was deleted", sess.ID)
 	}
+	if err := s.restore(sess); err != nil {
+		sess.mu.Unlock()
+		return http.StatusInternalServerError,
+			fmt.Sprintf("session %q: reload from checkpoint %s failed: %v", sess.ID, sess.ckPath, err)
+	}
+	mSessionsReloaded.Inc()
+	s.maybeEvict(sess)
 	return 0, ""
 }
 
 // maybeEvict enforces MaxLoadedSessions: while too many sessions are
 // resident it checkpoints-then-unloads the least-recently-used idle one
 // (never keep, never a running or checkpoint-less session). Eviction work
-// happens outside every lock except the victim's own. A victim whose
-// eviction fails or aborts (checkpoint write error, request race) is
-// skipped for the rest of this pass instead of re-picked — a full or
-// read-only checkpoint dir must not turn the triggering request into a
-// busy loop that re-serializes the same session forever; capacity is
-// simply re-enforced on the next create or reload.
+// happens under no lock but the victim's own, which it only try-locks, so
+// the caller may hold keep's. A victim whose eviction fails or is skipped
+// (checkpoint write error, session in use) is skipped for the rest of this
+// pass instead of re-picked — a full or read-only checkpoint dir must not
+// turn the triggering request into a busy loop that rewrites the same
+// session forever; capacity is re-enforced on the next create or reload.
 func (s *Server) maybeEvict(keep *Session) {
 	if s.cfg.MaxLoadedSessions <= 0 {
 		return
@@ -624,79 +600,46 @@ func (s *Server) pickEvictionVictim(keep *Session, skip map[*Session]bool) *Sess
 	}
 	var victim *Session
 	for _, sess := range s.sessions {
-		if sess == keep || skip[sess] || sess.ckPath == "" || sess.running.Load() {
-			continue
-		}
-		if sessionState(sess.state.Load()) != stateLoaded {
+		if sess == keep || skip[sess] || sess.ckPath == "" || sess.running.Load() || !sess.resident.Load() {
 			continue
 		}
 		if victim == nil || sess.lastTouch < victim.lastTouch {
 			victim = sess
 		}
 	}
-	if victim != nil {
-		victim.state.Store(int32(stateEvicting))
-	}
 	return victim
 }
 
-// evictAttempts bounds evictSession's serialize-then-verify retries; a
-// session still mutating after this many checkpoints stays loaded.
-const evictAttempts = 3
-
-// evictSession checkpoints the victim and drops its engine, reporting
-// whether the session was actually unloaded. A failed checkpoint aborts
-// the eviction (the session stays loaded and servable) — unloading
-// without a durable copy would lose the δ accounting.
-//
-// Serialize-then-verify: a handler that passed ensureLoaded before the
-// victim was marked stateEvicting can still acquire sess.mu after the
-// checkpoint bytes were captured and legitimately mutate the engine
-// (200 to the client). Unloading then would discard that mutation — the
-// reload would roll NumRR and the δ/2^i query accounting backward. So
-// after the disk write the engine is re-checked under sess.mu against
-// the fingerprint serialized to disk: if it moved, the checkpoint is
-// retaken; if the session joined background sampling (handleStart racing
-// the victim pick), the eviction aborts — a running session is never
-// evictable.
+// evictSession checkpoints the victim and drops its engine in one
+// critical section, reporting whether the session was unloaded. It only
+// try-locks: a held lock means the session is in use, so it is not idle.
+// Under the lock it re-checks what the pick read without it: resident
+// (a DELETE unloads under the lock, so a deleted session is never evicted
+// and no checkpoint brings it back), not running and not mid-round. A
+// failed checkpoint keeps the session loaded: unloading without a durable
+// copy would lose its δ accounting.
 func (s *Server) evictSession(sess *Session) bool {
-	for attempt := 0; attempt < evictAttempts; attempt++ {
-		_, fp, err := s.saveSessionCheckpointFP(sess)
-		if err != nil {
-			break
-		}
-		sess.mu.Lock()
-		if sess.online == nil {
-			// Unloaded underneath us: nothing left to evict, and whoever
-			// dropped the engine owned the loaded-counter transition.
-			sess.state.Store(int32(stateUnloaded))
-			sess.mu.Unlock()
-			return true
-		}
-		if sess.running.Load() {
-			sess.mu.Unlock()
-			break
-		}
-		if fingerprint(sess.online) == fp {
-			sess.online = nil
-			sess.state.Store(int32(stateUnloaded))
-			sess.mu.Unlock()
-			gSessionsLoaded.Set(float64(s.loaded.Add(-1)))
-			mSessionsEvicted.Inc()
-			// The session left memory: drop its residency reference and let
-			// the graph itself become unloadable.
-			s.releaseGraph(sess.graph)
-			s.maybeUnloadGraphs(nil)
-			return true
-		}
-		sess.mu.Unlock()
-		// The engine moved since serialization; checkpoint again so the
-		// unloaded state matches what is on disk.
+	if !sess.mu.TryLock() {
+		return false
 	}
-	sess.mu.Lock()
-	sess.state.Store(int32(stateLoaded))
+	if !sess.resident.Load() || sess.running.Load() || sess.roundBusy.Load() {
+		sess.mu.Unlock()
+		return false
+	}
+	if _, err := s.checkpointLocked(sess); err != nil {
+		sess.mu.Unlock()
+		return false
+	}
+	sess.online = nil
+	sess.resident.Store(false)
 	sess.mu.Unlock()
-	return false
+	gSessionsLoaded.Set(float64(s.loaded.Add(-1)))
+	mSessionsEvicted.Inc()
+	// The session left memory: drop its residency reference and let the
+	// graph itself become unloadable.
+	s.releaseGraph(sess.graph)
+	s.maybeUnloadGraphs(nil)
+	return true
 }
 
 // sessionInfo builds the listing entry without taking the session mutex.
@@ -709,7 +652,7 @@ func (s *Server) sessionInfo(sess *Session) SessionInfo {
 		Rate:       sess.rate,
 		Burst:      sess.burst,
 		Running:    sess.running.Load(),
-		Loaded:     sessionState(sess.state.Load()) == stateLoaded,
+		Loaded:     sess.resident.Load(),
 		Checkpoint: sess.ckPath,
 	}
 	id := sess.graph.ident.Load()
@@ -774,11 +717,7 @@ func (s *Server) handleSessionByID(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		writeJSON(w, s.sessionInfo(sess))
 	case http.MethodDelete:
-		if !s.removeSession(sess) {
-			mSessionConflicts.Inc()
-			s.replyError(w, http.StatusConflict, fmt.Sprintf("session %q is being evicted; retry shortly", id))
-			return
-		}
+		s.removeSession(sess)
 		writeJSON(w, map[string]string{"deleted": id})
 	default:
 		http.Error(w, "GET or DELETE only", http.StatusMethodNotAllowed)
@@ -786,22 +725,15 @@ func (s *Server) handleSessionByID(w http.ResponseWriter, r *http.Request) {
 }
 
 // removeSession unregisters sess, waits out any in-flight sampler batch,
-// and deletes its checkpoint generations (a deleted session must not
-// resurrect on restart). It returns false — and does nothing — while an
-// eviction is in flight: sessions are marked stateEvicting under smu
-// (pickEvictionVictim), so checking under smu here cannot race the victim
-// pick, and an eviction's own loaded/unloaded transition then never
-// interleaves with the delete's (no double-decrement, no leaked increment
-// when a failed eviction restores stateLoaded on an unregistered session).
-func (s *Server) removeSession(sess *Session) bool {
+// request or eviction, and deletes its checkpoint generations (a deleted
+// session must not resurrect on restart). An eviction that holds the
+// session lock finishes its write before the files go; one that locks
+// after the delete finds the session unregistered and skips it.
+func (s *Server) removeSession(sess *Session) {
 	s.smu.Lock()
 	if _, ok := s.sessions[sess.ID]; !ok {
 		s.smu.Unlock()
-		return true
-	}
-	if sessionState(sess.state.Load()) == stateEvicting {
-		s.smu.Unlock()
-		return false
+		return
 	}
 	delete(s.sessions, sess.ID)
 	for i, id := range s.order {
@@ -813,16 +745,14 @@ func (s *Server) removeSession(sess *Session) bool {
 	s.smu.Unlock()
 
 	sess.running.Store(false)
-	sess.mu.Lock() // barrier: wait out an in-flight batch or request
+	sess.mu.Lock() // barrier: wait out an in-flight batch, request or eviction
 	sess.online = nil
-	// The loaded/unloaded state is read under sess.mu (every transition
-	// happens there), so a reload racing this delete is counted exactly
-	// once whichever side wins the lock.
-	wasLoaded := sessionState(sess.state.Load()) == stateLoaded
+	// Residency changes only under sess.mu, so a reload or eviction racing
+	// this delete is counted exactly once whichever side wins the lock.
+	wasLoaded := sess.resident.Swap(false)
 	if wasLoaded {
 		gSessionsLoaded.Set(float64(s.loaded.Add(-1)))
 	}
-	sess.state.Store(int32(stateUnloaded))
 	sess.mu.Unlock()
 	if wasLoaded {
 		s.releaseGraph(sess.graph)
@@ -835,7 +765,6 @@ func (s *Server) removeSession(sess *Session) bool {
 		os.Remove(sess.ckPath + fsutil.PrevSuffix)
 	}
 	mSessionsDeleted.Inc()
-	return true
 }
 
 // parseVariant maps the wire names onto core variants ("" = plus, the

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -15,12 +16,6 @@ import (
 	"github.com/reprolab/opim/internal/core"
 	"github.com/reprolab/opim/internal/faultinject"
 )
-
-// isConflict matches the client error for a 409 (request racing an
-// eviction) — the stress tests tolerate those, nothing else.
-func isConflict(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "409")
-}
 
 func TestSessionCRUD(t *testing.T) {
 	_, ts := newTestServer(t, 0)
@@ -263,8 +258,8 @@ func TestEvictionReloadContinuesSampleStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := srv.lookup("evictee")
-	if got := sessionState(sess.state.Load()); got != stateUnloaded {
-		t.Fatalf("evictee state = %d, want unloaded — eviction never happened", got)
+	if sess.resident.Load() {
+		t.Fatal("evictee still resident — eviction never happened")
 	}
 	if st, err := evictee.Status(); err != nil || st.Loaded || st.NumRR != 600 {
 		t.Fatalf("unloaded status = %+v (%v)", st, err)
@@ -412,9 +407,10 @@ func TestAdoptCheckpointDirResume(t *testing.T) {
 
 // TestMultiSessionStressWithEviction hammers N sessions concurrently
 // under -race while MaxLoadedSessions forces constant eviction/reload
-// churn, plus create/delete churn on the side. 409s (requests racing an
-// eviction) are the documented outcome and tolerated; anything else
-// fails. Afterwards every session must still be servable.
+// churn, plus create/delete churn on the side. A request racing an
+// eviction waits for the session lock, so every request succeeds (only a
+// peek before the session's first snapshot may 404). Afterwards every
+// session must still be servable.
 func TestMultiSessionStressWithEviction(t *testing.T) {
 	sampler := robustSampler(t)
 	_, ts := newCkServer(t, sampler, Config{Batch: 300, CheckpointDir: t.TempDir(), MaxLoadedSessions: 2})
@@ -448,12 +444,11 @@ func TestMultiSessionStressWithEviction(t *testing.T) {
 				case 2:
 					_, err = cl.Snapshot()
 				case 3:
-					if _, perr := cl.PeekSnapshot(); perr != nil &&
-						!strings.Contains(perr.Error(), "404") && !isConflict(perr) {
+					if _, perr := cl.PeekSnapshot(); perr != nil && !strings.Contains(perr.Error(), "404") {
 						err = perr
 					}
 				}
-				if err != nil && !isConflict(err) {
+				if err != nil {
 					errs <- fmt.Errorf("session %s op %d: %w", id, j, err)
 					return
 				}
@@ -470,17 +465,8 @@ func TestMultiSessionStressWithEviction(t *testing.T) {
 				errs <- fmt.Errorf("create %s: %w", id, err)
 				return
 			}
-			// DELETE is never auto-retried by the client; a 409 here just
-			// means the session is mid-eviction, so retry by hand.
-			var derr error
-			for try := 0; try < 200; try++ {
-				if derr = c.DeleteSession(id); derr == nil || !isConflict(derr) {
-					break
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-			if derr != nil {
-				errs <- fmt.Errorf("delete %s: %w", id, derr)
+			if err := c.DeleteSession(id); err != nil {
+				errs <- fmt.Errorf("delete %s: %w", id, err)
 				return
 			}
 		}
@@ -500,16 +486,7 @@ func TestMultiSessionStressWithEviction(t *testing.T) {
 		t.Fatalf("list after stress = %+v", list)
 	}
 	for _, id := range ids {
-		cl := c.Session(id)
-		cl.RetryBase = 2 * time.Millisecond
-		var st Status
-		var err error
-		for try := 0; try < 200; try++ {
-			if st, err = cl.Advance(100); err == nil || !isConflict(err) {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
+		st, err := c.Session(id).Advance(100)
 		if err != nil {
 			t.Fatalf("session %s not servable after stress: %v", id, err)
 		}
@@ -525,14 +502,14 @@ type writerFunc func(p []byte) (int, error)
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // assertLoadedConsistent checks the loaded counter against table truth:
-// it must equal the number of registered sessions in stateLoaded, or
+// it must equal the number of registered resident sessions, or
 // pickEvictionVictim misjudges capacity forever.
 func assertLoadedConsistent(t *testing.T, srv *Server) {
 	t.Helper()
 	srv.smu.Lock()
 	var want int64
 	for _, sess := range srv.sessions {
-		if sessionState(sess.state.Load()) == stateLoaded {
+		if sess.resident.Load() {
 			want++
 		}
 	}
@@ -595,11 +572,11 @@ func TestEvictionFailureDoesNotSpin(t *testing.T) {
 }
 
 // TestEvictionVerifyKeepsRacingMutation is the lost-update regression
-// test: a handler that passed ensureLoaded before the victim was marked
-// stateEvicting can mutate the engine after the checkpoint bytes were
-// serialized (its client saw 200). Eviction must detect the movement and
-// re-checkpoint, so the reload resumes from the post-mutation state —
-// never rolling NumRR or the δ accounting backward.
+// test: eviction is one critical section under the session lock, so it
+// skips a session whose lock a request holds, and once the lock is free it
+// writes that request's progress before unloading — the reload resumes
+// from the post-request state, never rolling NumRR or the δ accounting
+// backward.
 func TestEvictionVerifyKeepsRacingMutation(t *testing.T) {
 	sampler := robustSampler(t)
 	srv, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointDir: t.TempDir()})
@@ -611,35 +588,25 @@ func TestEvictionVerifyKeepsRacingMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := srv.lookup("v")
-	sess.state.Store(int32(stateEvicting)) // as pickEvictionVictim would
 
-	// During the first checkpoint's disk write — after serialization
-	// released sess.mu — a racing request advances the engine, exactly the
-	// window the serialize-then-verify protocol exists for.
-	var once sync.Once
-	srv.ckWrap = func(w io.Writer) io.Writer {
-		return writerFunc(func(p []byte) (int, error) {
-			once.Do(func() {
-				sess.mu.Lock()
-				sess.online.Advance(50)
-				sess.refreshStatsLocked()
-				sess.mu.Unlock()
-			})
-			return w.Write(p)
-		})
+	// A request holds the session lock and advances the engine.
+	sess.mu.Lock()
+	if srv.evictSession(sess) {
+		t.Fatal("evicted a session whose lock a request holds")
 	}
+	sess.online.Advance(50)
+	sess.refreshStatsLocked()
+	sess.mu.Unlock()
+
 	if !srv.evictSession(sess) {
-		t.Fatal("eviction aborted; want retry-and-unload after the racing mutation")
+		t.Fatal("eviction of the idle session failed")
 	}
-	srv.ckWrap = nil
-	if got := sessionState(sess.state.Load()); got != stateUnloaded {
-		t.Fatalf("victim state = %d, want unloaded", got)
+	if sess.resident.Load() {
+		t.Fatal("victim still resident after eviction")
 	}
-
-	if status, msg := srv.ensureLoaded(sess); status != 0 {
+	if status, msg := srv.lockEngine(sess); status != 0 {
 		t.Fatalf("reload failed: %d %s", status, msg)
 	}
-	sess.mu.Lock()
 	got := sess.online.NumRR()
 	sess.mu.Unlock()
 	if got != 550 {
@@ -648,11 +615,13 @@ func TestEvictionVerifyKeepsRacingMutation(t *testing.T) {
 	assertLoadedConsistent(t, srv)
 }
 
-// TestEvictionAbortsWhenSessionStartsRunning: /start setting running=true
-// under sess.mu can still interleave with a victim pick that read
-// running=false; the eviction's verify step must then abort and restore
-// the session — a running session unloaded behind /start's back would
-// report Running while the sampler skips it forever.
+// TestEvictionAbortsWhenSessionStartsRunning: the victim pick reads
+// running without the session lock, so a /start (or a learning round)
+// can slip in before the eviction takes it. The eviction re-checks
+// running and roundBusy under the lock and leaves such a session loaded —
+// a running session unloaded behind /start's back would report Running
+// while the sampler skips it forever, and a round would lose its engine
+// between its critical sections.
 func TestEvictionAbortsWhenSessionStartsRunning(t *testing.T) {
 	sampler := robustSampler(t)
 	srv, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointDir: t.TempDir()})
@@ -661,26 +630,45 @@ func TestEvictionAbortsWhenSessionStartsRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := srv.lookup("r")
-	sess.state.Store(int32(stateEvicting)) // victim picked with running=false...
-	sess.running.Store(true)               // ...then /start slipped in under sess.mu
-
+	sess.running.Store(true) // /start after the victim pick
 	if srv.evictSession(sess) {
 		t.Fatal("evicted a running session")
 	}
-	if got := sessionState(sess.state.Load()); got != stateLoaded {
-		t.Fatalf("aborted victim state = %d, want loaded", got)
-	}
 	sess.running.Store(false)
+	sess.roundBusy.Store(true) // a round between its critical sections
+	if srv.evictSession(sess) {
+		t.Fatal("evicted a session mid-round")
+	}
+	sess.roundBusy.Store(false)
+	if !sess.resident.Load() {
+		t.Fatal("aborted victim is not resident")
+	}
 	if st, err := c.Session("r").Advance(100); err != nil || !st.Loaded {
 		t.Fatalf("session after aborted eviction: %+v (%v)", st, err)
 	}
 	assertLoadedConsistent(t, srv)
 }
 
-// TestDeleteDuringEvictionKeepsCounter: DELETE must refuse (409) while an
-// eviction is in flight rather than race its state transitions — the
-// losing interleaving left the loaded counter permanently overcounting
-// when the eviction's checkpoint write then failed.
+// holdCheckpointWrite makes srv's next checkpoint write stop until
+// release is closed; writing is closed once the write is in flight.
+func holdCheckpointWrite(srv *Server) (writing, release chan struct{}) {
+	writing, release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	srv.ckWrap = func(w io.Writer) io.Writer {
+		return writerFunc(func(p []byte) (int, error) {
+			once.Do(func() { close(writing); <-release })
+			return w.Write(p)
+		})
+	}
+	return writing, release
+}
+
+// TestDeleteDuringEvictionKeepsCounter: DELETE is never refused, and the
+// loaded counter stays exact around an eviction — when the eviction's
+// write fails (the session stays loaded), and when a DELETE arrives while
+// the write is in flight (it waits for the session lock, then removes the
+// checkpoint the eviction wrote). A deleted session is never evicted, so
+// no checkpoint brings it back.
 func TestDeleteDuringEvictionKeepsCounter(t *testing.T) {
 	sampler := robustSampler(t)
 	srv, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointDir: t.TempDir()})
@@ -689,26 +677,89 @@ func TestDeleteDuringEvictionKeepsCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := srv.lookup("d")
-	sess.state.Store(int32(stateEvicting))
 
-	if err := c.DeleteSession("d"); !isConflict(err) {
-		t.Fatalf("delete during eviction: %v, want 409", err)
-	}
-
-	// The eviction's checkpoint write fails; the session must come back
-	// loaded with the counter intact, and then delete cleanly.
 	srv.ckWrap = func(w io.Writer) io.Writer { return faultinject.TornWriter(w, 64) }
 	if srv.evictSession(sess) {
 		t.Fatal("eviction succeeded despite failing checkpoint writes")
 	}
-	srv.ckWrap = nil
 	assertLoadedConsistent(t, srv)
 
-	if err := c.DeleteSession("d"); err != nil {
+	writing, release := holdCheckpointWrite(srv)
+	evicted := make(chan bool, 1)
+	go func() { evicted <- srv.evictSession(sess) }()
+	<-writing
+	deleted := make(chan error, 1)
+	go func() { deleted <- c.DeleteSession("d") }()
+	for srv.lookup("d") != nil { // unregistered; the delete now waits for the lock
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if !<-evicted {
+		t.Fatal("eviction did not unload the session")
+	}
+	if err := <-deleted; err != nil {
+		t.Fatalf("delete during eviction: %v", err)
+	}
+	srv.ckWrap = nil
+	if srv.evictSession(sess) {
+		t.Fatal("evicted a deleted session")
+	}
+	if _, err := os.Stat(sess.ckPath); !os.IsNotExist(err) {
+		t.Fatalf("deleted session's checkpoint: %v, want it removed", err)
+	}
+	assertLoadedConsistent(t, srv)
+}
+
+// TestRequestDuringEvictionWaitsAndReloads: a request that arrives while an
+// eviction's checkpoint write is in flight waits for the session lock
+// instead of answering 409, then reloads the session from the checkpoint
+// the eviction wrote and is served; its RR sets count.
+func TestRequestDuringEvictionWaitsAndReloads(t *testing.T) {
+	sampler := robustSampler(t)
+	srv, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointDir: t.TempDir()})
+	c := NewClient(ts.URL)
+	if _, err := c.CreateSession(SessionSpec{ID: "w", K: 3, Delta: 0.1, Seed: 23}); err != nil {
 		t.Fatal(err)
 	}
-	if srv.lookup("d") != nil {
-		t.Fatal("session still registered after delete")
+	if _, err := c.Session("w").Advance(500); err != nil {
+		t.Fatal(err)
+	}
+	sess := srv.lookup("w")
+	writing, release := holdCheckpointWrite(srv)
+	evicted := make(chan bool, 1)
+	go func() { evicted <- srv.evictSession(sess) }()
+	<-writing
+
+	before := counters(t)
+	type result struct {
+		st  Status
+		err error
+	}
+	served := make(chan result, 1)
+	go func() {
+		st, err := c.Session("w").Advance(100)
+		served <- result{st, err}
+	}()
+	arrived := `server_session_requests_total{session="w"}`
+	for counters(t).Counters[arrived] == before.Counters[arrived] {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case r := <-served:
+		t.Fatalf("request during the eviction's write answered %+v (%v) before the write finished", r.st, r.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if !<-evicted {
+		t.Fatal("eviction did not unload the idle session")
+	}
+	srv.ckWrap = nil
+	r := <-served
+	if r.err != nil || r.st.NumRR != 600 || !r.st.Loaded {
+		t.Fatalf("request after the eviction: %+v (%v), want 200 with num_rr=600", r.st, r.err)
+	}
+	if d := counters(t).Counters["server_sessions_reloaded_total"] - before.Counters["server_sessions_reloaded_total"]; d != 1 {
+		t.Fatalf("sessions_reloaded_total moved by %d, want 1", d)
 	}
 	assertLoadedConsistent(t, srv)
 }
