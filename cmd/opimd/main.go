@@ -70,8 +70,8 @@
 //     checkpointing-then-unloading idle sessions (reloaded transparently
 //     on their next request).
 //   - -request-timeout bounds /advance processing (503 + Retry-After
-//     past the deadline, progress kept); -max-inflight sheds excess
-//     concurrent requests with 503.
+//     past the deadline, progress kept); above -max-inflight a request
+//     queues briefly for a slot, then gets 429 + Retry-After.
 //   - SIGINT/SIGTERM drains in-flight requests, stops the sampling
 //     loop, writes a final checkpoint per session, and exits 0.
 //   - -fleet url1,url2 leases RR-set generation to stateless

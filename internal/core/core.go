@@ -410,31 +410,16 @@ func (o *Online) AdvanceTo(totalRR int64) {
 	}
 }
 
-// AdvanceFor generates RR sets in batches until roughly d of wall-clock
-// time has elapsed — the paper's timestamp-driven pause points (§2.2)
-// made literal. The batch size adapts to the observed sampling rate so
-// the overshoot past the deadline stays near one batch (~50ms of work).
-// It returns the number of RR sets generated.
+// AdvanceFor generates RR sets until d of wall-clock time has elapsed —
+// the paper's timestamp-driven pause points (§2.2) made literal. It is
+// AdvanceContext under a d deadline with no count limit, so every chunk is
+// even and the sets generated are exactly those one Advance of the
+// returned count draws. It returns the number of RR sets generated.
 func (o *Online) AdvanceFor(d time.Duration) int64 {
-	start := time.Now()
-	before := o.NumRR()
-	batch := 256
-	for time.Since(start) < d {
-		t0 := time.Now()
-		o.Advance(batch)
-		if el := time.Since(t0); el > 0 {
-			// Aim each batch at ~50ms.
-			next := int(float64(batch) * float64(50*time.Millisecond) / float64(el))
-			if next < 64 {
-				next = 64
-			}
-			if next > 4*batch {
-				next = 4 * batch
-			}
-			batch = next
-		}
-	}
-	return o.NumRR() - before
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	n, _ := o.AdvanceContext(ctx, math.MaxInt)
+	return int64(n)
 }
 
 // Snapshot is the answer to one user pause: a seed set and its guarantee.

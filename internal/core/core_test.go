@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -545,6 +546,23 @@ func TestAdvanceFor(t *testing.T) {
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("overshot deadline grossly: %v", elapsed)
+	}
+	// A time-based advance samples exactly what one Advance of the same
+	// count does, R1/R2 split included.
+	ref, err := NewOnline(s, Options{K: 5, Delta: 0.1, Seed: 61})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Advance(int(generated))
+	var a, b bytes.Buffer
+	if err := SaveSession(&a, o); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveSession(&b, ref); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("AdvanceFor's %d sets differ from Advance(%d)", generated, generated)
 	}
 	// The snapshot path still works after time-based advancing.
 	if snap := o.Snapshot(); len(snap.Seeds) != 5 {

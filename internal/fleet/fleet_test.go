@@ -396,6 +396,28 @@ func TestWorkerRefuses412(t *testing.T) {
 	})
 }
 
+// TestWorkerRoutesCarryMethods: a wrong method on a worker route is a 405
+// naming the route's method in Allow.
+func TestWorkerRoutesCarryMethods(t *testing.T) {
+	srv := httptest.NewServer(NewWorker(testSampler(t, 100, 7)))
+	defer srv.Close()
+	for _, c := range []struct{ method, path, allow string }{
+		{http.MethodGet, pathGenerate, http.MethodPost},
+		{http.MethodPost, pathInfo, http.MethodGet},
+		{http.MethodPost, "/status", http.MethodGet},
+	} {
+		req, _ := http.NewRequest(c.method, srv.URL+c.path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || !strings.Contains(resp.Header.Get("Allow"), c.allow) {
+			t.Fatalf("%s %s: status %d, Allow %q; want 405 naming %s", c.method, c.path, resp.StatusCode, resp.Header.Get("Allow"), c.allow)
+		}
+	}
+}
+
 // TestModelMismatchExcluded: a worker replicating the right graph under
 // the wrong diffusion model must never be leased work — its RR sets would
 // merge cleanly and silently corrupt the alpha guarantee. With only

@@ -124,11 +124,11 @@ func NewWorker(s *rrset.Sampler) *Worker {
 		model:   s.Model().String(),
 	}
 	w.mux = http.NewServeMux()
-	w.mux.HandleFunc(pathInfo, w.handleInfo)
-	w.mux.HandleFunc(pathGenerate, w.handleGenerate)
-	// /status aliases /worker/info so ops tooling (and the opimd process
-	// harness) can health-check workers and daemons uniformly.
-	w.mux.HandleFunc("/status", w.handleInfo)
+	w.mux.HandleFunc("GET "+pathInfo, w.handleInfo)
+	w.mux.HandleFunc("POST "+pathGenerate, w.handleGenerate)
+	// /status aliases /worker/info for health checks; a daemon has no
+	// /status route (its session status lives under /sessions/{id}/).
+	w.mux.HandleFunc("GET /status", w.handleInfo)
 	return w
 }
 
@@ -148,10 +148,6 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 }
 
 func (w *Worker) handleInfo(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(rw, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	rw.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(rw).Encode(infoResponse{
 		Fingerprint: w.fp,
@@ -163,10 +159,6 @@ func (w *Worker) handleInfo(rw http.ResponseWriter, r *http.Request) {
 }
 
 func (w *Worker) handleGenerate(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(rw, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	var req generateRequest
 	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxGenerateBody))
 	if err := dec.Decode(&req); err != nil {

@@ -6,13 +6,12 @@
 // CSR (compressed sparse row) form, with one float32 propagation probability
 // per directed edge. Node identifiers are dense int32 values in [0, N).
 //
-// Graphs are immutable in steady state; all sampling algorithms may share
-// one Graph across goroutines without synchronization. Dynamic-graph
-// callers evolve a graph through mutation batches (mutate.go): WithMutations
-// derives a new Graph (the shared-reader-safe form — the parent is
-// untouched), while ApplyMutations rewrites a Graph in place and requires
-// the caller to guarantee no concurrent reader. Each applied batch advances
-// the graph's epoch and lineage (see Epoch, EpochLineage).
+// A Graph is immutable once built or loaded; all sampling algorithms may
+// share one Graph across goroutines without synchronization. Dynamic-graph
+// callers evolve a graph through mutation batches (mutate.go):
+// WithMutations derives a new Graph and leaves the parent untouched. Each
+// batch advances the derived graph's epoch and lineage (see Epoch,
+// EpochLineage).
 package graph
 
 import (
@@ -55,9 +54,8 @@ type Graph struct {
 	// stopping probability 1 − Σp.
 	inPSum []float32
 
-	// fp caches Fingerprint's content hash (nil until first computed).
-	// Mutation (ApplyMutations) clears it — the cache is only valid while
-	// the CSR arrays it was computed over are unchanged.
+	// fp caches Fingerprint's content hash (nil until first computed); the
+	// CSR arrays it covers never change after the graph is built.
 	fp atomic.Pointer[string]
 
 	// epoch counts the mutation batches applied since the graph was built

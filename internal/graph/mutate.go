@@ -1,10 +1,9 @@
 package graph
 
 // Dynamic graphs: a Graph evolves through ordered batches of Mutations.
-// WithMutations derives a new Graph from the current one plus a batch — the
-// parent is untouched, so in-flight readers of the old epoch stay valid —
-// and ApplyMutations is the in-place form for exclusive owners. Either way
-// the batch is validated against the sequentially-evolving state (a delete
+// WithMutations derives a new Graph from the current one plus a batch; the
+// parent is untouched, so in-flight readers of the old epoch stay valid.
+// The batch is validated against the sequentially-evolving state (a delete
 // followed by an insert of the same edge is legal), the CSR is rebuilt
 // through the same canonicalization as Builder.Build (so fingerprints stay
 // load-path independent), and the graph's identity advances along an epoch
@@ -13,9 +12,10 @@ package graph
 // graph, same mutation history" apart from "same content by coincidence" —
 // and what makes a partially applied batch detectable after a crash.
 //
-// Mutating an mmap-backed graph never writes the read-only mapping: the
-// rebuild allocates fresh heap arrays (copy-on-write), and ApplyMutations
-// releases the mapping only after the swap.
+// Deriving from an mmap-backed graph never writes the read-only mapping: a
+// structural batch builds the child on fresh heap arrays, and a weight-only
+// one shares the parent's topology arrays and keeps their owner alive
+// (topoParent).
 
 import (
 	"crypto/sha256"
@@ -348,43 +348,4 @@ func (g *Graph) withWeightMutations(ms []Mutation) (*Graph, error) {
 	ng.epoch = g.epoch + 1
 	ng.lineage = ChainFingerprint(g.EpochLineage(), ms)
 	return ng, nil
-}
-
-// ApplyMutations applies the batch ms to g in place. The caller must
-// guarantee exclusive access: no concurrent reader or writer, including
-// samplers built over g (an LT sampler's alias tables must be rebuilt
-// afterwards). The cached content fingerprint is cleared — Fingerprint()
-// after a mutation recomputes over the new arrays — and if g's CSR arrays
-// were mmap-backed, a topology-changing batch copies them onto the heap
-// (the mapping is never written) and releases the mapping. A weight-only
-// batch instead replaces just the probability columns and keeps the
-// mapping: the untouched offset/target slices still read from it.
-func (g *Graph) ApplyMutations(ms []Mutation) error {
-	ng, err := g.WithMutations(ms)
-	if err != nil {
-		return err
-	}
-	if ng.topoParent != nil {
-		// Weight-only fast path: ng shares g's own topology arrays, so only
-		// the probability columns move. Any mmap stays attached to g — the
-		// shared offset/target slices still read from it.
-		g.outP, g.inP, g.inPSum = ng.outP, ng.inP, ng.inPSum
-		g.epoch, g.lineage = ng.epoch, ng.lineage
-		g.fp.Store(nil)
-		return nil
-	}
-	unmap := g.unmap
-	g.unmap = nil
-	g.n, g.m = ng.n, ng.m
-	g.outOff, g.outTo, g.outP = ng.outOff, ng.outTo, ng.outP
-	g.inOff, g.inFrom, g.inP = ng.inOff, ng.inFrom, ng.inP
-	g.inPSum = ng.inPSum
-	g.epoch, g.lineage = ng.epoch, ng.lineage
-	g.fp.Store(nil)
-	if unmap != nil {
-		// The slices now point at heap arrays; the old mapping has no
-		// remaining reader inside g.
-		unmap()
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -111,38 +112,10 @@ func TestWithMutationsValidation(t *testing.T) {
 	}
 }
 
-// TestFingerprintInvalidatedByMutation is the regression test for the stale
-// fingerprint-cache bug: Fingerprint() memoizes into g.fp, and an in-place
-// mutation must clear that cache or every later call serves the pre-mutation
-// hash.
-func TestFingerprintInvalidatedByMutation(t *testing.T) {
-	g := mutTestGraph(t)
-	before := g.Fingerprint() // populate the cache
-	if err := g.ApplyMutations([]Mutation{{Op: OpSetWeight, From: 0, To: 1, P: 0.125}}); err != nil {
-		t.Fatal(err)
-	}
-	after := g.Fingerprint()
-	if after == before {
-		t.Fatalf("fingerprint unchanged after mutation: stale cache served (%s)", after)
-	}
-	// And the recomputed hash is the content hash, not just "different":
-	ng, err := mutTestGraph(t).WithMutations([]Mutation{{Op: OpSetWeight, From: 0, To: 1, P: 0.125}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after != ng.Fingerprint() {
-		t.Fatalf("in-place and derived mutation fingerprints disagree: %s vs %s", after, ng.Fingerprint())
-	}
-	if g.Epoch() != 1 || g.EpochLineage() != ng.EpochLineage() {
-		t.Fatalf("in-place epoch chain (%d, %s) disagrees with derived (%d, %s)",
-			g.Epoch(), g.EpochLineage(), ng.Epoch(), ng.EpochLineage())
-	}
-}
-
-// TestMutateAfterMmapLoad covers copy-on-write over a read-only mapping:
-// mutating a graph loaded from an OPIMG2 mmap must not write (or fault on)
-// the mapped pages — the rebuild copies to heap first — and must leave the
-// file on disk untouched.
+// TestMutateAfterMmapLoad covers deriving from a read-only mapping: a
+// structural batch on a graph loaded from an OPIMG2 mmap must build the
+// child on the heap without writing (or faulting on) the mapped pages, and
+// must leave the mapped parent readable and the file on disk untouched.
 func TestMutateAfterMmapLoad(t *testing.T) {
 	g := mutTestGraph(t)
 	origFP := g.Fingerprint()
@@ -150,46 +123,50 @@ func TestMutateAfterMmapLoad(t *testing.T) {
 	if err := SaveFileCSR(path, g); err != nil {
 		t.Fatal(err)
 	}
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	loaded, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer loaded.Close()
 	if !loaded.Mapped() {
 		t.Skip("mmap path unavailable on this platform/build; COW not exercisable")
 	}
-	if err := loaded.ApplyMutations([]Mutation{
+	child, err := loaded.WithMutations([]Mutation{
 		{Op: OpEdgeDelete, From: 2, To: 3},
 		{Op: OpEdgeInsert, From: 1, To: 3, P: 0.4},
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Mapped() {
-		t.Fatalf("graph still reports Mapped() after mutation; arrays must be heap-backed")
+	if child.Mapped() || child.SharesTopology(loaded) {
+		t.Fatalf("child of a structural batch reads the mapping (Mapped %v, shares topology %v); it must live on the heap",
+			child.Mapped(), child.SharesTopology(loaded))
 	}
-	// Traversals over the mutated graph work (would fault if still aliasing
-	// a released or read-only mapping).
-	from, p := loaded.InNeighbors(3)
+	// The parent stays mapped and readable at epoch 0 with its content.
+	if !loaded.Mapped() || loaded.Epoch() != 0 || loaded.Fingerprint() != origFP {
+		t.Fatalf("parent changed: Mapped %v, epoch %d, fingerprint %s (want true, 0, %s)",
+			loaded.Mapped(), loaded.Epoch(), loaded.Fingerprint(), origFP)
+	}
+	if from, _ := loaded.InNeighbors(3); len(from) != 1 || from[0] != 2 {
+		t.Fatalf("parent InNeighbors(3) = %v, want [2]", from)
+	}
+	// Traversals over the child work after the mapping is released (they
+	// would fault if the child still aliased it).
+	loaded.Close()
+	from, p := child.InNeighbors(3)
 	if len(from) != 1 || from[0] != 1 || p[0] != 0.4 {
-		t.Fatalf("InNeighbors(3) = %v %v, want [1] [0.4]", from, p)
+		t.Fatalf("child InNeighbors(3) = %v %v, want [1] [0.4]", from, p)
 	}
-	if loaded.Epoch() != 1 {
-		t.Fatalf("epoch = %d, want 1", loaded.Epoch())
+	if child.Epoch() != 1 {
+		t.Fatalf("child epoch = %d, want 1", child.Epoch())
 	}
-	// The backing file is untouched: reloading yields the original content.
-	reloaded, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reloaded.Close()
-	if reloaded.Fingerprint() != origFP {
-		t.Fatalf("backing file changed by mutation: fingerprint %s, want %s", reloaded.Fingerprint(), origFP)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) == 0 {
-		t.Fatal("empty OPIMG2 file")
+	// The backing file is untouched.
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, onDisk) {
+		t.Fatalf("backing file changed by mutation (read error %v)", err)
 	}
 }
 

@@ -232,37 +232,6 @@ func TestWeightOnlyOverMmapKeepsMappingAlive(t *testing.T) {
 	}
 }
 
-// TestApplyWeightOnlyKeepsMapping: the in-place form of a weight-only batch
-// swaps probability columns only, so a mapped graph stays mapped and the
-// backing file keeps serving the shared topology.
-func TestApplyWeightOnlyKeepsMapping(t *testing.T) {
-	g := mutTestGraph(t)
-	path := filepath.Join(t.TempDir(), "g.opimg2")
-	if err := SaveFileCSR(path, g); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !loaded.Mapped() {
-		t.Skip("mmap path unavailable on this platform/build")
-	}
-	defer loaded.Close()
-	if err := loaded.ApplyMutations([]Mutation{{Op: OpSetWeight, From: 0, To: 1, P: 0.25}}); err != nil {
-		t.Fatal(err)
-	}
-	if !loaded.Mapped() {
-		t.Fatal("weight-only ApplyMutations released the mapping")
-	}
-	if _, p := loaded.OutNeighbors(0); p[0] != 0.25 {
-		t.Fatalf("weight = %v, want 0.25", p[0])
-	}
-	if loaded.Epoch() != 1 {
-		t.Fatalf("epoch = %d, want 1", loaded.Epoch())
-	}
-}
-
 func TestAdoptEpochIdentity(t *testing.T) {
 	g := mutTestGraph(t)
 	if err := g.AdoptEpochIdentity(3, "abc"); err != nil {

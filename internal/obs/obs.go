@@ -200,6 +200,20 @@ func (r *Registry) Timer(name string) *Timer {
 	return t
 }
 
+// Delete unregisters the metrics under names, whatever their kind, so they
+// leave every later Snapshot. A holder of a deleted metric may keep
+// updating it; the updates reach no registry. A later get-or-create under
+// the same name starts a fresh metric.
+func (r *Registry) Delete(names ...string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, name := range names {
+		delete(r.counters, name)
+		delete(r.gauges, name)
+		delete(r.timers, name)
+	}
+}
+
 // TimerValues is the JSON form of one timer in a registry Snapshot.
 type TimerValues struct {
 	Count       int64   `json:"count"`

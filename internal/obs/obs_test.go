@@ -247,3 +247,20 @@ func TestLabeledNamesAreOrdinaryMetrics(t *testing.T) {
 		t.Fatalf("labeled counters = %v", snap.Counters)
 	}
 }
+
+func TestDeleteUnregistersEveryKind(t *testing.T) {
+	r := NewRegistry()
+	c, g := r.Counter("c_total"), r.Gauge("g")
+	r.Timer("t_seconds").Observe(time.Millisecond)
+	r.Counter("kept_total").Inc()
+	r.Delete("c_total", "g", "t_seconds", "never_registered")
+	c.Inc() // a holder's update after the delete reaches no registry
+	g.Set(1)
+	snap := r.Snapshot()
+	if len(snap.Counters) != 1 || len(snap.Gauges) != 0 || len(snap.Timers) != 0 {
+		t.Fatalf("after Delete: %+v", snap)
+	}
+	if r.Counter("c_total").Value() != 0 {
+		t.Fatal("re-created counter kept the deleted one's value")
+	}
+}

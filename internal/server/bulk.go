@@ -14,8 +14,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-
-	"github.com/reprolab/opim/internal/obs"
 )
 
 // bulkMaxOps bounds the total operations in one bulk request; a frontend
@@ -76,10 +74,6 @@ type BulkSessionsResponse struct {
 
 // handleSessionsBulk serves POST /sessions/bulk.
 func (s *Server) handleSessionsBulk(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req BulkSessionsRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&req); err != nil {
 		http.Error(w, "invalid JSON body: "+err.Error(), http.StatusBadRequest)
@@ -199,7 +193,7 @@ func (s *Server) bulkGated(opName, id string, op func(*Session) BulkResult) Bulk
 	}
 	if ok, wait := takeSessionToken(sess); !ok {
 		mAdmissionRatelimited.Inc()
-		obs.Default().Counter(obs.Labeled("server_session_shed_total", "session", sess.ID)).Inc()
+		sess.mShed.Inc()
 		return BulkResult{Op: opName, ID: id, Status: http.StatusTooManyRequests,
 			Error: fmt.Sprintf("session %q over its request rate; retry in %ds", id, ceilSeconds(wait))}
 	}

@@ -447,58 +447,55 @@ func graphInfo(e *graphEntry) GraphInfo {
 	}
 }
 
-// handleGraphs serves the catalog collection: GET lists, POST registers.
-func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		s.gmu.Lock()
-		entries := make([]*graphEntry, 0, len(s.graphs))
-		for _, e := range s.graphs {
-			entries = append(entries, e)
-		}
-		s.gmu.Unlock()
-		resp := GraphListResponse{Graphs: make([]GraphInfo, 0, len(entries))}
-		for _, e := range entries {
-			resp.Graphs = append(resp.Graphs, graphInfo(e))
-		}
-		sort.Slice(resp.Graphs, func(i, j int) bool { return resp.Graphs[i].Name < resp.Graphs[j].Name })
-		writeJSON(w, resp)
-	case http.MethodPost:
-		var req CreateGraphRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-			http.Error(w, "invalid JSON body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		e, status, err := s.registerGraph(req.Name, req.GraphSpec)
-		if err != nil {
-			http.Error(w, err.Error(), status)
-			return
-		}
-		writeJSON(w, graphInfo(e))
-	default:
-		http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
+// handleListGraphs is GET /graphs.
+func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
+	s.gmu.Lock()
+	entries := make([]*graphEntry, 0, len(s.graphs))
+	for _, e := range s.graphs {
+		entries = append(entries, e)
 	}
+	s.gmu.Unlock()
+	resp := GraphListResponse{Graphs: make([]GraphInfo, 0, len(entries))}
+	for _, e := range entries {
+		resp.Graphs = append(resp.Graphs, graphInfo(e))
+	}
+	sort.Slice(resp.Graphs, func(i, j int) bool { return resp.Graphs[i].Name < resp.Graphs[j].Name })
+	writeJSON(w, resp)
 }
 
-// handleGraphByName serves one catalog entry: GET describes, DELETE
-// unregisters (409 while sessions reference it).
-func (s *Server) handleGraphByName(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	switch r.Method {
-	case http.MethodGet:
-		e := s.lookupGraph(name)
-		if e == nil {
-			http.Error(w, fmt.Sprintf("unknown graph %q", name), http.StatusNotFound)
-			return
-		}
-		writeJSON(w, graphInfo(e))
-	case http.MethodDelete:
-		if status, err := s.removeGraph(name); err != nil {
-			s.replyError(w, status, err.Error())
-			return
-		}
-		writeJSON(w, map[string]string{"deleted": name})
-	default:
-		http.Error(w, "GET or DELETE only", http.StatusMethodNotAllowed)
+// handleCreateGraph is POST /graphs.
+func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
+	var req CreateGraphRequest
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+		http.Error(w, "invalid JSON body: "+err.Error(), http.StatusBadRequest)
+		return
 	}
+	e, status, err := s.registerGraph(req.Name, req.GraphSpec)
+	if err != nil {
+		http.Error(w, err.Error(), status)
+		return
+	}
+	writeJSON(w, graphInfo(e))
+}
+
+// handleGetGraph is GET /graphs/{name}.
+func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	e := s.lookupGraph(name)
+	if e == nil {
+		http.Error(w, fmt.Sprintf("unknown graph %q", name), http.StatusNotFound)
+		return
+	}
+	writeJSON(w, graphInfo(e))
+}
+
+// handleDeleteGraph is DELETE /graphs/{name}: it unregisters the graph
+// (409 while sessions reference it).
+func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	if status, err := s.removeGraph(name); err != nil {
+		s.replyError(w, status, err.Error())
+		return
+	}
+	writeJSON(w, map[string]string{"deleted": name})
 }

@@ -45,17 +45,16 @@ var (
 // never clobber the last good generation. Callers hold sess.mu with the
 // engine resident — every writer (POST checkpoint, the periodic
 // checkpointer, the learning acknowledgements, eviction and Shutdown)
-// goes through here, and the lock order is sess.mu → saveMu. Without a
-// checkpoint path durability is not configured and it writes nothing.
-// Failures are logged, counted (server_checkpoint_failures_total) and
-// reported to the event sink.
+// goes through here, so the session lock serializes the writes to one
+// path. ckEpoch is stored only after the rename: it never names an epoch
+// newer than the checkpoint on disk. Without a checkpoint path durability
+// is not configured and it writes nothing. Failures are logged, counted
+// (server_checkpoint_failures_total) and reported to the event sink.
 func (s *Server) checkpointLocked(sess *Session) (int64, error) {
 	path := sess.ckPath
 	if path == "" {
 		return 0, nil
 	}
-	s.saveMu.Lock()
-	defer s.saveMu.Unlock()
 	t0 := time.Now()
 	n, err := fsutil.WriteAtomic(path, func(w io.Writer) error {
 		if s.ckWrap != nil {
@@ -158,10 +157,6 @@ type CheckpointResponse struct {
 // handleCheckpoint forces a checkpoint write now — the durability point a
 // client can demand before it stops polling for a while.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, sess *Session) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	if sess.ckPath == "" {
 		http.Error(w, "checkpointing not configured (start opimd with -checkpoint-dir)", http.StatusNotFound)
 		return

@@ -112,10 +112,6 @@ func (sess *Session) restoreCampaignLocked(prev []byte) {
 // explore/exploit round (or re-serve the current one's seeds while its
 // observation is outstanding).
 func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request, sess *Session) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	if !s.admitSession(w, sess) {
 		return
 	}
@@ -262,10 +258,6 @@ func (s *Server) roundResponseLocked(sess *Session, applied int, replay bool) Ro
 // so the client's retry re-applies it — an acked observation can never be
 // lost to a crash, and an unacked one is never double-counted.
 func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request, sess *Session) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req ObservationRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 32<<20)).Decode(&req); err != nil {
 		http.Error(w, "invalid JSON body: "+err.Error(), http.StatusBadRequest)

@@ -96,10 +96,6 @@ type UpdateGraphResponse struct {
 
 // handleGraphUpdates is POST /graphs/{name}/updates.
 func (s *Server) handleGraphUpdates(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	name := r.PathValue("name")
 	e := s.lookupGraph(name)
 	if e == nil {
@@ -236,22 +232,22 @@ func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation) (*UpdateGraphRe
 // larger than ng's OPIMG2 encoding: snapshot ng, rewrite the journal to
 // start from it, and truncate the in-memory chain to match. The chain
 // keeps every epoch from the oldest checkpoint any session on e has on
-// disk (ckEpoch), so no checkpoint leaves it. Reading the ckEpochs under
-// saveMu makes that exact: no checkpoint write is in flight, and every
-// later write serializes an engine the batch's sweep has already moved to
-// ng, whose epoch the chain always keeps. Called from mutateGraph while
-// e.mutating is held, so no batch can append concurrently. A failure
-// only logs: the journal keeps its full history and the next batch
-// retries.
+// disk (ckEpoch), so no checkpoint leaves it. It runs after the batch's
+// repair sweep, which took every session's lock on e: a checkpoint write
+// that began before the batch has stored its epoch, and every later write
+// serializes an engine the sweep moved to ng, whose epoch the chain always
+// keeps. A write stores its epoch only after its rename, so a read racing
+// one sees an older epoch and keeps more of the chain, never less. Called
+// from mutateGraph while e.mutating is held, so no batch can append
+// concurrently. A failure only logs: the journal keeps its full history
+// and the next batch retries.
 func (s *Server) compactJournal(e *graphEntry, ng *graph.Graph, journalBytes int64) {
 	oldest := ng.Epoch()
-	s.saveMu.Lock()
 	for _, sess := range s.snapshotSessions() {
 		if ck := sess.ckEpoch.Load(); sess.graph == e && ck >= 0 && ck < oldest {
 			oldest = ck
 		}
 	}
-	s.saveMu.Unlock()
 	e.mu.Lock()
 	kept := e.lineages[max(0, len(e.lineages)-1-int(ng.Epoch()-oldest)):]
 	e.mu.Unlock()

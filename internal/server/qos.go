@@ -6,11 +6,12 @@ package server
 // Three mechanisms compose (docs/ROBUSTNESS.md has the operator view):
 //
 //   - Per-session token buckets gate admission of engine-touching
-//     requests (/advance, /snapshot, /start, /checkpoint): a tenant over
-//     its configured rate gets 429 + an honest Retry-After equal to the
-//     time until its next token, so one chatty client cannot monopolize
-//     the request path. Rates come from SessionSpec.Rate/Burst, defaulted
-//     by Config.DefaultRate/DefaultBurst (0 = unlimited).
+//     requests (/advance, /snapshot, /start, /checkpoint, /rounds,
+//     /observations): a tenant over its configured rate gets 429 + an
+//     honest Retry-After equal to the time until its next token, so one
+//     chatty client cannot monopolize the request path. Rates come from
+//     SessionSpec.Rate/Burst, defaulted by Config.DefaultRate/DefaultBurst
+//     (0 = unlimited).
 //
 //   - A bounded admission queue replaces the old hard inflight shed:
 //     above Config.MaxInflight a request briefly queues for a slot
@@ -320,7 +321,7 @@ func (s *Server) admitSession(w http.ResponseWriter, sess *Session) bool {
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	gAdmissionRetryAfter.Set(float64(secs))
 	mAdmissionRatelimited.Inc()
-	obs.Default().Counter(obs.Labeled("server_session_shed_total", "session", sess.ID)).Inc()
+	sess.mShed.Inc()
 	http.Error(w, fmt.Sprintf("session %q over its request rate (%g/s, burst %g)",
 		sess.ID, sess.rate, sess.burst), http.StatusTooManyRequests)
 	return false
@@ -338,5 +339,5 @@ func (s *Server) creditServed(sess *Session, served int64) {
 	}
 	d := sess.deficit
 	s.smu.Unlock()
-	obs.Default().Gauge(obs.Labeled("server_session_deficit", "session", sess.ID)).Set(d)
+	sess.gDeficit.Set(d)
 }

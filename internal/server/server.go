@@ -201,7 +201,6 @@ type Server struct {
 	ckStop chan struct{}
 	ckDone chan struct{}
 
-	saveMu sync.Mutex // serializes checkpoint writes; taken under sess.mu
 	// ckWrap, when non-nil, wraps the checkpoint writer — the fault
 	// injection seam used by chaos tests (faultinject.TornWriter etc.).
 	ckWrap func(io.Writer) io.Writer
@@ -279,35 +278,42 @@ func New(session *core.Online, cfg Config) *Server {
 
 // Handler returns the HTTP handler for the server's API: the endpoint mux
 // wrapped in the inflight-cap and panic-recovery middleware (recovery
-// outermost, so even a panic inside the limiter is contained).
+// outermost, so even a panic inside the limiter is contained). Every route
+// names its method, so the mux answers a wrong one with 405 and an Allow
+// header, and serves HEAD on GET routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", instrument("metrics", s.handleMetrics))
+	mux.HandleFunc("GET /metrics", instrument("metrics", s.handleMetrics))
 	// Graph catalog.
-	mux.HandleFunc("/graphs", instrument("graphs", s.handleGraphs))
-	mux.HandleFunc("/graphs/{name}", instrument("graph", s.handleGraphByName))
-	mux.HandleFunc("/graphs/{name}/updates", instrument("graph_updates", s.handleGraphUpdates))
-	// Session management and per-session endpoints. The literal
-	// /sessions/bulk pattern wins over the /sessions/{id} wildcard.
-	mux.HandleFunc("/sessions", instrument("sessions", s.handleSessions))
-	mux.HandleFunc("/sessions/bulk", instrument("sessions_bulk", s.handleSessionsBulk))
-	mux.HandleFunc("/sessions/{id}", instrument("session", s.handleSessionByID))
-	mux.HandleFunc("/sessions/{id}/status", instrument("status", s.forSession(s.handleStatus)))
-	mux.HandleFunc("/sessions/{id}/snapshot", instrument("snapshot", s.forSession(s.handleSnapshot)))
-	mux.HandleFunc("/sessions/{id}/advance", instrument("advance", s.forSession(s.handleAdvance)))
-	mux.HandleFunc("/sessions/{id}/start", instrument("start", s.forSession(s.handleStart)))
-	mux.HandleFunc("/sessions/{id}/stop", instrument("stop", s.forSession(s.handleStop)))
-	mux.HandleFunc("/sessions/{id}/checkpoint", instrument("checkpoint", s.forSession(s.handleCheckpoint)))
-	mux.HandleFunc("/sessions/{id}/rounds", instrument("rounds", s.forSession(s.handleRounds)))
-	mux.HandleFunc("/sessions/{id}/observations", instrument("observations", s.forSession(s.handleObservations)))
+	mux.HandleFunc("GET /graphs", instrument("graphs", s.handleListGraphs))
+	mux.HandleFunc("POST /graphs", instrument("graphs", s.handleCreateGraph))
+	mux.HandleFunc("GET /graphs/{name}", instrument("graph", s.handleGetGraph))
+	mux.HandleFunc("DELETE /graphs/{name}", instrument("graph", s.handleDeleteGraph))
+	mux.HandleFunc("POST /graphs/{name}/updates", instrument("graph_updates", s.handleGraphUpdates))
+	// Session management and per-session endpoints. POST /sessions/bulk
+	// wins over the {id} wildcard; GET and DELETE /sessions/bulk address a
+	// session named "bulk".
+	mux.HandleFunc("GET /sessions", instrument("sessions", s.handleListSessions))
+	mux.HandleFunc("POST /sessions", instrument("sessions", s.handleCreateSession))
+	mux.HandleFunc("POST /sessions/bulk", instrument("sessions_bulk", s.handleSessionsBulk))
+	mux.HandleFunc("GET /sessions/{id}", instrument("session", s.forSession(s.handleGetSession)))
+	mux.HandleFunc("DELETE /sessions/{id}", instrument("session", s.forSession(s.handleDeleteSession)))
+	mux.HandleFunc("GET /sessions/{id}/status", instrument("status", s.forSession(s.handleStatus)))
+	mux.HandleFunc("GET /sessions/{id}/snapshot", instrument("snapshot", s.forSession(s.handleSnapshot)))
+	mux.HandleFunc("POST /sessions/{id}/advance", instrument("advance", s.forSession(s.handleAdvance)))
+	mux.HandleFunc("POST /sessions/{id}/start", instrument("start", s.forSession(s.handleStart)))
+	mux.HandleFunc("POST /sessions/{id}/stop", instrument("stop", s.forSession(s.handleStop)))
+	mux.HandleFunc("POST /sessions/{id}/checkpoint", instrument("checkpoint", s.forSession(s.handleCheckpoint)))
+	mux.HandleFunc("POST /sessions/{id}/rounds", instrument("rounds", s.forSession(s.handleRounds)))
+	mux.HandleFunc("POST /sessions/{id}/observations", instrument("observations", s.forSession(s.handleObservations)))
 	return s.recoverer(s.limiter(mux))
 }
 
 // sessionHandler is an endpoint scoped to one resolved session.
 type sessionHandler func(http.ResponseWriter, *http.Request, *Session)
 
-// forSession resolves the {id} path wildcard and counts the request under
-// a per-session labeled metric. Resolution does not mark the session used —
+// forSession resolves the {id} path wildcard and counts the request in the
+// session's own labeled series. Resolution does not mark the session used —
 // only handlers that need the engine touch it, so pure monitoring
 // (/status, peek) never defeats LRU eviction.
 func (s *Server) forSession(h sessionHandler) http.HandlerFunc {
@@ -318,14 +324,14 @@ func (s *Server) forSession(h sessionHandler) http.HandlerFunc {
 			http.Error(w, fmt.Sprintf("unknown session %q", id), http.StatusNotFound)
 			return
 		}
-		obs.Default().Counter(obs.Labeled("server_session_requests_total", "session", sess.ID)).Inc()
+		sess.mRequests.Inc()
 		h(w, r, sess)
 	}
 }
 
 // instrument wraps a handler with a per-endpoint request counter and
-// latency timer in obs.Default(). Every request counts, including
-// rejected ones.
+// latency timer in obs.Default(). Every routed request counts, including
+// ones the handler refuses; the mux answers a wrong method before this runs.
 func instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	requests := obs.Default().Counter("server_" + name + "_requests_total")
 	latency := obs.Default().Timer("server_" + name + "_seconds")
@@ -438,15 +444,15 @@ func (s *Server) sessionStatus(sess *Session) Status {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request, sess *Session) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	writeJSON(w, s.sessionStatus(sess))
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, sess *Session) {
-	if r.Method != http.MethodGet {
+	// The mux serves HEAD on GET routes, but a HEAD snapshot would spend δ
+	// budget on an answer whose body is discarded. Refuse it, peek too, so
+	// the route answers HEAD one way.
+	if r.Method == http.MethodHead {
+		w.Header().Set("Allow", http.MethodGet)
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
@@ -536,10 +542,6 @@ func (s *Server) advanceSession(ctx context.Context, sess *Session, count int) (
 }
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, sess *Session) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	count, err := strconv.Atoi(r.URL.Query().Get("count"))
 	if err != nil {
 		http.Error(w, "count must be a positive integer", http.StatusBadRequest)
@@ -572,10 +574,6 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, sess *Ses
 // budget: the core_last_* gauges reflect the most recent snapshot already
 // derived (zero if none yet).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
 		w.Header().Set("Content-Type", "application/json")
@@ -621,10 +619,6 @@ func (s *Server) stopSession(sess *Session) {
 }
 
 func (s *Server) handleStart(w http.ResponseWriter, r *http.Request, sess *Session) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	if !s.admitSession(w, sess) {
 		return
 	}
@@ -636,10 +630,6 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request, sess *Sessi
 }
 
 func (s *Server) handleStop(w http.ResponseWriter, r *http.Request, sess *Session) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	// Deliberately not token-gated: a tenant over its rate must always be
 	// able to stop its own background sampling.
 	s.stopSession(sess)

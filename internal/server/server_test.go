@@ -120,16 +120,29 @@ func TestAdvanceValidation(t *testing.T) {
 
 func TestMethodEnforcement(t *testing.T) {
 	_, ts := newTestServer(t, 0)
+	before := counters(t)
 	cases := []struct {
-		method, path string
+		method, path, allow string
 	}{
-		{http.MethodPost, "/sessions/default/status"},
-		{http.MethodPost, "/sessions/default/snapshot"},
-		{http.MethodGet, "/sessions/default/advance"},
-		{http.MethodGet, "/sessions/default/start"},
-		{http.MethodGet, "/sessions/default/stop"},
-		{http.MethodPost, "/metrics"},
-		{http.MethodGet, "/sessions/default/checkpoint"},
+		{http.MethodPost, "/sessions/default/status", http.MethodGet},
+		{http.MethodPost, "/sessions/default/snapshot", http.MethodGet},
+		{http.MethodGet, "/sessions/default/advance", http.MethodPost},
+		{http.MethodGet, "/sessions/default/start", http.MethodPost},
+		{http.MethodGet, "/sessions/default/stop", http.MethodPost},
+		{http.MethodPost, "/metrics", http.MethodGet},
+		{http.MethodGet, "/sessions/default/checkpoint", http.MethodPost},
+		{http.MethodGet, "/sessions/default/rounds", http.MethodPost},
+		{http.MethodGet, "/sessions/default/observations", http.MethodPost},
+		{http.MethodPut, "/graphs", http.MethodPost},
+		{http.MethodPost, "/graphs/default", http.MethodDelete},
+		{http.MethodGet, "/graphs/default/updates", http.MethodPost},
+		{http.MethodPut, "/sessions", http.MethodGet},
+		{http.MethodPut, "/sessions/bulk", http.MethodPost},
+		{http.MethodPost, "/sessions/default", http.MethodDelete},
+		// The mux serves HEAD on GET routes; the snapshot handler refuses
+		// it, since a snapshot spends δ budget.
+		{http.MethodHead, "/sessions/default/snapshot", http.MethodGet},
+		{http.MethodHead, "/sessions/default/snapshot?peek=1", http.MethodGet},
 	}
 	for _, c := range cases {
 		req, _ := http.NewRequest(c.method, ts.URL+c.path, nil)
@@ -141,6 +154,21 @@ func TestMethodEnforcement(t *testing.T) {
 		if resp.StatusCode != http.StatusMethodNotAllowed {
 			t.Fatalf("%s %s: status %d", c.method, c.path, resp.StatusCode)
 		}
+		if allow := resp.Header.Get("Allow"); !strings.Contains(allow, c.allow) {
+			t.Fatalf("%s %s: Allow %q does not name %s", c.method, c.path, allow, c.allow)
+		}
+	}
+	// A wrong method never reaches the endpoint's handler or its counter.
+	if d := counters(t).Counters["server_status_requests_total"] - before.Counters["server_status_requests_total"]; d != 0 {
+		t.Fatalf("server_status_requests_total moved by %d on a 405", d)
+	}
+	resp, err := http.Head(ts.URL + "/sessions/default/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("HEAD status: %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -107,9 +107,9 @@ type Session struct {
 
 	// ckEpoch is the graph epoch of the session's newest checkpoint on
 	// disk, −1 while it has none: every successful checkpoint write sets it
-	// (under the server's saveMu), and so does restore. Compaction keeps
-	// the epoch chain back to the oldest ckEpoch on the graph, so it never
-	// strands a checkpoint; a session that never checkpoints pins nothing.
+	// after its rename, and so does restore. Compaction keeps the epoch
+	// chain back to the oldest ckEpoch on the graph, so it never strands a
+	// checkpoint; a session that never checkpoints pins nothing.
 	ckEpoch atomic.Int64
 
 	// spec is the serving spec as the client gave it; it rides in the
@@ -130,6 +130,18 @@ type Session struct {
 
 	// lastTouch orders LRU eviction; guarded by the server's smu.
 	lastTouch int64
+
+	// The session's labeled series in obs.Default(), registered by
+	// addSession and deleted by removeSession (sessionSeries names them).
+	mRequests, mShed *obs.Counter
+	gDeficit         *obs.Gauge
+}
+
+// sessionSeries names the labeled series a session owns in obs.Default().
+func sessionSeries(id string) (requests, shed, deficit string) {
+	return obs.Labeled("server_session_requests_total", "session", id),
+		obs.Labeled("server_session_shed_total", "session", id),
+		obs.Labeled("server_session_deficit", "session", id)
 }
 
 // refreshStatsLocked re-publishes the lock-free counter mirrors; callers
@@ -245,8 +257,9 @@ type SessionSpec struct {
 	// weight-1 session (0 = 1; must be in (0, 1024]).
 	Weight float64 `json:"weight,omitempty"`
 	// Rate caps this tenant's engine-touching requests (snapshot, advance,
-	// start, checkpoint) in requests/second via a token bucket. 0 takes the
-	// server default (-default-rate); negative means explicitly unlimited.
+	// start, checkpoint, rounds, observations) in requests/second via a
+	// token bucket. 0 takes the server default (-default-rate); negative
+	// means explicitly unlimited.
 	Rate float64 `json:"rate,omitempty"`
 	// Burst is the token-bucket depth (0 = server default, then
 	// max(1, rate)).
@@ -314,13 +327,19 @@ func (s *Server) touch(sess *Session) {
 	s.smu.Unlock()
 }
 
-// addSession registers sess; it fails when the id is taken.
+// addSession registers sess and its labeled series; it fails when the id
+// is taken. The series are created under smu, the lock removeSession
+// deletes them under, so a create racing the delete of a previous session
+// of the same id never ends up counting into unregistered series.
 func (s *Server) addSession(sess *Session) error {
 	s.smu.Lock()
 	defer s.smu.Unlock()
 	if _, ok := s.sessions[sess.ID]; ok {
 		return fmt.Errorf("session %q already exists", sess.ID)
 	}
+	requests, shed, deficit := sessionSeries(sess.ID)
+	sess.mRequests, sess.mShed = obs.Default().Counter(requests), obs.Default().Counter(shed)
+	sess.gDeficit = obs.Default().Gauge(deficit)
 	s.sessions[sess.ID] = sess
 	s.order = append(s.order, sess.ID)
 	s.touchSeq++
@@ -671,71 +690,64 @@ func (s *Server) sessionInfo(sess *Session) SessionInfo {
 	return info
 }
 
-// handleSessions serves the collection: GET lists, POST creates.
-func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		s.smu.Lock()
-		sessions := make([]*Session, 0, len(s.sessions))
-		for _, sess := range s.sessions {
-			sessions = append(sessions, sess)
-		}
-		s.smu.Unlock()
-		resp := SessionListResponse{Sessions: make([]SessionInfo, 0, len(sessions))}
-		for _, sess := range sessions {
-			resp.Sessions = append(resp.Sessions, s.sessionInfo(sess))
-		}
-		sort.Slice(resp.Sessions, func(i, j int) bool { return resp.Sessions[i].ID < resp.Sessions[j].ID })
-		writeJSON(w, resp)
-	case http.MethodPost:
-		var spec SessionSpec
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
-			http.Error(w, "invalid JSON body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		sess, status, err := s.createSession(spec)
-		if err != nil {
-			http.Error(w, err.Error(), status)
-			return
-		}
-		writeJSON(w, s.sessionInfo(sess))
-	default:
-		http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
+// handleListSessions is GET /sessions.
+func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
+	s.smu.Lock()
+	sessions := make([]*Session, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		sessions = append(sessions, sess)
 	}
+	s.smu.Unlock()
+	resp := SessionListResponse{Sessions: make([]SessionInfo, 0, len(sessions))}
+	for _, sess := range sessions {
+		resp.Sessions = append(resp.Sessions, s.sessionInfo(sess))
+	}
+	sort.Slice(resp.Sessions, func(i, j int) bool { return resp.Sessions[i].ID < resp.Sessions[j].ID })
+	writeJSON(w, resp)
 }
 
-// handleSessionByID serves one session: GET describes it, DELETE removes
-// it together with its checkpoint files.
-func (s *Server) handleSessionByID(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	sess := s.lookup(id)
-	if sess == nil {
-		http.Error(w, fmt.Sprintf("unknown session %q", id), http.StatusNotFound)
+// handleCreateSession is POST /sessions.
+func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
+	var spec SessionSpec
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
+		http.Error(w, "invalid JSON body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		writeJSON(w, s.sessionInfo(sess))
-	case http.MethodDelete:
-		s.removeSession(sess)
-		writeJSON(w, map[string]string{"deleted": id})
-	default:
-		http.Error(w, "GET or DELETE only", http.StatusMethodNotAllowed)
+	sess, status, err := s.createSession(spec)
+	if err != nil {
+		http.Error(w, err.Error(), status)
+		return
 	}
+	writeJSON(w, s.sessionInfo(sess))
 }
 
-// removeSession unregisters sess, waits out any in-flight sampler batch,
-// request or eviction, and deletes its checkpoint generations (a deleted
-// session must not resurrect on restart). An eviction that holds the
-// session lock finishes its write before the files go; one that locks
-// after the delete finds the session unregistered and skips it.
+// handleGetSession is GET /sessions/{id}.
+func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request, sess *Session) {
+	writeJSON(w, s.sessionInfo(sess))
+}
+
+// handleDeleteSession is DELETE /sessions/{id}: it removes the session
+// together with its checkpoint files.
+func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request, sess *Session) {
+	s.removeSession(sess)
+	writeJSON(w, map[string]string{"deleted": sess.ID})
+}
+
+// removeSession unregisters sess and its labeled series, waits out any
+// in-flight sampler batch, request or eviction, and deletes its checkpoint
+// generations (a deleted session must not resurrect on restart). An
+// eviction that holds the session lock finishes its write before the files
+// go; one that locks after the delete finds the session unregistered and
+// skips it. Requests still in flight count into the unregistered series,
+// which never reappear.
 func (s *Server) removeSession(sess *Session) {
 	s.smu.Lock()
-	if _, ok := s.sessions[sess.ID]; !ok {
+	if s.sessions[sess.ID] != sess {
 		s.smu.Unlock()
 		return
 	}
 	delete(s.sessions, sess.ID)
+	obs.Default().Delete(sessionSeries(sess.ID))
 	for i, id := range s.order {
 		if id == sess.ID {
 			s.order = append(s.order[:i], s.order[i+1:]...)

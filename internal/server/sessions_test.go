@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -109,6 +110,72 @@ func TestSessionCRUD(t *testing.T) {
 	}
 	if err := c.DeleteSession(DefaultSessionID); err != nil {
 		t.Fatalf("deleting the default session: %v", err)
+	}
+}
+
+// TestSessionNamedBulk: POST /sessions/bulk is the bulk API, but GET and
+// DELETE /sessions/bulk address a session named "bulk" like any other id.
+func TestSessionNamedBulk(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newCkServer(t, robustSampler(t), Config{Batch: 500, CheckpointDir: dir})
+	c := NewClient(ts.URL)
+	if _, err := c.CreateSession(SessionSpec{ID: "bulk", K: 3, Delta: 0.1, Seed: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Session("bulk").Advance(200); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Session("bulk").Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := getJSON[SessionInfo](t, ts.URL+"/sessions/bulk"); got.ID != "bulk" || got.NumRR != 200 {
+		t.Fatalf("GET /sessions/bulk = %+v", got)
+	}
+	if err := c.DeleteSession("bulk"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "bulk.ck")); !os.IsNotExist(err) {
+		t.Fatalf("bulk.ck survived DELETE /sessions/bulk (stat error %v)", err)
+	}
+	resp, err := http.Get(ts.URL + "/sessions/bulk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /sessions/bulk after delete: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestDeletedSessionLeavesNoSeries: a deleted session's labeled series
+// leave the registry, so /metrics holds one series per live session id.
+func TestDeletedSessionLeavesNoSeries(t *testing.T) {
+	_, ts := newTestServer(t, 0)
+	c := NewClient(ts.URL)
+	for i := 0; i < 50; i++ {
+		id := fmt.Sprintf("gone-%d", i)
+		if _, err := c.CreateSession(SessionSpec{ID: id, K: 2, Delta: 0.1, Seed: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Session(id).Advance(50); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.DeleteSession(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := counters(t)
+	names := make([]string, 0, len(m.Counters)+len(m.Gauges))
+	for name := range m.Counters {
+		names = append(names, name)
+	}
+	for name := range m.Gauges {
+		names = append(names, name)
+	}
+	for _, name := range names {
+		if strings.Contains(name, `{session="gone-`) {
+			t.Fatalf("series %s outlived its deleted session", name)
+		}
 	}
 }
 
