@@ -50,16 +50,10 @@ type Config struct {
 	ChunkSize int
 	// RPCTimeout bounds each worker RPC (default 30s).
 	RPCTimeout time.Duration
-	// ProbeTimeout bounds each /worker/info health probe (default 2s,
-	// capped at RPCTimeout). Probes are cheap and answered from memory,
-	// so they get a much tighter deadline than lease RPCs — one
-	// blackholed worker must not stall a heartbeat sweep for the full
-	// lease timeout.
-	ProbeTimeout time.Duration
-	// LeaseTTL is how long a lease may stay in flight before the
-	// watchdog speculatively reassigns it to another worker (default
-	// 2×RPCTimeout; the original RPC keeps running — first delivery
-	// wins, the loser is discarded as a duplicate).
+	// LeaseTTL is how long a lease may stay in flight before an idle
+	// worker takes a speculative copy of it (default 2×RPCTimeout; the
+	// original RPC keeps running — first delivery wins, the loser is
+	// discarded as a duplicate).
 	LeaseTTL time.Duration
 	// HeartbeatEvery is the background health-probe period once Start is
 	// called (default 1s).
@@ -92,12 +86,6 @@ func (c Config) withDefaults() Config {
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = 30 * time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
-	if c.ProbeTimeout > c.RPCTimeout {
-		c.ProbeTimeout = c.RPCTimeout
-	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 2 * c.RPCTimeout
 	}
@@ -119,6 +107,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// probeTimeout bounds each /worker/info probe (capped at RPCTimeout).
+// Probes are answered from memory, so they get a much tighter deadline
+// than lease RPCs: one blackholed worker must not stall a heartbeat sweep
+// or a Generate's registration for the full lease timeout.
+const probeTimeout = 2 * time.Second
+
 // workerState tracks one worker's registration and health. All fields are
 // guarded by Coordinator.mu.
 type workerState struct {
@@ -126,31 +120,22 @@ type workerState struct {
 	// probed is set once /worker/info has answered at least once; an
 	// unprobed worker is never leased work.
 	probed bool
-	// fingerprint is the worker's replica fingerprint from its last
-	// successful probe.
-	fingerprint string
-	// epoch/lineage place the replica on its graph's mutation epoch chain
-	// (from the last successful probe). A replica at the wrong epoch —
-	// typically one started before a mutation batch landed — is excluded
-	// exactly like one holding the wrong graph.
-	epoch   int64
-	lineage string
-	// model is the worker's diffusion model from its last successful
-	// probe. A worker sampling under the wrong model is excluded exactly
-	// like one holding the wrong graph.
-	model string
-	// mismatchLogged remembers the last (fingerprint, model) identity
-	// this worker was logged as mismatching, so a permanent wrong-replica
-	// configuration logs once, not once per Generate.
-	mismatchLogged string
+	// replica is what the worker reported holding in its last successful
+	// probe. A worker holding another replica than the session's — the
+	// wrong graph, one started before a mutation batch landed, or the
+	// wrong model — is excluded from dispatch.
+	replica replica
+	// mismatchLogged remembers the last session replica this worker was
+	// logged as not matching, so a permanent wrong-replica configuration
+	// logs once, not once per Generate.
+	mismatchLogged replica
 	// healthy means the last probe or RPC succeeded.
 	healthy bool
 	// evicted removes the worker from dispatch until a heartbeat
-	// re-admits it (or permanently, for fingerprint mismatches —
-	// re-admission requires the fingerprint to match again).
-	evicted       bool
-	consecFails   int
-	batchesServed int64
+	// re-admits it (or permanently, for replica mismatches —
+	// re-admission requires the replica to match again).
+	evicted     bool
+	consecFails int
 }
 
 // Coordinator distributes RR-set generation over a worker fleet. It
@@ -168,17 +153,17 @@ type Coordinator struct {
 	stop    chan struct{}
 	stopped sync.WaitGroup
 	started bool
-	// degradedLogged remembers degrade reasons already logged once, for
-	// reasons that describe a permanent configuration (no matching
-	// replica) rather than a transient outage.
-	degradedLogged map[string]bool
+	// degradedLogged remembers the replicas whose no-worker-replicates
+	// degradation was already logged: that describes a permanent
+	// configuration rather than a transient outage.
+	degradedLogged map[replica]bool
 }
 
 // NewCoordinator returns a Coordinator over cfg.Workers. Workers are
 // registered lazily: the first Generate (or Start) probes them.
 func NewCoordinator(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
-	c := &Coordinator{cfg: cfg, jitter: rng.NewStream(cfg.Seed, 0x1ea5e)}
+	c := &Coordinator{cfg: cfg, jitter: rng.NewStream(cfg.Seed, 0x1ea5e), degradedLogged: make(map[replica]bool)}
 	for _, u := range cfg.Workers {
 		c.workers = append(c.workers, &workerState{url: u})
 	}
@@ -207,7 +192,7 @@ func (c *Coordinator) Start() {
 			case <-c.stop:
 				return
 			case <-t.C:
-				c.probeAll()
+				c.probe(c.workers)
 			}
 		}
 	}()
@@ -227,44 +212,34 @@ func (c *Coordinator) Close() {
 	c.stopped.Wait()
 }
 
-// probeAll heartbeats every worker: GET /worker/info, verify the
-// fingerprint is self-consistent, update health, re-admit recovered
-// workers. Probing also performs initial registration. Probes run
-// concurrently so one blackholed worker delays a sweep by ProbeTimeout,
-// not by ProbeTimeout × fleet size.
-func (c *Coordinator) probeAll() {
-	c.mu.Lock()
-	targets := make([]*workerState, len(c.workers))
-	copy(targets, c.workers)
-	c.mu.Unlock()
+// probe asks the given workers for GET /worker/info and records each
+// answer: a worker that answers is registered, healthy, holds the replica
+// it reports, and is re-admitted if it was evicted; one that does not is
+// unhealthy. The heartbeat probes every worker, Generate the ones not yet
+// registered. Probes run concurrently, so one blackholed worker delays
+// the caller by one probe deadline, not one per worker.
+func (c *Coordinator) probe(workers []*workerState) {
 	var wg sync.WaitGroup
-	for _, w := range targets {
+	for _, w := range workers {
 		wg.Add(1)
 		go func(w *workerState) {
 			defer wg.Done()
-			info, err := c.probe(w.url)
+			info, err := c.info(w.url)
 			c.mu.Lock()
-			defer c.mu.Unlock()
 			if err != nil {
 				w.healthy = false
+				c.mu.Unlock()
 				return
 			}
-			prev := w.fingerprint
-			w.probed = true
-			w.fingerprint = info.Fingerprint
-			w.epoch, w.lineage = info.Epoch, info.Lineage
-			w.model = info.Model
-			w.healthy = true
-			w.consecFails = 0
-			if w.evicted {
-				// Re-admission: the worker answers again. If it was
-				// evicted for an identity mismatch, the mismatch check
-				// at dispatch time still excludes it unless its replica
-				// changed to the right graph and model.
-				w.evicted = false
-				if prev != info.Fingerprint {
-					c.cfg.Logf("fleet: worker %s re-admitted with fingerprint %.12s", w.url, info.Fingerprint)
-				}
+			// Re-admission: an evicted worker answers again. If it was
+			// evicted for a replica mismatch, eligible still excludes it
+			// unless its replica changed to the session's.
+			changed := w.evicted && w.replica != info.replica
+			w.probed, w.healthy, w.evicted, w.consecFails = true, true, false, 0
+			w.replica = info.replica
+			c.mu.Unlock()
+			if changed {
+				c.cfg.Logf("fleet: worker %s re-admitted holding %v", w.url, info.replica)
 			}
 		}(w)
 	}
@@ -272,8 +247,8 @@ func (c *Coordinator) probeAll() {
 	c.updateHealthyGauge()
 }
 
-func (c *Coordinator) probe(url string) (*infoResponse, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+func (c *Coordinator) info(url string) (*infoResponse, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), min(probeTimeout, c.cfg.RPCTimeout))
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+pathInfo, nil)
 	if err != nil {
@@ -309,11 +284,9 @@ func (c *Coordinator) updateHealthyGauge() {
 	mHealthyWorkers.Set(float64(n))
 }
 
-// eligible returns the workers fit to receive leases for the influence
-// instance (fp, epoch, lineage, model), probing any not-yet-registered
-// worker first (concurrently, so an unreachable worker costs one
-// ProbeTimeout, not one per worker, before the first lease goes out).
-func (c *Coordinator) eligible(fp string, epoch int64, lineage, model string) []*workerState {
+// eligible returns the workers fit to receive leases for replica want,
+// probing any not-yet-registered worker first.
+func (c *Coordinator) eligible(want replica) []*workerState {
 	c.mu.Lock()
 	var unprobed []*workerState
 	for _, w := range c.workers {
@@ -323,94 +296,68 @@ func (c *Coordinator) eligible(fp string, epoch int64, lineage, model string) []
 	}
 	c.mu.Unlock()
 	if len(unprobed) > 0 {
-		var wg sync.WaitGroup
-		for _, w := range unprobed {
-			wg.Add(1)
-			go func(w *workerState) {
-				defer wg.Done()
-				info, err := c.probe(w.url)
-				c.mu.Lock()
-				if err == nil {
-					w.probed, w.healthy = true, true
-					w.fingerprint, w.model = info.Fingerprint, info.Model
-					w.epoch, w.lineage = info.Epoch, info.Lineage
-				}
-				c.mu.Unlock()
-			}(w)
-		}
-		wg.Wait()
-		c.updateHealthyGauge()
+		c.probe(unprobed)
 	}
 
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	want := fmt.Sprintf("%s@%d/%s/%s", fp, epoch, lineage, model)
 	var out []*workerState
+	var excluded []string
 	for _, w := range c.workers {
 		if !w.probed || !w.healthy || w.evicted {
 			continue
 		}
-		if w.fingerprint != fp || w.epoch != epoch || w.lineage != lineage || w.model != model {
+		if w.replica != want {
 			mFPMismatches.Inc()
 			// A wrong replica is usually a permanent configuration (or, for
 			// an epoch mismatch, lasts until the worker restarts on the
 			// mutated graph): log each worker's exclusion once per wanted
-			// identity, not once per Generate.
+			// replica, not once per Generate.
 			if w.mismatchLogged != want {
 				w.mismatchLogged = want
-				c.cfg.Logf("fleet: worker %s holds graph %.12s epoch %d model %s, session needs %.12s epoch %d model %s; excluded",
-					w.url, w.fingerprint, w.epoch, w.model, fp, epoch, model)
+				excluded = append(excluded, fmt.Sprintf("worker %s holds %v, session needs %v", w.url, w.replica, want))
 			}
 			continue
 		}
 		out = append(out, w)
 	}
+	c.mu.Unlock()
+	for _, e := range excluded {
+		c.cfg.Logf("fleet: %s; excluded", e)
+	}
 	return out
 }
 
-// Lease lifecycle. A lease is a contiguous seed range [lo, hi) of the
-// batch; its RR sets are Split(startID+lo) … Split(startID+hi-1).
-type leaseStatus int32
-
-const (
-	leaseQueued leaseStatus = iota
-	leaseInFlight
-	leaseDone
-)
-
+// A lease is a contiguous seed range [lo, hi) of the batch; its RR sets
+// are Split(startID+lo) … Split(startID+hi-1).
 type lease struct {
 	lo, hi int
 	// All below guarded by run.mu.
-	status       leaseStatus
-	attempts     int
-	dispatchedAt time.Time
-	result       *rrset.Collection
+	attempts int               // takes from the queue; speculative copies do not count
+	due      time.Time         // when the lease, in flight, passes LeaseTTL
+	result   *rrset.Collection // the first delivery; set once the lease is done
 }
 
-// run is the per-Generate dispatch state.
+// run is one Generate's lease table. A lease is queued (in queue), in
+// flight (in inFlight) or done (result set); the one exception is a lease
+// a dispatch loop samples in-process at its attempt cap, which is in
+// neither until it is done.
 type run struct {
-	c *Coordinator
-
-	fp      string
-	epoch   int64
-	lineage string
-	model   string
-	key0    string
-	key1    string
-	startID uint64
-	workers int // worker-local sampling parallelism hint
-
-	sampler *rrset.Sampler // for local fallback
+	c       *Coordinator
+	req     generateRequest // every lease's body, but for StartID and Count
+	base    *rng.Source     // for in-process sampling
+	sampler *rrset.Sampler
 
 	mu        sync.Mutex
 	leases    []*lease
-	remaining int
-
-	queue   chan int      // lease indices awaiting pickup
-	allDone chan struct{} // closed when remaining hits 0
-	// ctx parents every lease RPC and is cancelled the moment the run
-	// completes, so a losing speculative RPC on a wedged worker cannot
-	// hold Generate hostage for the rest of its RPCTimeout.
+	queue     []int        // queued lease indices, FIFO; a failed lease rejoins at the back
+	inFlight  map[int]bool // indices of the leases some worker is running
+	remaining int          // leases not yet done
+	// requeued is closed and replaced whenever a lease rejoins the queue,
+	// waking the dispatch loops waiting in next.
+	requeued chan struct{}
+	// ctx parents every lease RPC and is cancelled the moment the last
+	// lease is done: that ends the dispatch loops, and a losing RPC on a
+	// wedged worker cannot hold Generate hostage for its RPCTimeout.
 	ctx    context.Context
 	cancel context.CancelFunc
 }
@@ -426,78 +373,56 @@ func (c *Coordinator) Generate(coll *rrset.Collection, s *rrset.Sampler, count i
 		return
 	}
 	mGenerations.Inc()
-	g := s.Graph()
-	fp := g.Fingerprint()
-	epoch, lineage := g.Epoch(), g.EpochLineage()
-	model := s.Model().String()
-	eligible := c.eligible(fp, epoch, lineage, model)
+	want := replicaOf(s)
+	eligible := c.eligible(want)
 	if len(eligible) == 0 {
-		why, permanent := c.degradeReason(fp, epoch, model)
-		c.degrade(coll, s, count, base, workers, why, permanent)
+		c.degrade(want, count)
+		rrset.Generate(coll, s, count, base, workers)
 		return
 	}
 
 	k0, k1 := base.Key()
-	startID := uint64(coll.Count())
 	r := &run{
-		c:       c,
-		fp:      fp,
-		epoch:   epoch,
-		lineage: lineage,
-		model:   model,
-		key0:    strconv.FormatUint(k0, 16),
-		key1:    strconv.FormatUint(k1, 16),
-		startID: startID,
-		workers: workers,
-		sampler: s,
-		allDone: make(chan struct{}),
+		c: c,
+		req: generateRequest{
+			replica: want,
+			Key0:    strconv.FormatUint(k0, 16),
+			Key1:    strconv.FormatUint(k1, 16),
+			StartID: uint64(coll.Count()),
+			Workers: workers,
+		},
+		base:     base,
+		sampler:  s,
+		inFlight: make(map[int]bool),
+		requeued: make(chan struct{}),
 	}
 	r.ctx, r.cancel = context.WithCancel(context.Background())
 	defer r.cancel()
 	for lo := 0; lo < count; lo += c.cfg.ChunkSize {
-		hi := lo + c.cfg.ChunkSize
-		if hi > count {
-			hi = count
-		}
-		r.leases = append(r.leases, &lease{lo: lo, hi: hi})
+		r.queue = append(r.queue, len(r.leases))
+		r.leases = append(r.leases, &lease{lo: lo, hi: min(lo+c.cfg.ChunkSize, count)})
 	}
 	r.remaining = len(r.leases)
 	mLeases.Add(int64(len(r.leases)))
-	// Capacity covers every lease at its attempt cap plus watchdog
-	// re-pushes; pushes are non-blocking besides, so the exact figure
-	// only affects how rarely the watchdog has to re-push.
-	r.queue = make(chan int, len(r.leases)*(c.cfg.MaxLeaseAttempts+2))
-	for i := range r.leases {
-		r.queue <- i
-	}
 
-	// One puller per eligible worker, plus a watchdog that reassigns
-	// leases stuck in flight past the TTL.
+	// One dispatch loop per eligible worker. Each ends when the last lease
+	// is done or its worker is evicted.
 	var wg sync.WaitGroup
 	for _, w := range eligible {
 		wg.Add(1)
 		go func(w *workerState) {
 			defer wg.Done()
-			r.pull(w)
+			r.dispatch(w)
 		}(w)
 	}
-	watchdogDone := make(chan struct{})
-	go r.watchdog(watchdogDone)
-
-	workersExited := make(chan struct{})
-	go func() { wg.Wait(); close(workersExited) }()
-
-	select {
-	case <-r.allDone:
-	case <-workersExited:
-		// Every worker failed out mid-run with leases still open. No
-		// RPCs remain in flight (pullers exited), so finish the tail
-		// locally — at-least-once still holds, and markDone dedup makes
-		// the merge exactly-once even if this races nothing.
-		r.finishLocally("all workers evicted mid-generation")
-	}
-	close(watchdogDone)
 	wg.Wait()
+	// A lease is still open only if every worker was evicted mid-run. No
+	// RPC remains in flight, so the tail is sampled in-process.
+	for i, l := range r.leases {
+		if l.result == nil {
+			r.sampleLocally(i, "all workers evicted mid-generation")
+		}
+	}
 
 	// Merge in lease order: byte-identical to the single-process run.
 	for _, l := range r.leases {
@@ -508,162 +433,186 @@ func (c *Coordinator) Generate(coll *rrset.Collection, s *rrset.Sampler, count i
 	}
 }
 
-// degradeReason distinguishes the two ways a fleet ends up with no
-// eligible worker: a genuine outage (nobody healthy) versus a permanent
-// configuration where healthy workers exist but none replicates this
-// session's (graph, model). The latter is expected on a multi-graph
-// daemon and reported quietly (once per identity) so it cannot drown out
-// real outages.
-func (c *Coordinator) degradeReason(fp string, epoch int64, model string) (why string, permanent bool) {
+// degrade reports a Generate that no worker can serve; the caller samples
+// the whole batch locally. Nobody healthy is an outage, reported every
+// time. Healthy workers that all hold other replicas are a configuration,
+// expected on a multi-graph daemon: counted apart and logged and evented
+// once per replica, so it cannot drown out real outages.
+func (c *Coordinator) degrade(want replica, count int) {
+	mDegraded.Inc()
 	c.mu.Lock()
-	aliveMismatched := 0
+	alive := false
 	for _, w := range c.workers {
-		if w.probed && w.healthy && !w.evicted {
-			aliveMismatched++
-		}
+		alive = alive || w.probed && w.healthy && !w.evicted
+	}
+	why, suffix, loud := "no healthy workers", "", true
+	if alive {
+		mNoReplica.Inc()
+		why, suffix = "no worker replicates "+want.String(), " (further occurrences logged at most once)"
+		loud = !c.degradedLogged[want]
+		c.degradedLogged[want] = true
 	}
 	c.mu.Unlock()
-	if aliveMismatched > 0 {
-		mNoReplica.Inc()
-		return fmt.Sprintf("no worker replicates graph %.12s epoch %d model %s", fp, epoch, model), true
-	}
-	return "no healthy workers", false
-}
-
-// degrade falls back to fully local, in-process generation. A permanent
-// reason (no matching replica — a configuration, not an incident) is
-// logged and emitted once; transient outages are reported every time.
-func (c *Coordinator) degrade(coll *rrset.Collection, s *rrset.Sampler, count int, base *rng.Source, workers int, why string, permanent bool) {
-	mDegraded.Inc()
-	loud := true
-	if permanent {
-		c.mu.Lock()
-		if c.degradedLogged == nil {
-			c.degradedLogged = make(map[string]bool)
-		}
-		loud = !c.degradedLogged[why]
-		c.degradedLogged[why] = true
-		c.mu.Unlock()
-	}
 	if loud {
-		suffix := ""
-		if permanent {
-			suffix = " (further occurrences logged at most once)"
-		}
 		c.cfg.Logf("fleet: DEGRADED: %s; sampling %d RR sets locally%s", why, count, suffix)
 		obs.Emit(c.cfg.Events, "fleet_degraded", map[string]any{
 			"reason": why,
 			"count":  count,
 		})
 	}
-	rrset.Generate(coll, s, count, base, workers)
 }
 
-// pull is one worker's dispatch loop: take a lease, run the RPC, deliver
-// or requeue. It exits when the run completes or its worker is evicted.
-func (r *run) pull(w *workerState) {
+// dispatch is one worker's loop: take a lease, run the RPC, deliver or
+// requeue. It exits when the run is over or its worker is evicted.
+func (r *run) dispatch(w *workerState) {
 	for {
-		select {
-		case <-r.allDone:
+		idx, ok := r.next()
+		if !ok {
 			return
-		case idx := <-r.queue:
-			l := r.leases[idx]
-			r.mu.Lock()
-			if l.status == leaseDone {
-				r.mu.Unlock()
-				continue
-			}
-			// A speculative pickup (the lease is already in flight on
-			// another worker) races the original delivery; it does not
-			// consume an attempt, so a slow-but-healthy holder cannot
-			// burn the lease through MaxLeaseAttempts by itself.
-			if l.status != leaseInFlight {
-				l.attempts++
-			}
-			l.status = leaseInFlight
-			attempt := l.attempts
-			l.dispatchedAt = time.Now()
-			r.mu.Unlock()
-
-			cc, err := r.generateRPC(w, l)
-			if err == nil {
-				r.markDone(idx, cc, w)
-				continue
-			}
-			select {
-			case <-r.allDone:
-				// The run completed while this RPC was in flight and
-				// cancelled it; that is not the worker's failure.
-				return
-			default:
-			}
-
-			mRPCFailures.Inc()
-			evicted := r.c.workerFailed(w, err)
-			r.mu.Lock()
-			done := l.status == leaseDone
-			if !done {
-				l.status = leaseQueued
-			}
-			r.mu.Unlock()
-			if !done {
-				if attempt >= r.c.cfg.MaxLeaseAttempts {
-					// The fleet has had its chances; compute this lease
-					// in-process so the batch still completes.
-					r.localLease(idx, "attempt cap reached")
-				} else {
-					r.push(idx)
-				}
-			}
-			if evicted {
-				return
-			}
-			// Jittered backoff before this worker takes another lease,
-			// mirroring the client retry idiom: failures are rarely
-			// fixed by immediately hammering the same endpoint.
-			r.backoff(attempt)
 		}
+		cc, err := r.generateRPC(w, r.leases[idx])
+		if err == nil {
+			r.markDone(idx, cc, w)
+			continue
+		}
+		if r.ctx.Err() != nil {
+			// The run completed while this RPC was in flight and
+			// cancelled it; that is not the worker's failure.
+			return
+		}
+		mRPCFailures.Inc()
+		evicted := r.c.workerFailed(w, err)
+		attempts, capped := r.fail(idx)
+		if capped {
+			// The fleet has had its chances; compute this lease
+			// in-process so the batch still completes.
+			r.sampleLocally(idx, "attempt cap reached")
+		}
+		if evicted {
+			return
+		}
+		// Jittered backoff before this worker takes another lease,
+		// mirroring the client retry idiom: failures are rarely fixed by
+		// immediately hammering the same endpoint.
+		r.backoff(attempts)
 	}
 }
 
-// push enqueues a lease index without ever blocking a puller; if the
-// queue is momentarily full the watchdog will re-push on its next sweep.
-func (r *run) push(idx int) {
-	select {
-	case r.queue <- idx:
-	default:
+// next hands a dispatch loop its next lease: a speculative copy of the
+// in-flight lease overdue longest, once it passes LeaseTTL; else the next
+// queued lease; else it waits for a requeue, the nearest TTL expiry or
+// the end of the run. ok is false once the run is over. A copy re-arms
+// the lease's TTL, so each expiry yields one copy, and it does not
+// consume an attempt, so a slow-but-healthy holder cannot burn the lease
+// through MaxLeaseAttempts by itself.
+func (r *run) next() (idx int, ok bool) {
+	ttl := r.c.cfg.LeaseTTL
+	r.mu.Lock()
+	for r.ctx.Err() == nil {
+		now := time.Now()
+		// The lease overdue longest is the one due first.
+		late, wake := -1, now.Add(ttl)
+		for i := range r.inFlight {
+			if due := r.leases[i].due; due.Before(wake) {
+				late, wake = i, due
+			}
+		}
+		if late >= 0 && !wake.After(now) {
+			l := r.leases[late]
+			l.due = now.Add(ttl)
+			r.mu.Unlock()
+			mLeasesReassigned.Inc()
+			r.c.cfg.Logf("fleet: lease [%d,%d) expired after %v; reassigning a copy", l.lo, l.hi, ttl)
+			return late, true
+		}
+		for len(r.queue) > 0 {
+			idx, r.queue = r.queue[0], r.queue[1:]
+			// A lease requeued while a copy of it was still in flight
+			// may have been delivered since.
+			if l := r.leases[idx]; l.result == nil {
+				l.attempts++
+				l.due = now.Add(ttl)
+				r.inFlight[idx] = true
+				r.mu.Unlock()
+				return idx, true
+			}
+		}
+		requeued := r.requeued
+		r.mu.Unlock()
+		t := time.NewTimer(wake.Sub(now))
+		select {
+		case <-requeued:
+		case <-t.C:
+		case <-r.ctx.Done():
+		}
+		t.Stop()
+		r.mu.Lock()
 	}
+	r.mu.Unlock()
+	return 0, false
 }
 
+// fail takes lease idx out of flight after a failed RPC and puts it at
+// the back of the queue, or, once it has used MaxLeaseAttempts, reports it
+// capped for the caller to sample in-process. A lease no longer in flight
+// (delivered, or requeued by a failed copy) is left as it is.
+func (r *run) fail(idx int) (attempts int, capped bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	l := r.leases[idx]
+	if !r.inFlight[idx] {
+		return l.attempts, false
+	}
+	delete(r.inFlight, idx)
+	if l.attempts >= r.c.cfg.MaxLeaseAttempts {
+		return l.attempts, true
+	}
+	r.queue = append(r.queue, idx)
+	close(r.requeued)
+	r.requeued = make(chan struct{})
+	return l.attempts, false
+}
+
+// backoffDelay is the base pause after a lease's attempt-th failure:
+// 50 ms, doubling per attempt up to 1 s. It stops doubling at the cap, so
+// a large MaxLeaseAttempts cannot overflow the shift.
+func backoffDelay(attempt int) time.Duration {
+	d := 50 * time.Millisecond
+	for i := 1; i < attempt && d < time.Second; i++ {
+		d *= 2
+	}
+	return min(d, time.Second)
+}
+
+// backoff pauses a dispatch loop for half to all of backoffDelay(attempt),
+// or until the run is over.
 func (r *run) backoff(attempt int) {
-	base := 50 * time.Millisecond
-	max := time.Second
-	d := base << uint(attempt-1)
-	if d > max {
-		d = max
-	}
+	d := backoffDelay(attempt)
 	r.c.mu.Lock()
 	j := time.Duration(r.c.jitter.Float64() * float64(d) / 2)
 	r.c.mu.Unlock()
+	t := time.NewTimer(d/2 + j)
+	defer t.Stop()
 	select {
-	case <-time.After(d/2 + j):
-	case <-r.allDone:
+	case <-t.C:
+	case <-r.ctx.Done():
 	}
 }
 
 // markDone records a lease delivery. The first delivery wins; later
 // duplicates (speculative reassignment racing the original) are counted
-// and discarded, keeping the merge exactly-once.
+// and discarded, keeping the merge exactly-once. The last lease done
+// cancels the run.
 func (r *run) markDone(idx int, cc *rrset.Collection, w *workerState) {
 	l := r.leases[idx]
 	r.mu.Lock()
-	if l.status == leaseDone {
+	if l.result != nil {
 		r.mu.Unlock()
 		mDuplicates.Inc()
 		return
 	}
-	l.status = leaseDone
 	l.result = cc
+	delete(r.inFlight, idx)
 	r.remaining--
 	last := r.remaining == 0
 	r.mu.Unlock()
@@ -671,107 +620,30 @@ func (r *run) markDone(idx int, cc *rrset.Collection, w *workerState) {
 		r.c.workerSucceeded(w)
 	}
 	if last {
-		close(r.allDone)
-		// Cancel in-flight losing RPCs immediately: Generate must not
-		// wait out a wedged worker's RPCTimeout after the batch is done.
 		r.cancel()
 	}
 }
 
-// localLease computes one lease in-process — the per-lease degradation
-// path for leases the fleet kept failing.
-func (r *run) localLease(idx int, why string) {
+// sampleLocally reproduces lease idx's exact chunk in-process and
+// delivers it.
+func (r *run) sampleLocally(idx int, why string) {
 	l := r.leases[idx]
-	r.mu.Lock()
-	if l.status == leaseDone {
-		r.mu.Unlock()
-		return
-	}
-	r.mu.Unlock()
 	mLeasesLocal.Inc()
 	r.c.cfg.Logf("fleet: lease [%d,%d): %s; sampling locally", l.lo, l.hi, why)
-	r.markDone(idx, r.generateLocal(l), nil)
-}
-
-// generateLocal reproduces a lease's exact chunk in-process.
-func (r *run) generateLocal(l *lease) *rrset.Collection {
 	cc := rrset.NewCollection(r.sampler.Graph().N())
-	k0, _ := strconv.ParseUint(r.key0, 16, 64)
-	k1, _ := strconv.ParseUint(r.key1, 16, 64)
-	base := rng.NewFromKey(k0, k1)
-	rrset.GenerateAt(cc, r.sampler, l.hi-l.lo, base, r.startID+uint64(l.lo), r.workers)
-	return cc
-}
-
-// finishLocally completes every unfinished lease in-process.
-func (r *run) finishLocally(why string) {
-	for idx, l := range r.leases {
-		r.mu.Lock()
-		open := l.status != leaseDone
-		r.mu.Unlock()
-		if open {
-			r.localLease(idx, why)
-		}
-	}
-}
-
-// watchdog reassigns leases stuck in flight past the TTL (the holder may
-// be wedged, GC-paused, or dead without closing the connection) and
-// re-pushes queued leases whose enqueue was dropped on a full queue.
-func (r *run) watchdog(stop chan struct{}) {
-	tick := r.c.cfg.LeaseTTL / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-r.allDone:
-			return
-		case <-t.C:
-			now := time.Now()
-			for idx, l := range r.leases {
-				r.mu.Lock()
-				expired := l.status == leaseInFlight && now.Sub(l.dispatchedAt) > r.c.cfg.LeaseTTL
-				if expired {
-					// Re-arm the TTL so one expiry triggers one
-					// reassignment, not one per tick until a puller
-					// happens to pick the duplicate up.
-					l.dispatchedAt = now
-				}
-				requeue := l.status == leaseQueued
-				r.mu.Unlock()
-				if expired {
-					mLeasesReassigned.Inc()
-					r.c.cfg.Logf("fleet: lease [%d,%d) expired after %v; reassigning", l.lo, l.hi, r.c.cfg.LeaseTTL)
-					r.push(idx)
-				} else if requeue {
-					r.push(idx)
-				}
-			}
-		}
-	}
+	rrset.GenerateAt(cc, r.sampler, l.hi-l.lo, r.base, r.req.StartID+uint64(l.lo), r.req.Workers)
+	r.markDone(idx, cc, nil)
 }
 
 // generateRPC ships one lease to w and decodes the returned chunk. Any
 // transport error, non-200 status, or CRC/format failure is returned for
 // the caller to retry elsewhere; a 412 additionally evicts the worker
-// (its replica is the wrong graph — no retry can help).
+// (its replica is the wrong instance — no retry can help).
 func (r *run) generateRPC(w *workerState, l *lease) (*rrset.Collection, error) {
-	body, err := json.Marshal(generateRequest{
-		Fingerprint: r.fp,
-		Epoch:       r.epoch,
-		Lineage:     r.lineage,
-		Model:       r.model,
-		Key0:        r.key0,
-		Key1:        r.key1,
-		StartID:     r.startID + uint64(l.lo),
-		Count:       l.hi - l.lo,
-		Workers:     r.workers,
-	})
+	lr := r.req
+	lr.StartID += uint64(l.lo)
+	lr.Count = l.hi - l.lo
+	body, err := json.Marshal(lr)
 	if err != nil {
 		return nil, err
 	}
@@ -798,7 +670,7 @@ func (r *run) generateRPC(w *workerState, l *lease) (*rrset.Collection, error) {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		why := string(bytes.TrimSpace(msg))
 		if why == "" {
-			why = "identity mismatch"
+			why = "replica mismatch"
 		}
 		r.c.evict(w, why)
 		return nil, fmt.Errorf("fleet: %s refused lease: %s", w.url, why)
@@ -838,7 +710,6 @@ func (c *Coordinator) workerSucceeded(w *workerState) {
 	c.mu.Lock()
 	w.consecFails = 0
 	w.healthy = true
-	w.batchesServed++
 	c.mu.Unlock()
 }
 

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -181,10 +182,10 @@ func TestDegradedZeroWorkers(t *testing.T) {
 func TestDuplicateDeliverySuppressed(t *testing.T) {
 	s := testSampler(t, 100, 3)
 	r := &run{
-		c:       NewCoordinator(quietConfig(nil)),
-		sampler: s,
-		leases:  []*lease{{lo: 0, hi: 10}, {lo: 10, hi: 20}},
-		allDone: make(chan struct{}),
+		c:        NewCoordinator(quietConfig(nil)),
+		sampler:  s,
+		leases:   []*lease{{lo: 0, hi: 10}, {lo: 10, hi: 20}},
+		inFlight: map[int]bool{0: true, 1: true},
 	}
 	r.ctx, r.cancel = context.WithCancel(context.Background())
 	r.remaining = len(r.leases)
@@ -206,10 +207,8 @@ func TestDuplicateDeliverySuppressed(t *testing.T) {
 	if mDuplicates.Value() != dupBefore+1 {
 		t.Fatal("duplicate delivery was not counted")
 	}
-	select {
-	case <-r.allDone:
+	if r.ctx.Err() != nil {
 		t.Fatal("run completed with a lease still open")
-	default:
 	}
 }
 
@@ -617,7 +616,7 @@ func TestHeartbeatReadmitsRecoveredWorker(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("worker never re-admitted by heartbeat")
 		}
-		if len(coord.eligible(s.Graph().Fingerprint(), s.Graph().Epoch(), s.Graph().EpochLineage(), s.Model().String())) == 1 {
+		if len(coord.eligible(replicaOf(s))) == 1 {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -704,7 +703,171 @@ func TestEpochMismatchExcluded(t *testing.T) {
 	}
 
 	// Sanity: the same fleet IS eligible for the epoch-0 sampler.
-	if n := len(coord.eligible(base.Graph().Fingerprint(), 0, base.Graph().EpochLineage(), "IC")); n != 2 {
+	if n := len(coord.eligible(replicaOf(base))); n != 2 {
 		t.Fatalf("eligible for base epoch = %d, want 2", n)
 	}
+}
+
+// TestAttemptCapSamplesLocally: a worker that answers its probe but fails
+// every lease stays below FailThreshold, so it is never evicted; each
+// lease is sampled in-process once it has used MaxLeaseAttempts, and the
+// merged bytes equal local generation.
+func TestAttemptCapSamplesLocally(t *testing.T) {
+	const (
+		graphN    = 300
+		graphSeed = 42
+		count     = 100
+		rngSeed   = 37
+	)
+	s := testSampler(t, graphN, graphSeed)
+	want := localBytes(t, s, count, rngSeed)
+
+	w := NewWorker(testSampler(t, graphN, graphSeed))
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == pathGenerate {
+			http.Error(rw, "sampling failed", http.StatusInternalServerError)
+			return
+		}
+		w.ServeHTTP(rw, r)
+	}))
+	t.Cleanup(srv.Close)
+
+	cfg := quietConfig([]string{srv.URL})
+	cfg.FailThreshold = 100
+	cfg.MaxLeaseAttempts = 2
+	coord := NewCoordinator(cfg)
+
+	localBefore := mLeasesLocal.Value()
+	c := rrset.NewCollection(s.Graph().N())
+	coord.Generate(c, s, count, rng.New(rngSeed), 0)
+	if !bytes.Equal(collBytes(t, c), want) {
+		t.Fatal("leases sampled in-process at the attempt cap diverged from local generation")
+	}
+	if got, leases := mLeasesLocal.Value()-localBefore, int64(count/cfg.ChunkSize); got != leases {
+		t.Fatalf("fleet_leases_local_total rose by %d, want %d (every lease)", got, leases)
+	}
+}
+
+// TestAllWorkersEvictedMidRun: two workers each serve their first lease
+// and then answer 503; with FailThreshold 1 both are evicted mid-run, and
+// the leases still open are sampled in-process, so the merged bytes equal
+// local generation.
+func TestAllWorkersEvictedMidRun(t *testing.T) {
+	const (
+		graphN    = 300
+		graphSeed = 42
+		count     = 400
+		rngSeed   = 41
+	)
+	s := testSampler(t, graphN, graphSeed)
+	want := localBytes(t, s, count, rngSeed)
+
+	urls := make([]string, 2)
+	for i := range urls {
+		var served atomic.Int64
+		w := NewWorker(testSampler(t, graphN, graphSeed))
+		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == pathGenerate && served.Add(1) > 1 {
+				http.Error(rw, "shutting down", http.StatusServiceUnavailable)
+				return
+			}
+			w.ServeHTTP(rw, r)
+		}))
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	cfg := quietConfig(urls)
+	cfg.FailThreshold = 1
+	coord := NewCoordinator(cfg)
+
+	evictBefore, localBefore := mEvictions.Value(), mLeasesLocal.Value()
+	c := rrset.NewCollection(s.Graph().N())
+	coord.Generate(c, s, count, rng.New(rngSeed), 0)
+	if !bytes.Equal(collBytes(t, c), want) {
+		t.Fatal("generation whose workers were all evicted mid-run diverged from local generation")
+	}
+	if got := mEvictions.Value() - evictBefore; got != 2 {
+		t.Fatalf("fleet_workers_evicted_total rose by %d, want 2", got)
+	}
+	if got, open := mLeasesLocal.Value()-localBefore, int64(count/cfg.ChunkSize-2); got != open {
+		t.Fatalf("fleet_leases_local_total rose by %d, want %d (every lease the two workers did not serve)", got, open)
+	}
+}
+
+// TestBackoffDelayBounded: the base pause after a lease's failure doubles
+// from 50 ms and stops at 1 s for every attempt count a Config allows —
+// no shift overflow into a wrapped, negative or zero delay.
+func TestBackoffDelayBounded(t *testing.T) {
+	var prev time.Duration
+	for attempt := 1; attempt <= 64; attempt++ {
+		d := backoffDelay(attempt)
+		if d < 50*time.Millisecond || d > time.Second || d < prev {
+			t.Fatalf("backoffDelay(%d) = %v after %v; want within [50ms, 1s] and never decreasing", attempt, d, prev)
+		}
+		prev = d
+	}
+}
+
+// TestWorkerClampsLeaseWorkers: a lease's workers hint beyond the worker's
+// GOMAXPROCS is capped there. The hint changes only the speed, so the
+// chunk equals the one a single-worker lease returns.
+func TestWorkerClampsLeaseWorkers(t *testing.T) {
+	w := NewWorker(testSampler(t, 300, 42))
+	srv := httptest.NewServer(w)
+	defer srv.Close()
+	chunk := func(workers int) []byte {
+		t.Helper()
+		body, err := json.Marshal(generateRequest{replica: w.replica, Key0: "1", Key1: "2", Count: 64, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+pathGenerate, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("lease with workers %d: status %d, %v", workers, resp.StatusCode, err)
+		}
+		return out
+	}
+	if !bytes.Equal(chunk(1<<30), chunk(1)) {
+		t.Fatal("a lease's workers hint changed the chunk bytes")
+	}
+}
+
+// BenchmarkFleetGenerate times one batch of 16,384 RR sets on a
+// 5,000-node graph generated locally and leased to two in-process workers
+// (64 leases of 256), one sampling worker on each side. Each lease adds
+// JSON, a loopback round trip, an OPIMR3 encode with CRC and index builds
+// on both ends, so local:fleet reads well below 1; CI gates the ratio to
+// catch a dispatch loop that stalls, not to track the overhead.
+func BenchmarkFleetGenerate(b *testing.B) {
+	const count = 16384
+	s := testSampler(b, 5000, 42)
+	b.Run("local", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c := rrset.NewCollection(s.Graph().N())
+			rrset.Generate(c, s, count, rng.New(7), 1)
+		}
+	})
+	b.Run("fleet", func(b *testing.B) {
+		cfg := quietConfig(nil)
+		cfg.ChunkSize = 256
+		for i := 0; i < 2; i++ {
+			srv := httptest.NewServer(NewWorker(testSampler(b, 5000, 42)))
+			b.Cleanup(srv.Close)
+			cfg.Workers = append(cfg.Workers, srv.URL)
+		}
+		coord := NewCoordinator(cfg)
+		if n := len(coord.eligible(replicaOf(s))); n != 2 {
+			b.Fatalf("%d eligible workers, want 2", n)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c := rrset.NewCollection(s.Graph().N())
+			coord.Generate(c, s, count, rng.New(7), 1)
+		}
+	})
 }

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -51,52 +52,55 @@ var (
 	mWorkerBadableRq = obs.Default().Counter("fleet_worker_bad_requests_total")
 )
 
+// replica identifies the influence instance a worker samples: the graph
+// content (graph.Fingerprint), its position on the graph's mutation epoch
+// chain (graph.EpochLineage), and the diffusion model. Two replicas sample
+// the same RR sets only when all four fields agree: the same content at
+// another epoch, or under another model, is a different instance whose RR
+// sets merge cleanly and are silently wrong. Both wire bodies embed it, so
+// its keys sit at the top level of the JSON.
+type replica struct {
+	Fingerprint string `json:"fingerprint"`
+	Epoch       int64  `json:"epoch"`
+	Lineage     string `json:"lineage"`
+	Model       string `json:"model"`
+}
+
+func replicaOf(s *rrset.Sampler) replica {
+	g := s.Graph()
+	return replica{Fingerprint: g.Fingerprint(), Epoch: g.Epoch(), Lineage: g.EpochLineage(), Model: s.Model().String()}
+}
+
+func (r replica) String() string {
+	return fmt.Sprintf("graph %.12s epoch %d (lineage %.12s) model %s", r.Fingerprint, r.Epoch, r.Lineage, r.Model)
+}
+
 // infoResponse is the body of GET /worker/info.
 type infoResponse struct {
-	// Fingerprint is the content fingerprint of the worker's graph
-	// replica (graph.Fingerprint). The coordinator refuses to lease work
-	// to a worker whose fingerprint differs from the session graph's.
-	Fingerprint string `json:"fingerprint"`
-	// Epoch and Lineage place the replica on its graph's mutation epoch
-	// chain (graph.EpochLineage): a worker still holding the pre-mutation
-	// replica is excluded until it restarts on the mutated graph.
-	Epoch   int64  `json:"epoch"`
-	Lineage string `json:"lineage"`
+	replica
 	// N is the replica's node count (a cheap cross-check and a useful
 	// human diagnostic when fingerprints differ).
 	N int32 `json:"n"`
-	// Model names the diffusion model the worker samples under.
-	Model string `json:"model"`
 }
 
 // generateRequest is the body of POST /worker/generate: one seed-range
-// lease. Key0/Key1 carry the coordinator's base-source seeding snapshot
-// (rng.Source.Key) as hex strings — uint64 values do not survive JSON
-// number round-trips above 2^53.
+// lease. The replica is the instance the coordinator samples; a worker
+// holding another refuses with 412 rather than computing RR sets on the
+// wrong influence instance. Key0/Key1 carry the coordinator's base-source
+// seeding snapshot (rng.Source.Key) as hex strings — uint64 values do not
+// survive JSON number round-trips above 2^53.
 type generateRequest struct {
-	// Fingerprint is the graph the coordinator believes it is sampling
-	// on. A mismatch is refused with 412 rather than computing RR sets
-	// on the wrong influence instance.
-	Fingerprint string `json:"fingerprint"`
-	// Model is the diffusion model the coordinator samples under. Same
-	// graph + different model is a different influence instance, so a
-	// mismatch is refused with 412 exactly like a fingerprint mismatch.
-	Model string `json:"model"`
-	// Epoch and Lineage pin the lease to a position on the graph's
-	// mutation epoch chain. The same base dataset at a different epoch is
-	// a different graph; a replica that has not seen the mutation batch
-	// refuses with 412 like any other identity mismatch.
-	Epoch   int64  `json:"epoch"`
-	Lineage string `json:"lineage"`
-	Key0    string `json:"key0"`
-	Key1    string `json:"key1"`
+	replica
+	Key0 string `json:"key0"`
+	Key1 string `json:"key1"`
 	// StartID is the global id of the lease's first RR set: set j of the
 	// response was driven by Split(StartID+j).
 	StartID uint64 `json:"start_id"`
 	// Count is the number of RR sets to generate (the lease width).
 	Count int `json:"count"`
 	// Workers bounds the worker-local sampling parallelism (≤0 means
-	// GOMAXPROCS). It cannot change the bytes produced, only the speed.
+	// GOMAXPROCS; the worker caps it at its own GOMAXPROCS). It cannot
+	// change the bytes produced, only the speed.
 	Workers int `json:"workers"`
 }
 
@@ -106,23 +110,13 @@ type generateRequest struct {
 // replaced at any time without losing anything but in-flight effort.
 type Worker struct {
 	sampler *rrset.Sampler
-	fp      string
-	epoch   int64
-	lineage string
-	model   string
+	replica replica
 	mux     *http.ServeMux
 }
 
 // NewWorker returns a Worker serving RR-set leases sampled from s.
 func NewWorker(s *rrset.Sampler) *Worker {
-	g := s.Graph()
-	w := &Worker{
-		sampler: s,
-		fp:      g.Fingerprint(),
-		epoch:   g.Epoch(),
-		lineage: g.EpochLineage(),
-		model:   s.Model().String(),
-	}
+	w := &Worker{sampler: s, replica: replicaOf(s)}
 	w.mux = http.NewServeMux()
 	w.mux.HandleFunc("GET "+pathInfo, w.handleInfo)
 	w.mux.HandleFunc("POST "+pathGenerate, w.handleGenerate)
@@ -133,7 +127,7 @@ func NewWorker(s *rrset.Sampler) *Worker {
 }
 
 // Fingerprint returns the fingerprint of the worker's graph replica.
-func (w *Worker) Fingerprint() string { return w.fp }
+func (w *Worker) Fingerprint() string { return w.replica.Fingerprint }
 
 // ServeHTTP implements http.Handler.
 func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
@@ -149,13 +143,7 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 
 func (w *Worker) handleInfo(rw http.ResponseWriter, r *http.Request) {
 	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(infoResponse{
-		Fingerprint: w.fp,
-		Epoch:       w.epoch,
-		Lineage:     w.lineage,
-		N:           w.sampler.Graph().N(),
-		Model:       w.model,
-	})
+	json.NewEncoder(rw).Encode(infoResponse{replica: w.replica, N: w.sampler.Graph().N()})
 }
 
 func (w *Worker) handleGenerate(rw http.ResponseWriter, r *http.Request) {
@@ -166,29 +154,12 @@ func (w *Worker) handleGenerate(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if req.Fingerprint != w.fp {
-		// Refuse rather than sample: RR sets from a different graph are
-		// not wrong-looking, they are silently wrong.
+	if req.replica != w.replica {
+		// Refuse rather than sample: RR sets from another graph, epoch or
+		// model are not wrong-looking, they are silently wrong.
 		mWorkerRefusals.Inc()
-		http.Error(rw, fmt.Sprintf("graph fingerprint mismatch: worker holds %s, lease expects %s",
-			w.fp, req.Fingerprint), http.StatusPreconditionFailed)
-		return
-	}
-	if req.Model != w.model {
-		// Same graph under a different diffusion model is a different
-		// influence instance; its RR sets are just as silently wrong.
-		mWorkerRefusals.Inc()
-		http.Error(rw, fmt.Sprintf("diffusion model mismatch: worker samples %s, lease expects %s",
-			w.model, req.Model), http.StatusPreconditionFailed)
-		return
-	}
-	if req.Epoch != w.epoch || req.Lineage != w.lineage {
-		// The coordinator's graph mutated past (or behind) this replica:
-		// identical base content at a different epoch samples different RR
-		// sets. Refuse until the replica restarts on the right epoch.
-		mWorkerRefusals.Inc()
-		http.Error(rw, fmt.Sprintf("graph epoch mismatch: worker holds epoch %d (%s), lease expects epoch %d (%s)",
-			w.epoch, w.lineage, req.Epoch, req.Lineage), http.StatusPreconditionFailed)
+		http.Error(rw, fmt.Sprintf("replica mismatch: worker holds %v, lease expects %v", w.replica, req.replica),
+			http.StatusPreconditionFailed)
 		return
 	}
 	k0, err0 := strconv.ParseUint(req.Key0, 16, 64)
@@ -202,7 +173,9 @@ func (w *Worker) handleGenerate(rw http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	cc := rrset.NewCollection(w.sampler.Graph().N())
 	base := rng.NewFromKey(k0, k1)
-	rrset.GenerateAt(cc, w.sampler, req.Count, base, req.StartID, req.Workers)
+	// More shards than this process can run only cost memory: each one
+	// allocates n-entry scratch arrays.
+	rrset.GenerateAt(cc, w.sampler, req.Count, base, req.StartID, min(req.Workers, runtime.GOMAXPROCS(0)))
 	mWorkerGenTimer.Observe(time.Since(start))
 
 	// Serialize to memory first so the response carries a Content-Length;

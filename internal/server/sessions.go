@@ -24,6 +24,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -241,7 +242,8 @@ type SessionSpec struct {
 	Variant string `json:"variant"`
 	// Seed drives the session's sample stream.
 	Seed uint64 `json:"seed"`
-	// Workers bounds RR-generation parallelism (0 = GOMAXPROCS).
+	// Workers bounds RR-generation parallelism (0 = GOMAXPROCS; larger
+	// values are rejected).
 	Workers int `json:"workers"`
 	// Union enables the δ/2^i union-budget snapshot schedule.
 	Union bool `json:"union"`
@@ -386,6 +388,13 @@ func (s *Server) createSession(spec SessionSpec) (*Session, int, error) {
 	if maxRR < 0 || maxRR > s.cfg.MaxRR {
 		return nil, http.StatusBadRequest,
 			fmt.Errorf("max_rr %d outside (0, server budget %d]", maxRR, s.cfg.MaxRR)
+	}
+	// Every generation for the session starts min(workers, count) shards,
+	// each with n-entry scratch arrays; more than the process can run only
+	// cost memory.
+	if procs := runtime.GOMAXPROCS(0); spec.Workers < 0 || spec.Workers > procs {
+		return nil, http.StatusBadRequest,
+			fmt.Errorf("workers %d outside [0, GOMAXPROCS %d]", spec.Workers, procs)
 	}
 	if err := validateQoSSpec(spec); err != nil {
 		return nil, http.StatusBadRequest, err

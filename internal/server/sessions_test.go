@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -110,6 +111,39 @@ func TestSessionCRUD(t *testing.T) {
 	}
 	if err := c.DeleteSession(DefaultSessionID); err != nil {
 		t.Fatalf("deleting the default session: %v", err)
+	}
+}
+
+// TestSessionWorkersBounded: a session's workers count must lie in
+// [0, GOMAXPROCS], through POST /sessions and a bulk create alike; every
+// later generation for the session starts min(workers, count) shards, each
+// with n-entry scratch arrays. Creating a session samples nothing.
+func TestSessionWorkersBounded(t *testing.T) {
+	_, ts := newTestServer(t, 0)
+	c := NewClient(ts.URL)
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ workers, status int }{
+		{procs + 1, http.StatusBadRequest},
+		{-1, http.StatusBadRequest},
+		{procs, http.StatusOK},
+	} {
+		id := fmt.Sprintf("w%d", tc.workers)
+		body := fmt.Sprintf(`{"id":%q,"k":3,"workers":%d}`, id, tc.workers)
+		resp, err := http.Post(ts.URL+"/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("POST /sessions with workers %d: status %d, want %d", tc.workers, resp.StatusCode, tc.status)
+		}
+		bulk, err := c.BulkSessions(BulkSessionsRequest{Create: []SessionSpec{{ID: "bulk-" + id, K: 3, Workers: tc.workers}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bulk.Results[0].Status; got != tc.status {
+			t.Fatalf("bulk create with workers %d: status %d, want %d", tc.workers, got, tc.status)
+		}
 	}
 }
 
