@@ -49,14 +49,20 @@ func TestOpimdFleetWorkerKillSmoke(t *testing.T) {
 		"-fleet-rpc-timeout", "10s",
 	)
 
-	// Advance in the background; SIGKILL w2 shortly after dispatch
-	// begins. Its in-flight lease dies with it and must be reassigned.
+	// Advance in the background; SIGKILL w2 as soon as the coordinator has
+	// had a lease served (its first fleet RPC returned), so the kill lands
+	// early in dispatch however fast the machine is. w2's in-flight lease
+	// dies with it and must be reassigned.
 	advErr := make(chan error, 1)
 	go func() {
 		_, err := coord.post(advance)
 		advErr <- err
 	}()
-	time.Sleep(200 * time.Millisecond)
+	for deadline := time.Now().Add(time.Minute); leasesServed(t, coord) < 1; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("coordinator served no fleet lease within a minute")
+		}
+	}
 	select {
 	case err := <-advErr:
 		t.Fatalf("advance finished before the kill (err=%v); batch too small to exercise mid-run worker death", err)
@@ -95,4 +101,14 @@ func TestOpimdFleetWorkerKillSmoke(t *testing.T) {
 	// healthy worker should have served at least one lease.
 	w1.cmd.Process.Kill()
 	w3.cmd.Process.Kill()
+}
+
+// leasesServed reads timers.fleet_rpc_seconds.count from d's /metrics: the
+// number of fleet RPCs that have returned.
+func leasesServed(t *testing.T, d *daemon) float64 {
+	t.Helper()
+	timers, _ := d.mustGet(t, "/metrics")["timers"].(map[string]any)
+	rpc, _ := timers["fleet_rpc_seconds"].(map[string]any)
+	n, _ := rpc["count"].(float64)
+	return n
 }

@@ -8,7 +8,9 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -125,9 +127,10 @@ type workerState struct {
 	// wrong graph, one started before a mutation batch landed, or the
 	// wrong model — is excluded from dispatch.
 	replica replica
-	// mismatchLogged remembers the last session replica this worker was
-	// logged as not matching, so a permanent wrong-replica configuration
-	// logs once, not once per Generate.
+	// mismatchLogged is the replica the worker held when its exclusion was
+	// last logged. What a worker holds changes only when it restarts or
+	// re-registers, so its exclusion logs once per replica it holds, not
+	// once per Generate or per session it cannot serve.
 	mismatchLogged replica
 	// healthy means the last probe or RPC succeeded.
 	healthy bool
@@ -153,17 +156,18 @@ type Coordinator struct {
 	stop    chan struct{}
 	stopped sync.WaitGroup
 	started bool
-	// degradedLogged remembers the replicas whose no-worker-replicates
-	// degradation was already logged: that describes a permanent
-	// configuration rather than a transient outage.
-	degradedLogged map[replica]bool
+	// degradedHeld names the replicas the healthy workers held when a
+	// no-worker-replicates degradation was last logged: that describes a
+	// configuration, which changes only when a worker restarts or
+	// re-registers, rather than a transient outage.
+	degradedHeld string
 }
 
 // NewCoordinator returns a Coordinator over cfg.Workers. Workers are
 // registered lazily: the first Generate (or Start) probes them.
 func NewCoordinator(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
-	c := &Coordinator{cfg: cfg, jitter: rng.NewStream(cfg.Seed, 0x1ea5e), degradedLogged: make(map[replica]bool)}
+	c := &Coordinator{cfg: cfg, jitter: rng.NewStream(cfg.Seed, 0x1ea5e)}
 	for _, u := range cfg.Workers {
 		c.workers = append(c.workers, &workerState{url: u})
 	}
@@ -308,12 +312,8 @@ func (c *Coordinator) eligible(want replica) []*workerState {
 		}
 		if w.replica != want {
 			mFPMismatches.Inc()
-			// A wrong replica is usually a permanent configuration (or, for
-			// an epoch mismatch, lasts until the worker restarts on the
-			// mutated graph): log each worker's exclusion once per wanted
-			// replica, not once per Generate.
-			if w.mismatchLogged != want {
-				w.mismatchLogged = want
+			if w.mismatchLogged != w.replica {
+				w.mismatchLogged = w.replica
 				excluded = append(excluded, fmt.Sprintf("worker %s holds %v, session needs %v", w.url, w.replica, want))
 			}
 			continue
@@ -436,22 +436,28 @@ func (c *Coordinator) Generate(coll *rrset.Collection, s *rrset.Sampler, count i
 // degrade reports a Generate that no worker can serve; the caller samples
 // the whole batch locally. Nobody healthy is an outage, reported every
 // time. Healthy workers that all hold other replicas are a configuration,
-// expected on a multi-graph daemon: counted apart and logged and evented
-// once per replica, so it cannot drown out real outages.
+// expected on a multi-graph daemon and on a mutating graph whose workers
+// lag its epochs: counted apart, and logged and evented once per change in
+// the set of replicas the healthy workers hold, so it cannot drown out
+// real outages.
 func (c *Coordinator) degrade(want replica, count int) {
 	mDegraded.Inc()
 	c.mu.Lock()
-	alive := false
+	var held []string
 	for _, w := range c.workers {
-		alive = alive || w.probed && w.healthy && !w.evicted
+		if w.probed && w.healthy && !w.evicted {
+			held = append(held, w.replica.String())
+		}
 	}
+	slices.Sort(held)
+	key := strings.Join(slices.Compact(held), "; ")
 	why, suffix, loud := "no healthy workers", "", true
-	if alive {
+	if len(held) > 0 {
 		mNoReplica.Inc()
-		why, suffix = "no worker replicates "+want.String(), " (further occurrences logged at most once)"
-		loud = !c.degradedLogged[want]
-		c.degradedLogged[want] = true
+		why, suffix = "no worker replicates "+want.String(), " (logged again when the workers' replicas change)"
+		loud = key != c.degradedHeld
 	}
+	c.degradedHeld = key
 	c.mu.Unlock()
 	if loud {
 		c.cfg.Logf("fleet: DEGRADED: %s; sampling %d RR sets locally%s", why, count, suffix)

@@ -512,6 +512,85 @@ func TestPermanentDegradeLogsOnce(t *testing.T) {
 	}
 }
 
+// lineCounter is a Config.Logf that counts the lines whose format
+// contains substr.
+type lineCounter struct {
+	mu     sync.Mutex
+	substr string
+	n      int
+}
+
+func (lc *lineCounter) logf(format string, args ...any) {
+	if strings.Contains(format, lc.substr) {
+		lc.mu.Lock()
+		lc.n++
+		lc.mu.Unlock()
+	}
+}
+
+func (lc *lineCounter) count() int {
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	return lc.n
+}
+
+// TestLaggingDegradeLogsOnce: a worker left on epoch 0 of a mutating graph
+// degrades every later epoch's Generate, and every epoch is a new replica;
+// the DEGRADED line is logged once, because what the workers hold has not
+// changed, while the counters still count every Generate.
+func TestLaggingDegradeLogsOnce(t *testing.T) {
+	s := testSampler(t, 300, 42)
+	urls := startWorkers(t, 1, 300, 42) // epoch 0 of the same graph
+	lines := &lineCounter{substr: "DEGRADED"}
+	cfg := quietConfig(urls)
+	cfg.Logf = lines.logf
+	coord := NewCoordinator(cfg)
+
+	before := mNoReplica.Value()
+	g := s.Graph()
+	var pick graph.Edge
+	g.Edges(func(e graph.Edge) bool { pick = e; return false })
+	for i := 0; i < 10; i++ {
+		var err error
+		g, err = g.WithMutations([]graph.Mutation{{Op: graph.OpSetWeight, From: pick.From, To: pick.To, P: 0.01 * float32(i+1)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := rrset.NewCollection(g.N())
+		coord.Generate(c, rrset.NewSampler(g, diffusion.IC), 50, rng.New(uint64(i+1)), 0)
+		if c.Count() != 50 {
+			t.Fatalf("epoch %d: degraded generation produced %d sets", g.Epoch(), c.Count())
+		}
+	}
+	if got := mNoReplica.Value() - before; got != 10 {
+		t.Fatalf("fleet_no_replica_generations_total advanced by %d, want 10", got)
+	}
+	if n := lines.count(); n != 1 {
+		t.Fatalf("DEGRADED logged %d times across 10 epochs, want once", n)
+	}
+}
+
+// TestExclusionLogsOncePerHeldReplica: a worker on graph A, with sessions
+// on graphs B and C generating in turn (as the background sampler
+// alternates them), logs its exclusion once, not once per Generate.
+func TestExclusionLogsOncePerHeldReplica(t *testing.T) {
+	urls := startWorkers(t, 1, 300, 1) // graph A
+	lines := &lineCounter{substr: "excluded"}
+	cfg := quietConfig(urls)
+	cfg.Logf = lines.logf
+	coord := NewCoordinator(cfg)
+
+	samplers := []*rrset.Sampler{testSampler(t, 300, 2), testSampler(t, 300, 3)} // graphs B and C
+	for i := 0; i < 6; i++ {
+		s := samplers[i%2]
+		c := rrset.NewCollection(s.Graph().N())
+		coord.Generate(c, s, 50, rng.New(uint64(i+1)), 0)
+	}
+	if n := lines.count(); n != 1 {
+		t.Fatalf("exclusion logged %d times across 6 Generates on two graphs, want once", n)
+	}
+}
+
 // TestGenerateReturnsPromptlyAfterLastLease: once the final lease is
 // delivered, Generate must return immediately — a losing speculative RPC
 // still in flight on a wedged worker is cancelled, not waited out.

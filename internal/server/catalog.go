@@ -65,7 +65,9 @@ type graphIdent struct {
 // specString, fingerprint) are immutable after the entry is published, so
 // they are readable without any lock; the current identity lives in ident
 // (lock-free reads); the residency fields (g, sampler) and the epoch
-// chain (lineages) transition under mu, through installLocked.
+// chain (lineages) transition under mu: a graph comes in through
+// loadLocked (or, for a batch, installLocked) and leaves through
+// unloadLocked.
 type graphEntry struct {
 	name       string
 	spec       cliutil.GraphSpec
@@ -95,7 +97,8 @@ type graphEntry struct {
 	// it. The batches themselves live in the journal.
 	lineages []string
 
-	// mutating serializes mutation batches: one at a time per graph.
+	// mutating serializes mutation batches: one at a time per graph. A
+	// DELETE sets it for good, so no batch applies to a removed entry.
 	mutating atomic.Bool
 
 	isLoaded atomic.Bool // mirror of sampler != nil, for lock-free listing
@@ -141,10 +144,9 @@ func (s *Server) graphForSession(name string) (*graphEntry, int, error) {
 }
 
 // acquireGraph returns e's shared sampler for a session about to become
-// resident, loading the graph from its spec and replaying its mutation
-// journal first when it was unloaded. The loadedRefs increment happens
-// under e.mu, atomically with the load. Every successful acquire must be
-// paired with a releaseGraph.
+// resident, reloading the graph (loadLocked) first when it was unloaded.
+// The loadedRefs increment happens under e.mu, atomically with the load.
+// Every successful acquire must be paired with a releaseGraph.
 func (s *Server) acquireGraph(e *graphEntry) (*rrset.Sampler, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -152,33 +154,9 @@ func (s *Server) acquireGraph(e *graphEntry) (*rrset.Sampler, error) {
 		if e.specString == "" {
 			return nil, fmt.Errorf("graph %q was unloaded and has no spec to reload from", e.name)
 		}
-		t0 := time.Now()
-		g, model, err := e.spec.Load()
-		if err != nil {
-			return nil, fmt.Errorf("reloading graph %q (%s): %w", e.name, e.specString, err)
+		if err := s.loadLocked(e); err != nil {
+			return nil, err
 		}
-		if fp := g.Fingerprint(); fp != e.fingerprint {
-			return nil, fmt.Errorf("graph %q changed on disk: spec %q now fingerprints %s, catalog recorded %s",
-				e.name, e.specString, fp, e.fingerprint)
-		}
-		// A mutated graph comes back through its journal — the path startup
-		// takes — and must land exactly where the entry's chain ends.
-		g, chain, err := replayMutationLog(s.cfg.CheckpointDir, e.name, g)
-		if err != nil {
-			return nil, fmt.Errorf("reloading graph %q: %w", e.name, err)
-		}
-		if cur := e.lineages[len(e.lineages)-1]; g.EpochLineage() != cur {
-			return nil, fmt.Errorf("reloading graph %q: journal replays to epoch %d lineage %.12s, catalog is at lineage %.12s",
-				e.name, g.Epoch(), g.EpochLineage(), cur)
-		}
-		e.installLocked(g, rrset.NewSampler(g, model), chain)
-		gGraphsLoaded.Set(float64(s.loadedGraphs.Add(1)))
-		mGraphLoadTime.Observe(time.Since(t0))
-		obs.Emit(s.cfg.Events, "graph_load", map[string]any{
-			"graph":             e.name,
-			"graph_fingerprint": e.fingerprint,
-			"reload":            true,
-		})
 	}
 	e.loadedRefs.Add(1)
 	s.touchGraph(e)
@@ -199,10 +177,65 @@ func (s *Server) releaseGraph(e *graphEntry) {
 	s.touchGraph(e)
 }
 
+// loadLocked loads e from its spec and installs it: the base graph's
+// fingerprint is recorded on the first load and must match on every
+// reload (a dataset changed on disk is refused); then the mutation
+// journal, left by a previous run or by this entry before an unload,
+// replays the graph forward, and a reload must land exactly where the
+// entry's chain ends. Callers hold e.mu, or own e before publication.
+func (s *Server) loadLocked(e *graphEntry) error {
+	t0 := time.Now()
+	base, model, err := e.spec.Load()
+	if err != nil {
+		return fmt.Errorf("loading graph %q (%s): %w", e.name, e.specString, err)
+	}
+	reload := e.fingerprint != ""
+	if !reload {
+		e.fingerprint = base.Fingerprint()
+	} else if fp := base.Fingerprint(); fp != e.fingerprint {
+		return fmt.Errorf("graph %q changed on disk: spec %q now fingerprints %s, catalog recorded %s",
+			e.name, e.specString, fp, e.fingerprint)
+	}
+	g, chain, err := replayMutationLog(s.cfg.CheckpointDir, e.name, base)
+	if err != nil {
+		return fmt.Errorf("loading graph %q (%s): %w", e.name, e.specString, err)
+	}
+	if head := e.lineages; reload && g.EpochLineage() != head[len(head)-1] {
+		return fmt.Errorf("loading graph %q (%s): journal replays to epoch %d lineage %.12s, catalog is at lineage %.12s",
+			e.name, e.specString, g.Epoch(), g.EpochLineage(), head[len(head)-1])
+	}
+	s.installLocked(e, g, rrset.NewSampler(g, model), chain)
+	mGraphLoadTime.Observe(time.Since(t0))
+	obs.Emit(s.cfg.Events, "graph_load", map[string]any{
+		"graph":             e.name,
+		"graph_fingerprint": e.fingerprint,
+		"reload":            reload,
+	})
+	return nil
+}
+
+// unloadLocked drops resident e's graph and sampler. Callers hold e.mu,
+// or own e before publication.
+func (s *Server) unloadLocked(e *graphEntry) {
+	t0 := time.Now()
+	e.g, e.sampler = nil, nil
+	e.isLoaded.Store(false)
+	gGraphsLoaded.Set(float64(s.loadedGraphs.Add(-1)))
+	mGraphUnloadTime.Observe(time.Since(t0))
+	obs.Emit(s.cfg.Events, "graph_unload", map[string]any{
+		"graph":             e.name,
+		"graph_fingerprint": e.fingerprint,
+	})
+}
+
 // installLocked makes g — served through sampler, at the end of the
-// epoch chain — e's resident graph and publishes its identity. Callers
-// hold e.mu, or own e before publication.
-func (e *graphEntry) installLocked(g *graph.Graph, sampler *rrset.Sampler, chain []string) {
+// epoch chain — e's resident graph and publishes its identity; an entry
+// that becomes resident counts toward MaxLoadedGraphs. Callers hold e.mu,
+// or own e before publication.
+func (s *Server) installLocked(e *graphEntry, g *graph.Graph, sampler *rrset.Sampler, chain []string) {
+	if e.sampler == nil {
+		gGraphsLoaded.Set(float64(s.loadedGraphs.Add(1)))
+	}
 	e.g, e.sampler, e.lineages = g, sampler, chain
 	e.ident.Store(&graphIdent{
 		fingerprint: g.Fingerprint(),
@@ -229,35 +262,20 @@ func (s *Server) registerGraph(name string, spec cliutil.GraphSpec) (*graphEntry
 	if s.lookupGraph(name) != nil {
 		return nil, http.StatusConflict, fmt.Errorf("graph %q already exists", name)
 	}
-	t0 := time.Now()
-	base, model, err := spec.Load()
-	if err != nil {
-		return nil, http.StatusBadRequest, fmt.Errorf("loading graph %q: %w", name, err)
-	}
-	// A journal left by a previous run replays the graph forward to the
-	// epoch its sessions last checkpointed against.
-	g, chain, err := replayMutationLog(s.cfg.CheckpointDir, name, base)
-	if err != nil {
+	e := &graphEntry{name: name, spec: spec, specString: spec.String()}
+	if err := s.loadLocked(e); err != nil { // unpublished: e is ours alone
 		return nil, http.StatusBadRequest, err
 	}
-	e := &graphEntry{name: name, spec: spec, specString: spec.String(), fingerprint: base.Fingerprint()}
-	e.installLocked(g, rrset.NewSampler(g, model), chain)
 	s.gmu.Lock()
 	if _, taken := s.graphs[name]; taken {
 		s.gmu.Unlock()
+		s.unloadLocked(e)
 		return nil, http.StatusConflict, fmt.Errorf("graph %q already exists", name)
 	}
 	s.graphs[name] = e
 	s.gtouchSeq++
 	e.lastTouch = s.gtouchSeq
 	s.gmu.Unlock()
-	gGraphsLoaded.Set(float64(s.loadedGraphs.Add(1)))
-	mGraphLoadTime.Observe(time.Since(t0))
-	obs.Emit(s.cfg.Events, "graph_load", map[string]any{
-		"graph":             e.name,
-		"graph_fingerprint": e.fingerprint,
-		"reload":            false,
-	})
 	s.maybeUnloadGraphs(e)
 	return e, 0, nil
 }
@@ -290,7 +308,9 @@ func (s *Server) ensureGraph(name, specString string) (*graphEntry, error) {
 
 // removeGraph unregisters name and drops its residency. The returned
 // status is the HTTP failure code: 404 unknown, 409 while sessions
-// reference it.
+// reference it or a mutation batch applies to it. It takes the batch
+// flag and never gives it back, so a batch that resolved the entry before
+// the delete cannot journal onto the removed graph.
 func (s *Server) removeGraph(name string) (int, error) {
 	s.gmu.Lock()
 	e := s.graphs[name]
@@ -302,13 +322,15 @@ func (s *Server) removeGraph(name string) (int, error) {
 		s.gmu.Unlock()
 		return http.StatusConflict, fmt.Errorf("graph %q is referenced by %d session(s); delete them first", name, n)
 	}
+	if !e.mutating.CompareAndSwap(false, true) {
+		s.gmu.Unlock()
+		return http.StatusConflict, fmt.Errorf("graph %q is applying a mutation batch; retry shortly", name)
+	}
 	delete(s.graphs, name)
 	s.gmu.Unlock()
 	e.mu.Lock()
 	if e.sampler != nil {
-		e.g, e.sampler = nil, nil
-		e.isLoaded.Store(false)
-		gGraphsLoaded.Set(float64(s.loadedGraphs.Add(-1)))
+		s.unloadLocked(e)
 	}
 	e.mu.Unlock()
 	if s.cfg.CheckpointDir != "" {
@@ -331,23 +353,10 @@ func (s *Server) removeGraph(name string) (int, error) {
 // one past epoch 0). Unlike session eviction there is no disk write — the
 // graph reloads from its spec and journal — so no evicting state is
 // needed; a victim that gains a reference between pick and unload is
-// simply skipped.
+// simply skipped (shed).
 func (s *Server) maybeUnloadGraphs(keep *graphEntry) {
-	if s.cfg.MaxLoadedGraphs <= 0 {
-		return
-	}
-	var skip map[*graphEntry]bool
-	for {
-		victim := s.pickUnloadVictim(keep, skip)
-		if victim == nil {
-			return
-		}
-		if !s.unloadGraph(victim) {
-			if skip == nil {
-				skip = make(map[*graphEntry]bool)
-			}
-			skip[victim] = true
-		}
+	if s.cfg.MaxLoadedGraphs > 0 {
+		shed(func(skip map[*graphEntry]bool) *graphEntry { return s.pickUnloadVictim(keep, skip) }, s.unloadGraph)
 	}
 }
 
@@ -376,25 +385,11 @@ func (s *Server) pickUnloadVictim(keep *graphEntry, skip map[*graphEntry]bool) *
 // whether it is unloaded afterwards.
 func (s *Server) unloadGraph(e *graphEntry) bool {
 	e.mu.Lock()
-	if e.sampler == nil {
-		e.mu.Unlock()
-		return true
+	defer e.mu.Unlock()
+	if e.sampler != nil && e.loadedRefs.Load() == 0 {
+		s.unloadLocked(e)
 	}
-	if e.loadedRefs.Load() != 0 {
-		e.mu.Unlock()
-		return false
-	}
-	t0 := time.Now()
-	e.g, e.sampler = nil, nil
-	e.isLoaded.Store(false)
-	e.mu.Unlock()
-	gGraphsLoaded.Set(float64(s.loadedGraphs.Add(-1)))
-	mGraphUnloadTime.Observe(time.Since(t0))
-	obs.Emit(s.cfg.Events, "graph_unload", map[string]any{
-		"graph":             e.name,
-		"graph_fingerprint": e.fingerprint,
-	})
-	return true
+	return e.sampler == nil
 }
 
 // CreateGraphRequest is the POST /graphs request body: a name plus a

@@ -66,7 +66,7 @@ func newCatalogServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		srv.Stop()
-		srv.stopCheckpointer()
+		srv.checkpointer.halt()
 		ts.Close()
 	})
 	return srv, ts

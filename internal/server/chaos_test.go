@@ -271,10 +271,10 @@ func TestStopAlwaysWaitsForLoopExit(t *testing.T) {
 	postJSON[Status](t, ts.URL+"/sessions/default/advance?count=600")
 	for i := 0; i < 200; i++ {
 		postJSON[Status](t, ts.URL+"/sessions/default/start")
+		srv.sampler.mu.Lock()
+		done := srv.sampler.done
+		srv.sampler.mu.Unlock()
 		srv.Stop()
-		srv.loopMu.Lock()
-		done := srv.done
-		srv.loopMu.Unlock()
 		select {
 		case <-done:
 		default:

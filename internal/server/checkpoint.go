@@ -94,8 +94,8 @@ func (s *Server) checkpointResident(sess *Session) error {
 // StartCheckpointer launches the periodic checkpoint goroutine at
 // cfg.CheckpointInterval (DefaultCheckpointInterval when unset); each tick
 // checkpoints every loaded session. It is a no-op without a CheckpointDir
-// or when the checkpointer is already running; Shutdown (or
-// stopCheckpointer) stops it and waits for it to exit.
+// or when the checkpointer is already running; Shutdown stops it and waits
+// for it to exit.
 func (s *Server) StartCheckpointer() {
 	if s.cfg.CheckpointDir == "" {
 		return
@@ -104,17 +104,7 @@ func (s *Server) StartCheckpointer() {
 	if interval <= 0 {
 		interval = DefaultCheckpointInterval
 	}
-	s.ckMu.Lock()
-	if s.ckStop != nil {
-		s.ckMu.Unlock()
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	s.ckStop, s.ckDone = stop, done
-	s.ckMu.Unlock()
-	go func() {
-		defer close(done)
+	s.checkpointer.start(func(stop <-chan struct{}) {
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
@@ -130,20 +120,7 @@ func (s *Server) StartCheckpointer() {
 				}
 			}
 		}
-	}()
-}
-
-// stopCheckpointer halts the periodic checkpointer and waits for its
-// goroutine to exit. Safe to call when not running.
-func (s *Server) stopCheckpointer() {
-	s.ckMu.Lock()
-	stop, done := s.ckStop, s.ckDone
-	s.ckStop, s.ckDone = nil, nil
-	s.ckMu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
+	})
 }
 
 // CheckpointResponse is the POST /checkpoint response body.
@@ -201,7 +178,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, sess *
 //  5. publish an adopted session with the serving spec its extension
 //     records, re-check the engine against the graph's current sampler
 //     (catchUp: a batch may have landed during the load), and install
-//     it, replacing any resident engine.
+//     it through installEngineLocked, replacing any resident engine.
 //
 // On success the session is loaded and holds one loadedRefs reference on
 // sess.graph. On failure nothing is installed (an adopted session that
@@ -295,11 +272,6 @@ func (s *Server) restore(sess *Session) error {
 		log.Printf("server: session %q checkpointed at epoch %d of graph %q restored onto epoch %d",
 			sess.ID, savedEpoch, e.name, online.Sampler().Graph().Epoch())
 	}
-	if sess.online != nil {
-		s.releaseGraph(e) // the replaced engine's residency reference
-	} else {
-		gSessionsLoaded.Set(float64(s.loaded.Add(1)))
-	}
-	sess.setOnlineLocked(online)
+	s.installEngineLocked(sess, online)
 	return nil
 }

@@ -52,7 +52,7 @@ func newCkServer(t *testing.T, sampler *rrset.Sampler, cfg Config) (*Server, *ht
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		srv.Stop()
-		srv.stopCheckpointer()
+		srv.checkpointer.halt()
 		ts.Close()
 	})
 	return srv, ts
@@ -65,7 +65,7 @@ func restart(t *testing.T, sampler *rrset.Sampler, cfg Config) (*Server, []strin
 	srv := New(robustSession(t, sampler), cfg)
 	t.Cleanup(func() {
 		srv.Stop()
-		srv.stopCheckpointer()
+		srv.checkpointer.halt()
 	})
 	adopted, err := srv.Resume()
 	return srv, adopted, err
@@ -314,9 +314,9 @@ func TestPeriodicCheckpointerWritesAndStops(t *testing.T) {
 	// Shutdown stops the checkpointer goroutine (done-channel accounting)
 	// and writes a final checkpoint of the latest state.
 	postJSON[Status](t, ts.URL+"/sessions/default/advance?count=300")
-	srv.ckMu.Lock()
-	ckDone := srv.ckDone
-	srv.ckMu.Unlock()
+	srv.checkpointer.mu.Lock()
+	ckDone := srv.checkpointer.done
+	srv.checkpointer.mu.Unlock()
 	if err := srv.Shutdown(); err != nil {
 		t.Fatal(err)
 	}

@@ -229,7 +229,7 @@ func TestLearningCampaignConvergesAndSurvivesKill(t *testing.T) {
 	ts2 := httptest.NewServer(srv2.Handler())
 	t.Cleanup(func() {
 		srv2.Stop()
-		srv2.stopCheckpointer()
+		srv2.checkpointer.halt()
 		ts2.Close()
 	})
 	c2 := NewClient(ts2.URL).Session(DefaultSessionID)

@@ -19,11 +19,11 @@ package server
 // per epoch, never the batches.
 //
 // Concurrency: one batch at a time per graph (the `mutating` flag answers
-// 409 to a second batch). Session requests and the background sampler
-// are not gated: the sweep repairs each session under its own lock, so a
-// request waits at most for that one repair, and one served before the
-// sweep reached its session answers for the previous epoch and labels it
-// (SnapshotResponse.GraphEpoch).
+// 409 to a second batch, and to a DELETE of the graph mid-batch). Session
+// requests and the background sampler are not gated: the sweep repairs
+// each session under its own lock, so a request waits at most for that
+// one repair, and one served before the sweep reached its session answers
+// for the previous epoch and labels it (SnapshotResponse.GraphEpoch).
 
 import (
 	"encoding/json"
@@ -132,6 +132,9 @@ func (s *Server) handleGraphUpdates(w http.ResponseWriter, r *http.Request) {
 // HTTP code for the failure.
 func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation) (*UpdateGraphResponse, int, error) {
 	if !e.mutating.CompareAndSwap(false, true) {
+		if s.lookupGraph(e.name) != e { // a DELETE took the flag for good
+			return nil, http.StatusNotFound, fmt.Errorf("unknown graph %q", e.name)
+		}
 		mMutationConflicts.Inc()
 		return nil, http.StatusConflict, fmt.Errorf("graph %q is already applying a mutation batch; retry shortly", e.name)
 	}
@@ -171,7 +174,7 @@ func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation) (*UpdateGraphRe
 	// rebased below.
 	newSampler := rrset.NewSampler(ng, sampler.Model())
 	e.mu.Lock()
-	e.installLocked(ng, newSampler, append(e.lineages, ng.EpochLineage()))
+	s.installLocked(e, ng, newSampler, append(e.lineages, ng.EpochLineage()))
 	e.mu.Unlock()
 	mGraphMutations.Inc()
 

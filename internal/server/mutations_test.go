@@ -9,12 +9,15 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/reprolab/opim/internal/cliutil"
 	"github.com/reprolab/opim/internal/core"
 	"github.com/reprolab/opim/internal/diffusion"
 	"github.com/reprolab/opim/internal/graph"
@@ -261,7 +264,7 @@ func TestMutationJournalReplayRestart(t *testing.T) {
 	ts2 := httptest.NewServer(srv2.Handler())
 	t.Cleanup(func() {
 		srv2.Stop()
-		srv2.stopCheckpointer()
+		srv2.checkpointer.halt()
 		ts2.Close()
 	})
 	c2 := NewClient(ts2.URL).Session(DefaultSessionID)
@@ -367,6 +370,58 @@ func TestMutationConflict409(t *testing.T) {
 	}
 	e.mutating.Store(false)
 	if _, err := c.UpdateGraph(DefaultGraphName, []GraphUpdate{{Op: "node_add"}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeleteGraphExcludesBatch: a batch that resolved its graph before a
+// DELETE removed it must not apply to the removed entry — its journal
+// would outlive the graph and break the next registration under the name.
+func TestDeleteGraphExcludesBatch(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newCatalogServer(t, Config{CheckpointDir: dir})
+	c := NewClient(ts.URL)
+
+	spec := cliutil.GraphSpec{Profile: "synth-pokec", Scale: 6400}
+	if _, err := c.CreateGraph(CreateGraphRequest{Name: "g", GraphSpec: spec}); err != nil {
+		t.Fatal(err)
+	}
+	stale := srv.lookupGraph("g") // resolved, as handleGraphUpdates does, before the delete
+	if status, err := srv.removeGraph("g"); err != nil {
+		t.Fatalf("delete: %d %v", status, err)
+	}
+	ms, err := updatesToMutations([]GraphUpdate{{Op: "node_add"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, status, err := srv.mutateGraph(stale, ms); status != http.StatusNotFound {
+		t.Fatalf("batch on the deleted graph: status %d (%v), want 404", status, err)
+	}
+	if _, err := os.Stat(MutationLogPath(dir, "g")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("batch on the deleted graph left a journal (stat error %v)", err)
+	}
+	spec.Scale = 3200 // a different base graph under the same name
+	if _, err := c.CreateGraph(CreateGraphRequest{Name: "g", GraphSpec: spec}); err != nil {
+		t.Fatalf("re-registering g: %v", err)
+	}
+}
+
+// TestDeleteGraphDuringBatch409: DELETE /graphs/{name} answers 409 while a
+// batch applies to the graph, and succeeds once it is done.
+func TestDeleteGraphDuringBatch409(t *testing.T) {
+	srv, ts := newTestServer(t, 0)
+	c := NewClient(ts.URL)
+	path, _ := writeCatalogGraph(t, 200, 5)
+	if _, err := c.CreateGraph(CreateGraphRequest{Name: "g", GraphSpec: cliutil.GraphSpec{Path: path}}); err != nil {
+		t.Fatal(err)
+	}
+	e := srv.lookupGraph("g")
+	e.mutating.Store(true)
+	if err := c.DeleteGraph("g"); err == nil || !strings.Contains(err.Error(), "409") {
+		t.Fatalf("delete during a batch: error = %v, want 409", err)
+	}
+	e.mutating.Store(false)
+	if err := c.DeleteGraph("g"); err != nil {
 		t.Fatal(err)
 	}
 }

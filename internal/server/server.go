@@ -192,14 +192,9 @@ type Server struct {
 	admMaxWait  time.Duration
 	svc         ewma
 
-	loopMu  sync.Mutex // guards running/stopCh/done transitions
-	running bool
-	stopCh  chan struct{}
-	done    chan struct{}
-
-	ckMu   sync.Mutex // guards the checkpointer goroutine's lifecycle
-	ckStop chan struct{}
-	ckDone chan struct{}
+	// The two background goroutines: the round-robin sampler (loop) and
+	// the periodic checkpointer (StartCheckpointer).
+	sampler, checkpointer background
 
 	// ckWrap, when non-nil, wraps the checkpoint writer — the fault
 	// injection seam used by chaos tests (faultinject.TornWriter etc.).
@@ -259,13 +254,12 @@ func New(session *core.Online, cfg Config) *Server {
 		}
 	}
 	def := &graphEntry{name: DefaultGraphName, spec: spec, specString: specString, fingerprint: g.Fingerprint()}
-	def.installLocked(g, session.Sampler(), []string{g.EpochLineage()})
+	s.installLocked(def, g, session.Sampler(), []string{g.EpochLineage()})
 	def.sessions.Store(1)   // the default session
 	def.loadedRefs.Store(1) // ... which starts resident
 	s.graphs[DefaultGraphName] = def
 	s.gtouchSeq++
 	def.lastTouch = s.gtouchSeq
-	gGraphsLoaded.Set(float64(s.loadedGraphs.Add(1)))
 	session.SetGraphIdentity(DefaultGraphName, def.specString)
 	session.SetGenerator(cfg.Generator)
 
@@ -604,7 +598,7 @@ func (s *Server) startSession(sess *Session) (int, string) {
 	}
 	sess.running.Store(true)
 	sess.mu.Unlock()
-	s.startLoop()
+	s.sampler.start(s.loop)
 	return 0, ""
 }
 
@@ -636,18 +630,40 @@ func (s *Server) handleStop(w http.ResponseWriter, r *http.Request, sess *Sessio
 	writeJSON(w, s.sessionStatus(sess))
 }
 
-// startLoop launches the round-robin sampler goroutine if it is not
-// already running.
-func (s *Server) startLoop() {
-	s.loopMu.Lock()
-	defer s.loopMu.Unlock()
-	if s.running {
+// background runs at most one goroutine at a time — the server's sampler
+// loop, or its periodic checkpointer. The zero value is idle.
+type background struct {
+	mu   sync.Mutex
+	stop chan struct{} // closed by halt; nil while idle
+	done chan struct{} // closed when the goroutine has returned
+}
+
+// start runs f on a new goroutine unless one is already running; f
+// returns once stop is closed.
+func (b *background) start(f func(stop <-chan struct{})) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.stop != nil {
 		return
 	}
-	s.running = true
-	s.stopCh = make(chan struct{})
-	s.done = make(chan struct{})
-	go s.loop(s.stopCh, s.done)
+	b.stop, b.done = make(chan struct{}), make(chan struct{})
+	go func(stop, done chan struct{}) {
+		defer close(done)
+		f(stop)
+	}(b.stop, b.done)
+}
+
+// halt closes the running goroutine's stop channel and waits for it to
+// return. Safe to call when idle.
+func (b *background) halt() {
+	b.mu.Lock()
+	stop, done := b.stop, b.done
+	b.stop, b.done = nil, nil
+	b.mu.Unlock()
+	if stop != nil {
+		close(stop)
+		<-done
+	}
 }
 
 // Stop halts the background sampler and waits for its goroutine to have
@@ -655,16 +671,7 @@ func (s *Server) startLoop() {
 // Status.Running reads false everywhere). Safe to call at any time,
 // including when not running.
 func (s *Server) Stop() {
-	s.loopMu.Lock()
-	if s.running {
-		s.running = false
-		close(s.stopCh)
-	}
-	done := s.done
-	s.loopMu.Unlock()
-	if done != nil {
-		<-done
-	}
+	s.sampler.halt()
 	for _, sess := range s.snapshotSessions() {
 		sess.running.Store(false)
 	}
@@ -689,7 +696,7 @@ func (s *Server) snapshotSessions() []*Session {
 // then call this.
 func (s *Server) Shutdown() error {
 	s.Stop()
-	s.stopCheckpointer()
+	s.checkpointer.halt()
 	var first error
 	for _, sess := range s.snapshotSessions() {
 		if err := s.checkpointResident(sess); err != nil && first == nil {
@@ -741,8 +748,7 @@ func (s *Server) nextQuantum() (*Session, int64) {
 // quantum grows, a client request on any session still waits at most one
 // Batch of that session's own work — weighted shares without weighted
 // latency.
-func (s *Server) loop(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
+func (s *Server) loop(stop <-chan struct{}) {
 	for {
 		select {
 		case <-stop:

@@ -153,9 +153,11 @@ func (sess *Session) refreshStatsLocked() {
 }
 
 // setOnlineLocked installs an engine (created or reloaded) and refreshes
-// every mirror; callers hold sess.mu. Learner state in the checkpoint
-// extension, when present, restores the session's learning campaign
-// exactly where the serialized round machine left off.
+// every mirror; callers hold sess.mu, or own sess before publication. A
+// registered session's engine changes only through installEngineLocked and
+// dropEngineLocked. Learner state in the checkpoint extension, when
+// present, restores the session's learning campaign exactly where the
+// serialized round machine left off.
 func (sess *Session) setOnlineLocked(online *core.Online) {
 	sess.online = online
 	sess.resident.Store(true)
@@ -330,9 +332,12 @@ func (s *Server) touch(sess *Session) {
 }
 
 // addSession registers sess and its labeled series; it fails when the id
-// is taken. The series are created under smu, the lock removeSession
-// deletes them under, so a create racing the delete of a previous session
-// of the same id never ends up counting into unregistered series.
+// is taken. A session published resident (created, or New's default)
+// counts toward MaxLoadedSessions here; any later residency change goes
+// through installEngineLocked and dropEngineLocked. The series are created
+// under smu, the lock removeSession deletes them under, so a create racing
+// the delete of a previous session of the same id never ends up counting
+// into unregistered series.
 func (s *Server) addSession(sess *Session) error {
 	s.smu.Lock()
 	defer s.smu.Unlock()
@@ -505,7 +510,7 @@ func (s *Server) Resume() ([]string, error) {
 	def.mu.Lock()
 	g, chain, err := replayMutationLog(s.cfg.CheckpointDir, def.name, def.g)
 	if err == nil && g != def.g {
-		def.installLocked(g, rrset.NewSampler(g, def.sampler.Model()), chain)
+		s.installLocked(def, g, rrset.NewSampler(g, def.sampler.Model()), chain)
 	}
 	def.mu.Unlock()
 	if err != nil {
@@ -592,31 +597,61 @@ func (s *Server) lockEngine(sess *Session) (int, string) {
 	return 0, ""
 }
 
+// installEngineLocked makes online, built on a graph reference the
+// caller acquired, the engine of the registered session sess. A session
+// that becomes resident counts toward MaxLoadedSessions; one that already
+// was releases its replaced engine's graph reference. Callers hold sess.mu.
+func (s *Server) installEngineLocked(sess *Session, online *core.Online) {
+	if sess.online != nil {
+		s.releaseGraph(sess.graph)
+	} else {
+		gSessionsLoaded.Set(float64(s.loaded.Add(1)))
+	}
+	sess.setOnlineLocked(online)
+}
+
+// dropEngineLocked unloads sess's engine, uncounting the session and
+// releasing its graph reference, and reports whether it was resident.
+// Callers hold sess.mu, so a reload or eviction racing a delete is counted
+// exactly once whichever side takes the lock first.
+func (s *Server) dropEngineLocked(sess *Session) bool {
+	if sess.online == nil {
+		return false
+	}
+	sess.online = nil
+	sess.resident.Store(false)
+	gSessionsLoaded.Set(float64(s.loaded.Add(-1)))
+	s.releaseGraph(sess.graph)
+	return true
+}
+
+// shed enforces a residency cap: it unloads pick's victims until pick
+// finds none (the cap holds, or nothing else may go). A victim that cannot
+// go now (in use, or its checkpoint write failed) is skipped for the rest
+// of the pass instead of re-picked — a full or read-only checkpoint dir
+// must not turn the triggering request into a busy loop that rewrites the
+// same session forever; the cap is re-enforced on the next pass.
+func shed[T comparable](pick func(skip map[T]bool) T, unload func(T) bool) {
+	var none T
+	var skip map[T]bool
+	for victim := pick(skip); victim != none; victim = pick(skip) {
+		if !unload(victim) {
+			if skip == nil {
+				skip = make(map[T]bool)
+			}
+			skip[victim] = true
+		}
+	}
+}
+
 // maybeEvict enforces MaxLoadedSessions: while too many sessions are
 // resident it checkpoints-then-unloads the least-recently-used idle one
 // (never keep, never a running or checkpoint-less session). Eviction work
 // happens under no lock but the victim's own, which it only try-locks, so
-// the caller may hold keep's. A victim whose eviction fails or is skipped
-// (checkpoint write error, session in use) is skipped for the rest of this
-// pass instead of re-picked — a full or read-only checkpoint dir must not
-// turn the triggering request into a busy loop that rewrites the same
-// session forever; capacity is re-enforced on the next create or reload.
+// the caller may hold keep's.
 func (s *Server) maybeEvict(keep *Session) {
-	if s.cfg.MaxLoadedSessions <= 0 {
-		return
-	}
-	var skip map[*Session]bool
-	for {
-		victim := s.pickEvictionVictim(keep, skip)
-		if victim == nil {
-			return
-		}
-		if !s.evictSession(victim) {
-			if skip == nil {
-				skip = make(map[*Session]bool)
-			}
-			skip[victim] = true
-		}
+	if s.cfg.MaxLoadedSessions > 0 {
+		shed(func(skip map[*Session]bool) *Session { return s.pickEvictionVictim(keep, skip) }, s.evictSession)
 	}
 }
 
@@ -650,24 +685,18 @@ func (s *Server) evictSession(sess *Session) bool {
 	if !sess.mu.TryLock() {
 		return false
 	}
-	if !sess.resident.Load() || sess.running.Load() || sess.roundBusy.Load() {
-		sess.mu.Unlock()
-		return false
+	evicted := sess.resident.Load() && !sess.running.Load() && !sess.roundBusy.Load()
+	if evicted {
+		_, err := s.checkpointLocked(sess)
+		evicted = err == nil && s.dropEngineLocked(sess)
 	}
-	if _, err := s.checkpointLocked(sess); err != nil {
-		sess.mu.Unlock()
-		return false
-	}
-	sess.online = nil
-	sess.resident.Store(false)
 	sess.mu.Unlock()
-	gSessionsLoaded.Set(float64(s.loaded.Add(-1)))
-	mSessionsEvicted.Inc()
-	// The session left memory: drop its residency reference and let the
-	// graph itself become unloadable.
-	s.releaseGraph(sess.graph)
-	s.maybeUnloadGraphs(nil)
-	return true
+	if evicted {
+		mSessionsEvicted.Inc()
+		// The session left memory: its graph may now be unloadable.
+		s.maybeUnloadGraphs(nil)
+	}
+	return evicted
 }
 
 // sessionInfo builds the listing entry without taking the session mutex.
@@ -767,17 +796,8 @@ func (s *Server) removeSession(sess *Session) {
 
 	sess.running.Store(false)
 	sess.mu.Lock() // barrier: wait out an in-flight batch, request or eviction
-	sess.online = nil
-	// Residency changes only under sess.mu, so a reload or eviction racing
-	// this delete is counted exactly once whichever side wins the lock.
-	wasLoaded := sess.resident.Swap(false)
-	if wasLoaded {
-		gSessionsLoaded.Set(float64(s.loaded.Add(-1)))
-	}
+	s.dropEngineLocked(sess)
 	sess.mu.Unlock()
-	if wasLoaded {
-		s.releaseGraph(sess.graph)
-	}
 	sess.graph.sessions.Add(-1)
 	s.maybeUnloadGraphs(nil)
 
