@@ -1,8 +1,8 @@
 // Package faultinject provides deterministic, seed-keyed fault injectors
-// for chaos-testing the daemon's robustness layer: torn and flaky writers
-// for exercising checkpoint recovery, and latency injectors (for writers
-// and for the RR-set sampler via a triggering-distribution wrapper) for
-// exercising request deadlines and cancellation.
+// for chaos-testing the daemon's robustness layer: a torn writer for
+// exercising checkpoint recovery, and a latency injector for the RR-set
+// sampler (a triggering-distribution wrapper) for exercising request
+// deadlines and cancellation.
 //
 // Every injector is deterministic: faults are scheduled by byte offset,
 // call count, or a seed-keyed rng.Source, never by wall clock or global
@@ -21,20 +21,14 @@ import (
 // distinguish injected failures from real ones with errors.Is.
 var ErrInjected = errors.New("faultinject: injected fault")
 
-// Writer wraps an io.Writer with deterministic faults. The zero value
-// (no fault configured) passes writes through unchanged. Writer is not
-// safe for concurrent use, matching the io.Writer contract of the
+// Writer wraps an io.Writer with a deterministic tear (TornWriter). It is
+// not safe for concurrent use, matching the io.Writer contract of the
 // checkpoint path it wraps.
 type Writer struct {
 	w io.Writer
 
-	failAfter int64 // fail once this many total bytes have been written; <0 = never
+	failAfter int64 // fail once this many total bytes have been written
 	written   int64
-
-	flaky *rng.Source // per-write failure draws, nil = disabled
-	p     float64     // per-write failure probability for flaky writers
-
-	delay time.Duration // sleep before each write, 0 = disabled
 }
 
 // TornWriter returns a Writer that writes through until failAfter total
@@ -47,39 +41,18 @@ func TornWriter(w io.Writer, failAfter int64) *Writer {
 	return &Writer{w: w, failAfter: failAfter}
 }
 
-// FlakyWriter returns a Writer that fails each Write call (writing
-// nothing) with probability p, drawn from a seed-keyed source, so the
-// failure pattern is deterministic for a fixed seed.
-func FlakyWriter(w io.Writer, seed uint64, p float64) *Writer {
-	return &Writer{w: w, failAfter: -1, flaky: rng.New(seed), p: p}
-}
-
-// SlowWriter returns a Writer that sleeps delay before every write —
-// a slow disk or a saturated NFS mount.
-func SlowWriter(w io.Writer, delay time.Duration) *Writer {
-	return &Writer{w: w, failAfter: -1, delay: delay}
-}
-
-// Write implements io.Writer with the configured faults.
+// Write implements io.Writer with the configured tear.
 func (fw *Writer) Write(p []byte) (int, error) {
-	if fw.delay > 0 {
-		time.Sleep(fw.delay)
-	}
-	if fw.flaky != nil && fw.flaky.Float64() < fw.p {
+	if fw.written >= fw.failAfter {
 		return 0, ErrInjected
 	}
-	if fw.failAfter >= 0 {
-		if fw.written >= fw.failAfter {
-			return 0, ErrInjected
+	if rem := fw.failAfter - fw.written; int64(len(p)) > rem {
+		n, err := fw.w.Write(p[:rem])
+		fw.written += int64(n)
+		if err != nil {
+			return n, err
 		}
-		if rem := fw.failAfter - fw.written; int64(len(p)) > rem {
-			n, err := fw.w.Write(p[:rem])
-			fw.written += int64(n)
-			if err != nil {
-				return n, err
-			}
-			return n, ErrInjected
-		}
+		return n, ErrInjected
 	}
 	n, err := fw.w.Write(p)
 	fw.written += int64(n)

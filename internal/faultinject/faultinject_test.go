@@ -30,49 +30,6 @@ func TestTornWriterTearsAtBoundary(t *testing.T) {
 	}
 }
 
-func TestFlakyWriterDeterministic(t *testing.T) {
-	pattern := func(seed uint64) []bool {
-		var buf bytes.Buffer
-		w := FlakyWriter(&buf, seed, 0.3)
-		outcomes := make([]bool, 50)
-		for i := range outcomes {
-			_, err := w.Write([]byte("x"))
-			outcomes[i] = err == nil
-		}
-		return outcomes
-	}
-	a, b := pattern(7), pattern(7)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("flaky pattern diverged at write %d for the same seed", i)
-		}
-	}
-	var failures int
-	for _, ok := range a {
-		if !ok {
-			failures++
-		}
-	}
-	if failures == 0 || failures == len(a) {
-		t.Fatalf("flaky writer failed %d/%d writes; want a mix", failures, len(a))
-	}
-}
-
-func TestSlowWriterDelays(t *testing.T) {
-	var buf bytes.Buffer
-	w := SlowWriter(&buf, 10*time.Millisecond)
-	start := time.Now()
-	if _, err := w.Write([]byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el < 10*time.Millisecond {
-		t.Fatalf("write returned after %v, want ≥ 10ms", el)
-	}
-	if buf.String() != "abc" {
-		t.Fatalf("bytes lost: %q", buf.String())
-	}
-}
-
 // fixedDist returns a constant triggering set, counting rng draws to prove
 // SlowDist forwards the source untouched.
 type fixedDist struct{ calls int }

@@ -4,19 +4,18 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"time"
 
 	"github.com/reprolab/opim/internal/rng"
 )
 
-// This file extends the Writer family to the HTTP layer: round-trippers
-// that drop, delay, or tear requests in flight, for chaos-testing the
-// fleet transport (worker RPCs and their retry/reassignment machinery).
-// Like the writers, every injector draws its faults from a seed-keyed
-// rng.Source or a fixed call count — never wall clock or global
-// randomness — so a failing chaos test replays identically. Unlike the
-// writers, round-trippers must be safe for concurrent use (the
-// http.Client contract), so the seeded draws are mutex-guarded.
+// This file extends the Writer to the HTTP layer: round-trippers that
+// drop or tear requests in flight, for chaos-testing the fleet transport
+// (worker RPCs and their retry/reassignment machinery). Like the writer,
+// every injector draws its faults from a seed-keyed rng.Source — never
+// wall clock or global randomness — so a failing chaos test replays
+// identically. Unlike the writer, round-trippers must be safe for
+// concurrent use (the http.Client contract), so the seeded draws are
+// mutex-guarded.
 
 // FlakyRoundTripper fails each request outright with probability p —
 // the connection refused, the packet lost, the proxy resetting. Failed
@@ -48,31 +47,6 @@ func (t *FlakyRoundTripper) RoundTrip(req *http.Request) (*http.Response, error)
 			req.Body.Close()
 		}
 		return nil, ErrInjected
-	}
-	return transport(t.Next).RoundTrip(req)
-}
-
-// SlowRoundTripper sleeps before forwarding each request — cross-AZ
-// latency, a GC-paused worker, a congested link. Combined with a short
-// client timeout it exercises deadline and lease-reassignment paths.
-type SlowRoundTripper struct {
-	// Next is the underlying transport; nil means http.DefaultTransport.
-	Next http.RoundTripper
-	// Delay is the sleep before each request is forwarded.
-	Delay time.Duration
-}
-
-// RoundTrip implements http.RoundTripper.
-func (t *SlowRoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
-	if t.Delay > 0 {
-		select {
-		case <-time.After(t.Delay):
-		case <-req.Context().Done():
-			if req.Body != nil {
-				req.Body.Close()
-			}
-			return nil, req.Context().Err()
-		}
 	}
 	return transport(t.Next).RoundTrip(req)
 }

@@ -20,12 +20,6 @@ import (
 	"github.com/reprolab/opim/internal/rng"
 )
 
-// Round phases reported by the learn_round_phase gauge.
-const (
-	phaseIdle     = 0 // between rounds: seeds not yet served, or observation absorbed
-	phaseAwaiting = 1 // seeds served, waiting for the cascade observation
-)
-
 // Campaign drives explore/exploit rounds over one Posterior. Not safe for
 // concurrent use; the server serializes access under the session lock.
 type Campaign struct {
@@ -36,13 +30,13 @@ type Campaign struct {
 	awaiting bool  // seeds served for `round`, observation outstanding
 	explore  bool  // kind of the current round
 	seeds    []int32
+
+	entropy float64 // post.Entropy(), recomputed once per applied observation
 }
 
 // NewCampaign starts a fresh campaign over g with a uniform prior. seed
 // roots the per-round Thompson draw streams.
 func NewCampaign(g *graph.Graph, seed uint64) *Campaign {
-	mRoundPhase.Set(phaseIdle)
-	mEntropy.Set(0)
 	return &Campaign{post: NewPosterior(g), seed: seed}
 }
 
@@ -50,6 +44,11 @@ func NewCampaign(g *graph.Graph, seed uint64) *Campaign {
 // metrics, realization previews). Callers must not mutate it directly;
 // observations go through Observe.
 func (c *Campaign) Posterior() *Posterior { return c.post }
+
+// Entropy returns the posterior's mean per-edge entropy (Posterior.Entropy)
+// as of the last applied observation; it is computed once per observation,
+// so reading it costs nothing.
+func (c *Campaign) Entropy() float64 { return c.entropy }
 
 // Round returns the current round number (0 before the first StartRound).
 func (c *Campaign) Round() int64 { return c.round }
@@ -108,7 +107,6 @@ func (c *Campaign) StartRound(cur *graph.Graph) ([]graph.Mutation, bool, error) 
 func (c *Campaign) ServeSeeds(seeds []int32) {
 	c.seeds = append([]int32(nil), seeds...)
 	c.awaiting = true
-	mRoundPhase.Set(phaseAwaiting)
 }
 
 // Observe folds a cascade trace into the posterior. round ties the trace
@@ -132,9 +130,8 @@ func (c *Campaign) Observe(round int64, atts []Attempt) (applied bool, err error
 	}
 	if round == c.round && round != 0 {
 		c.awaiting = false
-		mRoundPhase.Set(phaseIdle)
 	}
-	mEntropy.Set(c.post.Entropy())
+	c.entropy = c.post.Entropy()
 	return true, nil
 }
 
@@ -202,11 +199,6 @@ func UnmarshalCampaign(b []byte, g *graph.Graph) (*Campaign, error) {
 		return nil, fmt.Errorf("learn: %d trailing bytes after campaign state", len(rest))
 	}
 	c.post = post
-	if c.awaiting {
-		mRoundPhase.Set(phaseAwaiting)
-	} else {
-		mRoundPhase.Set(phaseIdle)
-	}
-	mEntropy.Set(post.Entropy())
+	c.entropy = post.Entropy()
 	return c, nil
 }

@@ -286,9 +286,6 @@ func TestCampaignRoundMachine(t *testing.T) {
 		}
 	}
 	c.ServeSeeds([]int32{3, 5})
-	if mRoundPhase.Value() != phaseAwaiting {
-		t.Fatalf("learn_round_phase = %v, want %v", mRoundPhase.Value(), phaseAwaiting)
-	}
 	if _, _, err := c.StartRound(cur); !errors.Is(err, ErrRoundOpen) {
 		t.Fatalf("StartRound while awaiting = %v, want ErrRoundOpen", err)
 	}
@@ -307,7 +304,7 @@ func TestCampaignRoundMachine(t *testing.T) {
 	if err != nil || !applied {
 		t.Fatalf("round-1 observation: applied=%v err=%v", applied, err)
 	}
-	if c.Awaiting() || mRoundPhase.Value() != phaseIdle {
+	if c.Awaiting() {
 		t.Fatal("observation did not close the round")
 	}
 	// At-least-once delivery: the duplicate is acknowledged, not re-applied.
@@ -489,7 +486,7 @@ func TestCampaignConvergesOnSimulatedWorld(t *testing.T) {
 	if c.Posterior().Entropy() >= 0 {
 		t.Fatal("entropy did not decrease from the prior")
 	}
-	if mEntropy.Value() >= 0 {
-		t.Fatal("learn_posterior_entropy gauge not updated")
+	if c.Entropy() != c.Posterior().Entropy() {
+		t.Fatalf("Campaign.Entropy() = %v, the posterior's is %v", c.Entropy(), c.Posterior().Entropy())
 	}
 }

@@ -21,12 +21,10 @@ import (
 	"github.com/reprolab/opim/internal/rng"
 )
 
-// Learning metrics (obs.Default(), see docs/OBSERVABILITY.md).
-var (
-	mObservations = obs.Default().Counter("learn_observations_total")
-	mRoundPhase   = obs.Default().Gauge("learn_round_phase")
-	mEntropy      = obs.Default().Gauge("learn_posterior_entropy")
-)
+// mObservations counts every Bernoulli outcome folded into any posterior
+// (obs.Default(), see docs/OBSERVABILITY.md). The per-session learning
+// gauges are the server's.
+var mObservations = obs.Default().Counter("learn_observations_total")
 
 // ErrUnknownEdge reports an observation naming an edge the topology does
 // not contain — a malformed trace, or one from a different graph.

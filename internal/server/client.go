@@ -50,9 +50,10 @@ var defaultHTTPClient = &http.Client{Timeout: defaultClientTimeout}
 // session's semantics:
 //
 //   - 503 (the server's deadline responses), 429 (admission-queue and
-//     token-bucket rejections) and 409 (a concurrent mutation batch or
-//     learning round) are retried for idempotent requests only — Status,
-//     Metrics, Start, Stop, PeekSnapshot, ListSessions;
+//     token-bucket rejections) and 409 (a concurrent mutation batch, a
+//     learning round's realization included) are retried for idempotent
+//     requests only — Status, Metrics, Start, Stop, PeekSnapshot,
+//     ListSessions;
 //   - transport errors (connection refused/reset, timeouts) likewise are
 //     retried for idempotent requests only;
 //   - Advance and Snapshot are never auto-retried: a lost response may

@@ -426,7 +426,7 @@ func TestCreateRacingMutationBatch(t *testing.T) {
 			}
 			before := compactions(t)
 			srv.createHook = func(string) {
-				if _, _, err := srv.mutateGraph(srv.lookupGraph(DefaultGraphName), ms); err != nil {
+				if _, _, err := srv.mutateGraph(srv.lookupGraph(DefaultGraphName), ms, nil); err != nil {
 					t.Error(err)
 				}
 			}

@@ -24,8 +24,18 @@ package server
 // seeds are outstanding returns the stored seeds, and an observation for
 // an already-closed round is acknowledged as a duplicate without touching
 // the posterior (at-least-once delivery).
+//
+// Concurrency: a round is one critical section under the session lock,
+// from StartRound through the realization's batch, whose sweep repairs
+// this session without re-locking it, and the generation to the
+// checkpoint of the served seeds. The seeds are therefore sampled on the
+// round's own realization even while other learners share the graph. A
+// realization that meets another batch on the graph answers that batch's
+// 409 and rolls the campaign back: waiting for the batch under the lock
+// would deadlock against its sweep.
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -57,7 +67,10 @@ type RoundResponse struct {
 	// Applied counts the weight mutations the realization needed (0 when
 	// the graph already realized the round — e.g. a crash-retry).
 	Applied int `json:"applied"`
-	// Epoch is the graph's epoch after the realization landed.
+	// Epoch is the graph epoch of the session's RR sets: for a new round,
+	// the epoch its seeds were sampled on (the round's realization, or the
+	// current epoch when the graph already realized it); for a replay, the
+	// epoch the session is on now.
 	Epoch int64 `json:"epoch"`
 	// NumRR is the session's RR-set count after the round's generation.
 	NumRR int64 `json:"num_rr"`
@@ -95,11 +108,9 @@ type ObservationResponse struct {
 // captured with MarshalBinary — the in-process analogue of a crash-retry,
 // used when a round fails downstream of StartRound so the client's retry
 // re-derives the same round instead of skipping one, and when an
-// observation's checkpoint fails. Callers hold sess.mu.
+// observation's checkpoint fails. Callers hold sess.mu with the engine
+// resident.
 func (sess *Session) restoreCampaignLocked(prev []byte) {
-	if sess.online == nil {
-		return // deleted; nothing will serve the campaign again
-	}
 	c, err := learn.UnmarshalCampaign(prev, sess.online.Sampler().Graph())
 	if err != nil {
 		panic(fmt.Sprintf("server: restoring learner state for session %q: %v", sess.ID, err))
@@ -110,81 +121,13 @@ func (sess *Session) restoreCampaignLocked(prev []byte) {
 
 // handleRounds is POST /sessions/{id}/rounds: start the next
 // explore/exploit round (or re-serve the current one's seeds while its
-// observation is outstanding).
+// observation is outstanding). The round holds the session lock from its
+// realization to its durable seeds, so a second rounds request waits for
+// it and then replays it, and no other learner's batch can land between
+// this round's realization and its seeds.
 func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request, sess *Session) {
 	if !s.admitSession(w, sess) {
 		return
-	}
-	if !sess.roundBusy.CompareAndSwap(false, true) {
-		mSessionConflicts.Inc()
-		s.replyError(w, http.StatusConflict, fmt.Sprintf("session %q is already starting a round; retry shortly", sess.ID))
-		return
-	}
-	defer sess.roundBusy.Store(false)
-	if status, msg := s.lockEngine(sess); status != 0 {
-		s.replyError(w, status, msg)
-		return
-	}
-	if sess.campaign == nil {
-		sess.mu.Unlock()
-		http.Error(w, fmt.Sprintf("session %q is not a learning session (create it with a learn spec)", sess.ID), http.StatusBadRequest)
-		return
-	}
-	if sess.campaign.Awaiting() {
-		// The current round's observation is outstanding: re-serve its
-		// seeds (at-least-once delivery of the round itself). The
-		// checkpoint below re-establishes durability for a client retrying
-		// precisely because the previous attempt's checkpoint failed.
-		resp := s.roundResponseLocked(sess, 0, true)
-		_, err := s.checkpointLocked(sess)
-		sess.mu.Unlock()
-		if err != nil {
-			s.replyError(w, http.StatusInternalServerError, fmt.Sprintf("round state not durable: %v; retry", err))
-			return
-		}
-		writeJSON(w, resp)
-		return
-	}
-	prev, err := sess.campaign.MarshalBinary()
-	if err != nil {
-		sess.mu.Unlock()
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	ms, explore, err := sess.campaign.StartRound(sess.online.Sampler().Graph())
-	if err != nil {
-		sess.mu.Unlock()
-		http.Error(w, fmt.Sprintf("starting round: %v", err), http.StatusInternalServerError)
-		return
-	}
-	round := sess.campaign.Round()
-	sess.mu.Unlock()
-
-	// Apply the realization as an ordinary weight-only mutation epoch:
-	// journaled, swept through incremental repair (the sweep takes this
-	// session's lock, so the round does not hold it here), visible to every
-	// session on the graph. An empty batch means the graph already realizes
-	// this round — nothing to apply. roundBusy keeps the session resident
-	// until the round's last critical section.
-	rollback := func() {
-		sess.mu.Lock()
-		sess.restoreCampaignLocked(prev)
-		sess.mu.Unlock()
-	}
-	if len(ms) > 0 {
-		if _, status, err := s.mutateGraph(sess.graph, ms); err != nil {
-			rollback()
-			s.replyError(w, status, fmt.Sprintf("applying round realization: %v", err))
-			return
-		}
-	}
-
-	// Refine the realization's RR sets before deriving seeds. Partial
-	// progress on failure is harmless — RR sets are valid at any count —
-	// but the round itself must be retried from StartRound.
-	rr := sess.spec.RoundRR
-	if rr <= 0 {
-		rr = defaultRoundRR
 	}
 	ctx := r.Context()
 	if s.cfg.RequestTimeout > 0 {
@@ -192,48 +135,91 @@ func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request, sess *Sess
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
 	}
-	if status, msg := s.advanceSession(ctx, sess, rr); status != 0 {
-		rollback()
-		if status == statusClientGone {
-			return
-		}
-		s.replyError(w, status, msg)
-		return
-	}
-
 	if status, msg := s.lockEngine(sess); status != 0 {
 		s.replyError(w, status, msg)
 		return
 	}
-	snap := sess.online.Snapshot()
-	sess.campaign.ServeSeeds(snap.Seeds)
-	sess.syncExtLocked()
-	sess.refreshStatsLocked()
-	resp := s.roundResponseLocked(sess, len(ms), false)
-	resp.Alpha = snap.Alpha
-	// Seeds leave the server only after the awaiting round is durable:
-	// a kill −9 after this write resumes with the window open and the
-	// same stored seeds.
-	_, err = s.checkpointLocked(sess)
+	resp, status, msg := s.roundLocked(ctx, sess)
 	sess.mu.Unlock()
-	if err != nil {
-		s.replyError(w, http.StatusInternalServerError, fmt.Sprintf("round state not durable: %v; retry", err))
+	switch {
+	case status == statusClientGone:
 		return
+	case status != 0:
+		s.replyError(w, status, msg)
+		return
+	case !resp.Replay:
+		obs.Emit(s.cfg.Events, "learn_round", map[string]any{
+			"session": sess.ID,
+			"round":   resp.Round,
+			"kind":    resp.Kind,
+			"explore": resp.Kind == "explore",
+			"applied": resp.Applied,
+			"epoch":   resp.Epoch,
+			"seeds":   len(resp.Seeds),
+		})
 	}
-	obs.Emit(s.cfg.Events, "learn_round", map[string]any{
-		"session": sess.ID,
-		"round":   round,
-		"kind":    resp.Kind,
-		"explore": explore,
-		"applied": len(ms),
-		"epoch":   resp.Epoch,
-		"seeds":   len(resp.Seeds),
-	})
 	writeJSON(w, resp)
 }
 
+// roundLocked runs handleRounds' critical section; callers hold sess.mu
+// with the engine resident. It returns 0, statusClientGone, or the HTTP
+// status and message of the failure.
+func (s *Server) roundLocked(ctx context.Context, sess *Session) (RoundResponse, int, string) {
+	if sess.campaign == nil {
+		return RoundResponse{}, http.StatusBadRequest, fmt.Sprintf("session %q is not a learning session (create it with a learn spec)", sess.ID)
+	}
+	var resp RoundResponse
+	if sess.campaign.Awaiting() {
+		// The current round's observation is outstanding: re-serve its
+		// seeds (at-least-once delivery of the round itself). The
+		// checkpoint below re-establishes durability for a client retrying
+		// precisely because the previous attempt's checkpoint failed.
+		resp = s.roundResponseLocked(sess, 0, true)
+	} else {
+		prev, err := sess.campaign.MarshalBinary()
+		if err != nil {
+			return resp, http.StatusInternalServerError, err.Error()
+		}
+		ms, _, err := sess.campaign.StartRound(sess.online.Sampler().Graph())
+		if err != nil {
+			return resp, http.StatusInternalServerError, fmt.Sprintf("starting round: %v", err)
+		}
+		// Apply the realization as an ordinary weight-only mutation epoch:
+		// journaled, visible to every session on the graph, and swept
+		// through incremental repair, this session included. An empty batch
+		// means the graph already realizes this round. Then refine the
+		// realization's RR sets before deriving seeds: partial progress on
+		// failure is harmless (RR sets are valid at any count), but the
+		// round itself must be retried from StartRound.
+		if len(ms) > 0 {
+			if _, status, err := s.mutateGraph(sess.graph, ms, sess); err != nil {
+				sess.restoreCampaignLocked(prev)
+				return resp, status, fmt.Sprintf("applying round realization: %v", err)
+			}
+		}
+		if status, msg := s.advanceLocked(ctx, sess, cmp.Or(sess.spec.RoundRR, defaultRoundRR)); status != 0 {
+			sess.restoreCampaignLocked(prev)
+			return resp, status, msg
+		}
+		snap := sess.online.Snapshot()
+		sess.campaign.ServeSeeds(snap.Seeds)
+		sess.syncExtLocked()
+		s.setLearnGaugesLocked(sess)
+		resp = s.roundResponseLocked(sess, len(ms), false)
+		resp.Alpha = snap.Alpha
+	}
+	// Seeds leave the server only after the awaiting round is durable: a
+	// kill −9 after this write resumes with the window open and the same
+	// stored seeds.
+	if _, err := s.checkpointLocked(sess); err != nil {
+		return resp, http.StatusInternalServerError, fmt.Sprintf("round state not durable: %v; retry", err)
+	}
+	return resp, 0, ""
+}
+
 // roundResponseLocked assembles the rounds response from the campaign's
-// current state; callers hold sess.mu with campaign non-nil.
+// current state; callers hold sess.mu with the engine resident and
+// campaign non-nil.
 func (s *Server) roundResponseLocked(sess *Session, applied int, replay bool) RoundResponse {
 	kind := "exploit"
 	if sess.campaign.Explore() {
@@ -245,8 +231,8 @@ func (s *Server) roundResponseLocked(sess *Session, applied int, replay bool) Ro
 		Kind:    kind,
 		Seeds:   sess.campaign.Seeds(),
 		Applied: applied,
-		Epoch:   sess.graph.ident.Load().epoch,
-		NumRR:   sess.statNumRR.Load(),
+		Epoch:   sess.online.Sampler().Graph().Epoch(),
+		NumRR:   sess.online.NumRR(),
 		Replay:  replay,
 	}
 }
@@ -270,44 +256,13 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request, sess
 		s.replyError(w, status, msg)
 		return
 	}
-	if sess.campaign == nil {
-		sess.mu.Unlock()
-		http.Error(w, fmt.Sprintf("session %q is not a learning session (create it with a learn spec)", sess.ID), http.StatusBadRequest)
-		return
-	}
-	prev, err := sess.campaign.MarshalBinary()
-	if err != nil {
-		sess.mu.Unlock()
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	applied, err := sess.campaign.Observe(req.Round, req.Attempts)
-	if err != nil {
-		sess.mu.Unlock()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if applied {
-		sess.syncExtLocked()
-		if _, err := s.checkpointLocked(sess); err != nil {
-			sess.restoreCampaignLocked(prev)
-			sess.mu.Unlock()
-			s.replyError(w, http.StatusInternalServerError,
-				fmt.Sprintf("observation not durable: %v; retry (it was not applied)", err))
-			return
-		}
-	}
-	resp := ObservationResponse{
-		Session:      sess.ID,
-		Round:        req.Round,
-		Attempts:     len(req.Attempts),
-		Applied:      applied,
-		Observations: sess.campaign.Posterior().Observations(),
-		Entropy:      sess.campaign.Posterior().Entropy(),
-	}
+	resp, status, msg := s.observeLocked(sess, req)
 	sess.mu.Unlock()
-
-	if applied {
+	if status != 0 {
+		s.replyError(w, status, msg)
+		return
+	}
+	if resp.Applied {
 		obs.Emit(s.cfg.Events, "learn_observation", map[string]any{
 			"session":  sess.ID,
 			"round":    req.Round,
@@ -318,16 +273,46 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request, sess
 	writeJSON(w, resp)
 }
 
+// observeLocked runs handleObservations' critical section; callers hold
+// sess.mu with the engine resident. It returns 0 or the HTTP status and
+// message of the failure.
+func (s *Server) observeLocked(sess *Session, req ObservationRequest) (ObservationResponse, int, string) {
+	resp := ObservationResponse{Session: sess.ID, Round: req.Round, Attempts: len(req.Attempts)}
+	if sess.campaign == nil {
+		return resp, http.StatusBadRequest, fmt.Sprintf("session %q is not a learning session (create it with a learn spec)", sess.ID)
+	}
+	prev, err := sess.campaign.MarshalBinary()
+	if err != nil {
+		return resp, http.StatusInternalServerError, err.Error()
+	}
+	if resp.Applied, err = sess.campaign.Observe(req.Round, req.Attempts); err != nil {
+		return resp, http.StatusBadRequest, err.Error()
+	}
+	if resp.Applied {
+		sess.syncExtLocked()
+		if _, err := s.checkpointLocked(sess); err != nil {
+			sess.restoreCampaignLocked(prev)
+			return resp, http.StatusInternalServerError, fmt.Sprintf("observation not durable: %v; retry (it was not applied)", err)
+		}
+		s.setLearnGaugesLocked(sess)
+	}
+	resp.Observations, resp.Entropy = sess.campaign.Posterior().Observations(), sess.campaign.Entropy()
+	return resp, 0, ""
+}
+
 // EnableLearning turns an existing session into a learning session — the
 // startup path for opimd's -learn flag on the default session. A campaign
 // already restored from the session's checkpoint extension is kept (the
 // resume case); otherwise a fresh uniform-prior campaign is created with
 // the given seed. roundRR configures the per-round RR budget (0 = the
-// server default).
+// server default) and must lie in [0, max_rr], as at POST /sessions.
 func (s *Server) EnableLearning(id string, seed uint64, roundRR int) error {
 	sess := s.lookup(id)
 	if sess == nil {
 		return fmt.Errorf("server: unknown session %q", id)
+	}
+	if err := checkRoundRR(roundRR, sess.maxRR); err != nil {
+		return fmt.Errorf("server: session %q: %w", id, err)
 	}
 	if status, msg := s.lockEngine(sess); status != 0 {
 		return fmt.Errorf("server: session %q: %s", id, msg)
@@ -338,5 +323,38 @@ func (s *Server) EnableLearning(id string, seed uint64, roundRR int) error {
 		sess.campaign = learn.NewCampaign(sess.online.Sampler().Graph(), seed)
 	}
 	sess.syncExtLocked()
+	s.setLearnGaugesLocked(sess)
 	return nil
+}
+
+// checkRoundRR refuses a learning round budget outside [0, maxRR]: a
+// round could never generate it (POST /sessions and EnableLearning).
+func checkRoundRR(roundRR int, maxRR int64) error {
+	if roundRR < 0 || int64(roundRR) > maxRR {
+		return fmt.Errorf("learn.round_rr %d outside [0, max_rr %d]", roundRR, maxRR)
+	}
+	return nil
+}
+
+// setLearnGaugesLocked publishes sess's campaign in its labeled
+// learn_round_phase (1 while served seeds await their observation, else 0)
+// and learn_posterior_entropy gauges. Like the session's other series they
+// are created under smu, and only while sess is registered: removeSession
+// deletes them under smu, so a deleted session's gauges never reappear.
+// A session without a campaign has none. Callers hold sess.mu.
+func (s *Server) setLearnGaugesLocked(sess *Session) {
+	if sess.campaign == nil {
+		return
+	}
+	var phase float64
+	if sess.campaign.Awaiting() {
+		phase = 1
+	}
+	_, _, _, phaseName, entropyName := sessionSeries(sess.ID)
+	s.smu.Lock()
+	defer s.smu.Unlock()
+	if s.sessions[sess.ID] == sess {
+		obs.Default().Gauge(phaseName).Set(phase)
+		obs.Default().Gauge(entropyName).Set(sess.campaign.Entropy())
+	}
 }

@@ -23,7 +23,10 @@ package server
 // requests and the background sampler are not gated: the sweep repairs
 // each session under its own lock, so a request waits at most for that
 // one repair, and one served before the sweep reached its session answers
-// for the previous epoch and labels it (SnapshotResponse.GraphEpoch).
+// for the previous epoch and labels it (SnapshotResponse.GraphEpoch). A
+// learning round applies its realization while holding its own session's
+// lock (learn.go); only the holder of the `mutating` flag ever takes a
+// second session's lock, so the sweep cannot deadlock against it.
 
 import (
 	"encoding/json"
@@ -116,7 +119,7 @@ func (s *Server) handleGraphUpdates(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "updates must contain at least one op", http.StatusBadRequest)
 		return
 	}
-	resp, status, err := s.mutateGraph(e, ms)
+	resp, status, err := s.mutateGraph(e, ms, nil)
 	if err != nil {
 		s.replyError(w, status, err.Error())
 		return
@@ -128,9 +131,11 @@ func (s *Server) handleGraphUpdates(w http.ResponseWriter, r *http.Request) {
 // epoch (WithMutations), journal it durably, swap the entry's residency,
 // then sweep every loaded session on e: an engine on the batch's parent
 // epoch is repaired with the batch, any other (one published between two
-// sweeps, still further behind) resampled. The returned status is the
-// HTTP code for the failure.
-func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation) (*UpdateGraphResponse, int, error) {
+// sweeps, still further behind) resampled. held, when non-nil, is a
+// session on e whose lock the caller holds (a learning round): the sweep
+// repairs it without locking it. The returned status is the HTTP code for
+// the failure.
+func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation, held *Session) (*UpdateGraphResponse, int, error) {
 	if !e.mutating.CompareAndSwap(false, true) {
 		if s.lookupGraph(e.name) != e { // a DELETE took the flag for good
 			return nil, http.StatusNotFound, fmt.Errorf("unknown graph %q", e.name)
@@ -179,17 +184,19 @@ func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation) (*UpdateGraphRe
 	mGraphMutations.Inc()
 
 	// Rebase every loaded session on this graph. Each repair holds only
-	// that session's mutex; sessions on other graphs are untouched. A
-	// session published after this snapshot of the table is caught by the
-	// catchUp re-check in createSession and restore. Only an engine on the
-	// parent sampler may take this batch alone; one that missed an earlier
-	// batch too resamples.
+	// that session's mutex (held's is the caller's); sessions on other
+	// graphs are untouched. A session published after this snapshot of the
+	// table is caught by the catchUp re-check in createSession and restore.
+	// Only an engine on the parent sampler may take this batch alone; one
+	// that missed an earlier batch too resamples.
 	var repaired []SessionRepair
 	for _, sess := range s.snapshotSessions() {
 		if sess.graph != e {
 			continue
 		}
-		sess.mu.Lock()
+		if sess != held {
+			sess.mu.Lock()
+		}
 		if sess.online != nil && sess.online.Sampler() != newSampler {
 			var regen int
 			if sess.online.Sampler() == sampler {
@@ -203,7 +210,9 @@ func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation) (*UpdateGraphRe
 			repaired = append(repaired, SessionRepair{Session: sess.ID, Regenerated: regen})
 			mSessionsRepaired.Inc()
 		}
-		sess.mu.Unlock()
+		if sess != held {
+			sess.mu.Unlock()
+		}
 	}
 
 	obs.Emit(s.cfg.Events, "graph_mutation", map[string]any{
@@ -236,12 +245,13 @@ func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation) (*UpdateGraphRe
 // start from it, and truncate the in-memory chain to match. The chain
 // keeps every epoch from the oldest checkpoint any session on e has on
 // disk (ckEpoch), so no checkpoint leaves it. It runs after the batch's
-// repair sweep, which took every session's lock on e: a checkpoint write
-// that began before the batch has stored its epoch, and every later write
-// serializes an engine the sweep moved to ng, whose epoch the chain always
-// keeps. A write stores its epoch only after its rename, so a read racing
-// one sees an older epoch and keeps more of the chain, never less. Called
-// from mutateGraph while e.mutating is held, so no batch can append
+// repair sweep, which took every session's lock on e (or, for a round's
+// held session, ran under it): a checkpoint write that began before the
+// batch has stored its epoch, and every later write serializes an engine
+// the sweep moved to ng, whose epoch the chain always keeps. A write
+// stores its epoch only after its rename, so a read racing one sees an
+// older epoch and keeps more of the chain, never less. Called from
+// mutateGraph while e.mutating is held, so no batch can append
 // concurrently. A failure only logs: the journal keeps its full history
 // and the next batch retries.
 func (s *Server) compactJournal(e *graphEntry, ng *graph.Graph, journalBytes int64) {

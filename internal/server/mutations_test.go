@@ -394,7 +394,7 @@ func TestDeleteGraphExcludesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, status, err := srv.mutateGraph(stale, ms); status != http.StatusNotFound {
+	if _, status, err := srv.mutateGraph(stale, ms, nil); status != http.StatusNotFound {
 		t.Fatalf("batch on the deleted graph: status %d (%v), want 404", status, err)
 	}
 	if _, err := os.Stat(MutationLogPath(dir, "g")); !errors.Is(err, os.ErrNotExist) {

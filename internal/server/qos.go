@@ -194,7 +194,7 @@ func (s *Server) setRetryAfter(w http.ResponseWriter) int {
 }
 
 // replyError writes an error status. Backpressure statuses (409 for a
-// concurrent mutation batch or learning round, 429 admission, 503
+// concurrent mutation batch, 429 admission, 503
 // deadlines) carry an honest Retry-After so well-behaved clients back off
 // proportionally to actual server load instead of hammering a fixed
 // cadence.

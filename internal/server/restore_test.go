@@ -115,7 +115,7 @@ func TestSweepResamplesEngineTwoEpochsBehind(t *testing.T) {
 	laggard.Advance(numRR)
 
 	// The graph moves to epoch 1 while the epoch-0 engine is unpublished.
-	if _, _, err := srv.mutateGraph(e, ms1); err != nil {
+	if _, _, err := srv.mutateGraph(e, ms1, nil); err != nil {
 		t.Fatal(err)
 	}
 	sess := &Session{ID: "laggard", maxRR: srv.cfg.MaxRR, graph: e}
@@ -127,7 +127,7 @@ func TestSweepResamplesEngineTwoEpochsBehind(t *testing.T) {
 	if err := srv.addSession(sess); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := srv.mutateGraph(e, ms2); err != nil {
+	if _, _, err := srv.mutateGraph(e, ms2, nil); err != nil {
 		t.Fatal(err)
 	}
 

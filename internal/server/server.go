@@ -40,7 +40,8 @@
 // (see sessions.go). A session request only ever waits for the session's
 // own lock — never for an eviction or a mutation batch to finish — and a
 // 409 only reports a real conflict (a taken name, a referenced graph, a
-// second concurrent batch or round).
+// second concurrent batch on a graph, a learning round's realization
+// included).
 //
 // The request path is hardened for long-lived deployments: a
 // panic-recovery middleware turns handler panics into 500s (counted in
@@ -514,25 +515,27 @@ func (s *Server) advanceSession(ctx context.Context, sess *Session, count int) (
 	if status, msg := s.lockEngine(sess); status != 0 {
 		return status, msg
 	}
+	defer sess.mu.Unlock()
+	return s.advanceLocked(ctx, sess, count)
+}
+
+// advanceLocked generates count RR sets on sess, clamped to its remaining
+// budget, with advanceSession's results; callers hold sess.mu with the
+// engine resident. Partial progress is kept on every path.
+func (s *Server) advanceLocked(ctx context.Context, sess *Session, count int) (int, string) {
 	if remaining := sess.maxRR - sess.online.NumRR(); int64(count) > remaining {
 		count = int(remaining)
 	}
-	var generated int
-	var advErr error
-	if count > 0 {
-		generated, advErr = sess.online.AdvanceContext(ctx, count)
-		sess.refreshStatsLocked()
+	generated, err := sess.online.AdvanceContext(ctx, count)
+	sess.refreshStatsLocked()
+	switch {
+	case err == nil:
+		return 0, ""
+	case errors.Is(err, context.DeadlineExceeded):
+		mAdvanceDeadline.Inc()
+		return http.StatusServiceUnavailable, fmt.Sprintf("advance deadline exceeded after %d of %d RR sets (progress kept; poll /status)", generated, count)
 	}
-	sess.mu.Unlock()
-	if advErr != nil {
-		// Partial progress is kept in the session either way.
-		if errors.Is(advErr, context.DeadlineExceeded) {
-			mAdvanceDeadline.Inc()
-			return http.StatusServiceUnavailable, fmt.Sprintf("advance deadline exceeded after %d of %d RR sets (progress kept; poll /status)", generated, count)
-		}
-		return statusClientGone, ""
-	}
-	return 0, ""
+	return statusClientGone, ""
 }
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, sess *Session) {

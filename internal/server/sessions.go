@@ -47,7 +47,6 @@ var (
 	mSessionsDeleted  = obs.Default().Counter("server_sessions_deleted_total")
 	mSessionsEvicted  = obs.Default().Counter("server_sessions_evicted_total")
 	mSessionsReloaded = obs.Default().Counter("server_sessions_reloaded_total")
-	mSessionConflicts = obs.Default().Counter("server_session_conflicts_total")
 	gSessionsLoaded   = obs.Default().Gauge("server_sessions_loaded")
 )
 
@@ -123,26 +122,26 @@ type Session struct {
 	// feedback-driven round machine of learn.Campaign (see learn.go).
 	// Guarded by mu; its serialized state rides inside the engine's OPIMS6
 	// extension blob, so it survives eviction, restart and kill −9 with
-	// the checkpoint. roundBusy serializes POST /rounds per session
-	// without holding mu across the graph mutation, and keeps the session
-	// resident between the round's critical sections.
-	campaign  *learn.Campaign
-	roundBusy atomic.Bool
+	// the checkpoint.
+	campaign *learn.Campaign
 
 	// lastTouch orders LRU eviction; guarded by the server's smu.
 	lastTouch int64
 
 	// The session's labeled series in obs.Default(), registered by
-	// addSession and deleted by removeSession (sessionSeries names them).
+	// addSession (a learning session's gauges by setLearnGaugesLocked) and
+	// deleted by removeSession (sessionSeries names them).
 	mRequests, mShed *obs.Counter
 	gDeficit         *obs.Gauge
 }
 
 // sessionSeries names the labeled series a session owns in obs.Default().
-func sessionSeries(id string) (requests, shed, deficit string) {
+func sessionSeries(id string) (requests, shed, deficit, phase, entropy string) {
 	return obs.Labeled("server_session_requests_total", "session", id),
 		obs.Labeled("server_session_shed_total", "session", id),
-		obs.Labeled("server_session_deficit", "session", id)
+		obs.Labeled("server_session_deficit", "session", id),
+		obs.Labeled("learn_round_phase", "session", id),
+		obs.Labeled("learn_posterior_entropy", "session", id)
 }
 
 // refreshStatsLocked re-publishes the lock-free counter mirrors; callers
@@ -344,7 +343,7 @@ func (s *Server) addSession(sess *Session) error {
 	if _, ok := s.sessions[sess.ID]; ok {
 		return fmt.Errorf("session %q already exists", sess.ID)
 	}
-	requests, shed, deficit := sessionSeries(sess.ID)
+	requests, shed, deficit, _, _ := sessionSeries(sess.ID)
 	sess.mRequests, sess.mShed = obs.Default().Counter(requests), obs.Default().Counter(shed)
 	sess.gDeficit = obs.Default().Gauge(deficit)
 	s.sessions[sess.ID] = sess
@@ -404,9 +403,10 @@ func (s *Server) createSession(spec SessionSpec) (*Session, int, error) {
 	if err := validateQoSSpec(spec); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	if spec.Learn != nil && (spec.Learn.RoundRR < 0 || int64(spec.Learn.RoundRR) > maxRR) {
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("learn.round_rr %d outside [0, max_rr %d]", spec.Learn.RoundRR, maxRR)
+	if spec.Learn != nil {
+		if err := checkRoundRR(spec.Learn.RoundRR, maxRR); err != nil {
+			return nil, http.StatusBadRequest, err
+		}
 	}
 	graphName := spec.Graph
 	if graphName == "" {
@@ -471,6 +471,7 @@ func (s *Server) createSession(spec SessionSpec) (*Session, int, error) {
 		mSessionsCaughtUp.Inc()
 	}
 	sess.refreshStatsLocked()
+	s.setLearnGaugesLocked(sess)
 	sess.mu.Unlock()
 	mSessionsCreated.Inc()
 	s.maybeEvict(sess)
@@ -598,9 +599,10 @@ func (s *Server) lockEngine(sess *Session) (int, string) {
 }
 
 // installEngineLocked makes online, built on a graph reference the
-// caller acquired, the engine of the registered session sess. A session
-// that becomes resident counts toward MaxLoadedSessions; one that already
-// was releases its replaced engine's graph reference. Callers hold sess.mu.
+// caller acquired, the engine of the registered session sess, and
+// publishes the learning gauges of a campaign it restores. A session that
+// becomes resident counts toward MaxLoadedSessions; one that already was
+// releases its replaced engine's graph reference. Callers hold sess.mu.
 func (s *Server) installEngineLocked(sess *Session, online *core.Online) {
 	if sess.online != nil {
 		s.releaseGraph(sess.graph)
@@ -608,6 +610,7 @@ func (s *Server) installEngineLocked(sess *Session, online *core.Online) {
 		gSessionsLoaded.Set(float64(s.loaded.Add(1)))
 	}
 	sess.setOnlineLocked(online)
+	s.setLearnGaugesLocked(sess)
 }
 
 // dropEngineLocked unloads sess's engine, uncounting the session and
@@ -675,17 +678,17 @@ func (s *Server) pickEvictionVictim(keep *Session, skip map[*Session]bool) *Sess
 
 // evictSession checkpoints the victim and drops its engine in one
 // critical section, reporting whether the session was unloaded. It only
-// try-locks: a held lock means the session is in use, so it is not idle.
-// Under the lock it re-checks what the pick read without it: resident
-// (a DELETE unloads under the lock, so a deleted session is never evicted
-// and no checkpoint brings it back), not running and not mid-round. A
-// failed checkpoint keeps the session loaded: unloading without a durable
-// copy would lose its δ accounting.
+// try-locks: a held lock means the session is in use (a learning round
+// holds it throughout), so it is not idle. Under the lock it re-checks
+// what the pick read without it: resident (a DELETE unloads under the
+// lock, so a deleted session is never evicted and no checkpoint brings it
+// back) and not running. A failed checkpoint keeps the session loaded:
+// unloading without a durable copy would lose its δ accounting.
 func (s *Server) evictSession(sess *Session) bool {
 	if !sess.mu.TryLock() {
 		return false
 	}
-	evicted := sess.resident.Load() && !sess.running.Load() && !sess.roundBusy.Load()
+	evicted := sess.resident.Load() && !sess.running.Load()
 	if evicted {
 		_, err := s.checkpointLocked(sess)
 		evicted = err == nil && s.dropEngineLocked(sess)

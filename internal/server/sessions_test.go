@@ -181,18 +181,32 @@ func TestSessionNamedBulk(t *testing.T) {
 	}
 }
 
-// TestDeletedSessionLeavesNoSeries: a deleted session's labeled series
-// leave the registry, so /metrics holds one series per live session id.
+// TestDeletedSessionLeavesNoSeries: a deleted session's labeled series —
+// a learning session's round-phase and entropy gauges included — leave
+// the registry, so /metrics holds one series per live session id.
 func TestDeletedSessionLeavesNoSeries(t *testing.T) {
 	_, ts := newTestServer(t, 0)
 	c := NewClient(ts.URL)
 	for i := 0; i < 50; i++ {
 		id := fmt.Sprintf("gone-%d", i)
-		if _, err := c.CreateSession(SessionSpec{ID: id, K: 2, Delta: 0.1, Seed: uint64(i)}); err != nil {
+		spec := SessionSpec{ID: id, K: 2, Delta: 0.1, Seed: uint64(i)}
+		if i%10 == 0 {
+			spec.Learn = &LearnSpec{Seed: uint64(i), RoundRR: 64}
+		}
+		if _, err := c.CreateSession(spec); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Session(id).Advance(50); err != nil {
 			t.Fatal(err)
+		}
+		if spec.Learn != nil {
+			r, err := c.Session(id).StartRound()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Session(id).Observe(r.Round, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := c.DeleteSession(id); err != nil {
 			t.Fatal(err)
@@ -717,12 +731,10 @@ func TestEvictionVerifyKeepsRacingMutation(t *testing.T) {
 }
 
 // TestEvictionAbortsWhenSessionStartsRunning: the victim pick reads
-// running without the session lock, so a /start (or a learning round)
-// can slip in before the eviction takes it. The eviction re-checks
-// running and roundBusy under the lock and leaves such a session loaded —
-// a running session unloaded behind /start's back would report Running
-// while the sampler skips it forever, and a round would lose its engine
-// between its critical sections.
+// running without the session lock, so a /start can slip in before the
+// eviction takes it. The eviction re-checks running under the lock and
+// leaves such a session loaded — a running session unloaded behind
+// /start's back would report Running while the sampler skips it forever.
 func TestEvictionAbortsWhenSessionStartsRunning(t *testing.T) {
 	sampler := robustSampler(t)
 	srv, ts := newCkServer(t, sampler, Config{Batch: 500, CheckpointDir: t.TempDir()})
@@ -736,11 +748,6 @@ func TestEvictionAbortsWhenSessionStartsRunning(t *testing.T) {
 		t.Fatal("evicted a running session")
 	}
 	sess.running.Store(false)
-	sess.roundBusy.Store(true) // a round between its critical sections
-	if srv.evictSession(sess) {
-		t.Fatal("evicted a session mid-round")
-	}
-	sess.roundBusy.Store(false)
 	if !sess.resident.Load() {
 		t.Fatal("aborted victim is not resident")
 	}
