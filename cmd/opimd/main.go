@@ -69,9 +69,9 @@
 //     was created with. -max-loaded-sessions N bounds memory by
 //     checkpointing-then-unloading idle sessions (reloaded transparently
 //     on their next request).
-//   - -request-timeout bounds /advance processing (503 + Retry-After
-//     past the deadline, progress kept); above -max-inflight a request
-//     queues briefly for a slot, then gets 429 + Retry-After.
+//   - -request-timeout bounds each token-charged session request (503 +
+//     Retry-After past the deadline, progress kept); above -max-inflight
+//     a request queues briefly for a slot, then gets 429 + Retry-After.
 //   - SIGINT/SIGTERM drains in-flight requests, stops the sampling
 //     loop, writes a final checkpoint per session, and exits 0.
 //   - -fleet url1,url2 leases RR-set generation to stateless
@@ -126,7 +126,7 @@ func main() {
 		maxLoaded  = flag.Int("max-loaded-sessions", 0, "max sessions resident in memory; past it idle sessions are checkpointed and unloaded (0 = unlimited, requires -checkpoint-dir)")
 		maxGraphs  = flag.Int("max-loaded-graphs", 0, "max graphs resident in memory; past it idle registered graphs are unloaded and reloaded from their spec on demand (0 = unlimited)")
 		ckInterval = flag.Duration("checkpoint-interval", server.DefaultCheckpointInterval, "periodic checkpoint cadence (requires -checkpoint-dir)")
-		reqTimeout = flag.Duration("request-timeout", time.Minute, "deadline for /advance processing (0 = none)")
+		reqTimeout = flag.Duration("request-timeout", time.Minute, "deadline for each token-charged session request, /advance included (0 = none)")
 		maxInfl    = flag.Int("max-inflight", 64, "max concurrent HTTP requests; excess requests queue briefly, then 429 (0 = unlimited)")
 		maxQueue   = flag.Int("max-queue", 0, "max requests waiting for an inflight slot (0 = 2×max-inflight, negative = no queue)")
 		maxQWait   = flag.Duration("max-queue-wait", 500*time.Millisecond, "max time a request queues for an inflight slot before 429")

@@ -1,71 +1,5 @@
 package graph
 
-// Dataset-preparation utilities: real social-network dumps (the SNAP files
-// behind Table 2) are routinely reduced to their largest weakly connected
-// component and relabeled to dense ids before experiments; these helpers
-// perform that preparation for user-supplied graphs.
-
-// WeaklyConnectedComponents labels every node with a component id in
-// [0, count) and returns the labels and component count. Edge direction is
-// ignored. Isolated nodes form singleton components.
-func WeaklyConnectedComponents(g *Graph) (labels []int32, count int32) {
-	n := g.N()
-	labels = make([]int32, n)
-	for i := range labels {
-		labels[i] = -1
-	}
-	queue := make([]int32, 0, 1024)
-	for start := int32(0); start < n; start++ {
-		if labels[start] >= 0 {
-			continue
-		}
-		labels[start] = count
-		queue = append(queue[:0], start)
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			out, _ := g.OutNeighbors(u)
-			for _, v := range out {
-				if labels[v] < 0 {
-					labels[v] = count
-					queue = append(queue, v)
-				}
-			}
-			in, _ := g.InNeighbors(u)
-			for _, v := range in {
-				if labels[v] < 0 {
-					labels[v] = count
-					queue = append(queue, v)
-				}
-			}
-		}
-		count++
-	}
-	return labels, count
-}
-
-// LargestComponent returns the subgraph induced by the largest weakly
-// connected component, with nodes relabeled to dense ids, and the mapping
-// newID → oldID.
-func LargestComponent(g *Graph) (*Graph, []int32, error) {
-	labels, count := WeaklyConnectedComponents(g)
-	if count == 0 {
-		sub, err := NewBuilder(0, 0).Build()
-		return sub, nil, err
-	}
-	sizes := make([]int64, count)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	best := int32(0)
-	for c := int32(1); c < count; c++ {
-		if sizes[c] > sizes[best] {
-			best = c
-		}
-	}
-	keep := func(v int32) bool { return labels[v] == best }
-	return Subgraph(g, keep)
-}
-
 // Transpose returns the graph with every edge reversed (probabilities
 // preserved). Used e.g. for reverse-PageRank-style influence heuristics.
 func Transpose(g *Graph) (*Graph, error) {
@@ -75,37 +9,4 @@ func Transpose(g *Graph) (*Graph, error) {
 		return true
 	})
 	return b.Build()
-}
-
-// Subgraph returns the subgraph induced by the nodes for which keep
-// returns true, relabeled to dense ids, plus the mapping newID → oldID.
-func Subgraph(g *Graph, keep func(NodeID) bool) (*Graph, []int32, error) {
-	n := g.N()
-	newID := make([]int32, n)
-	var mapping []int32
-	for v := int32(0); v < n; v++ {
-		if keep(v) {
-			newID[v] = int32(len(mapping))
-			mapping = append(mapping, v)
-		} else {
-			newID[v] = -1
-		}
-	}
-	b := NewBuilder(int32(len(mapping)), int(g.M()))
-	var err error
-	g.Edges(func(e Edge) bool {
-		fu, tv := newID[e.From], newID[e.To]
-		if fu >= 0 && tv >= 0 {
-			b.AddEdge(fu, tv, e.P)
-		}
-		return true
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	sub, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	return sub, mapping, nil
 }

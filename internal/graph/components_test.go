@@ -2,125 +2,6 @@ package graph
 
 import "testing"
 
-func TestWCCTwoIslands(t *testing.T) {
-	g := buildTest(t, 6, []Edge{
-		{From: 0, To: 1, P: 1}, {From: 2, To: 1, P: 1}, // island {0,1,2}
-		{From: 3, To: 4, P: 1}, // island {3,4}
-		// node 5 isolated
-	})
-	labels, count := WeaklyConnectedComponents(g)
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if labels[0] != labels[1] || labels[1] != labels[2] {
-		t.Fatalf("island 1 split: %v", labels)
-	}
-	if labels[3] != labels[4] {
-		t.Fatalf("island 2 split: %v", labels)
-	}
-	if labels[5] == labels[0] || labels[5] == labels[3] {
-		t.Fatalf("isolated node merged: %v", labels)
-	}
-}
-
-func TestWCCIgnoresDirection(t *testing.T) {
-	// 0→1 and 2→1: all weakly connected despite no directed path 0→2.
-	g := buildTest(t, 3, []Edge{{From: 0, To: 1, P: 1}, {From: 2, To: 1, P: 1}})
-	_, count := WeaklyConnectedComponents(g)
-	if count != 1 {
-		t.Fatalf("count = %d, want 1", count)
-	}
-}
-
-func TestLargestComponent(t *testing.T) {
-	g := buildTest(t, 7, []Edge{
-		{From: 0, To: 1, P: 0.5}, {From: 1, To: 2, P: 0.25}, {From: 2, To: 0, P: 0.125},
-		{From: 4, To: 5, P: 1},
-	})
-	sub, mapping, err := LargestComponent(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.N() != 3 || sub.M() != 3 {
-		t.Fatalf("largest component: n=%d m=%d", sub.N(), sub.M())
-	}
-	// Mapping covers exactly {0,1,2}.
-	seen := map[int32]bool{}
-	for _, old := range mapping {
-		seen[old] = true
-	}
-	for _, want := range []int32{0, 1, 2} {
-		if !seen[want] {
-			t.Fatalf("mapping %v missing node %d", mapping, want)
-		}
-	}
-	// Probabilities preserved through relabeling.
-	var sum float64
-	sub.Edges(func(e Edge) bool {
-		sum += float64(e.P)
-		return true
-	})
-	if sum != 0.875 {
-		t.Fatalf("probability sum = %v, want 0.875", sum)
-	}
-}
-
-func TestLargestComponentEmptyGraph(t *testing.T) {
-	g := buildTest(t, 0, nil)
-	sub, mapping, err := LargestComponent(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.N() != 0 || mapping != nil {
-		t.Fatalf("empty graph: n=%d mapping=%v", sub.N(), mapping)
-	}
-}
-
-func TestLargestComponentAllIsolated(t *testing.T) {
-	g := buildTest(t, 4, nil)
-	sub, mapping, err := LargestComponent(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.N() != 1 || len(mapping) != 1 {
-		t.Fatalf("all-isolated: n=%d mapping=%v", sub.N(), mapping)
-	}
-}
-
-func TestSubgraphKeepsRequestedNodes(t *testing.T) {
-	g := buildTest(t, 5, []Edge{
-		{From: 0, To: 1, P: 0.5}, {From: 1, To: 2, P: 0.5}, {From: 3, To: 4, P: 0.5},
-	})
-	sub, mapping, err := Subgraph(g, func(v NodeID) bool { return v <= 2 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.N() != 3 || sub.M() != 2 {
-		t.Fatalf("subgraph n=%d m=%d", sub.N(), sub.M())
-	}
-	if len(mapping) != 3 || mapping[0] != 0 || mapping[1] != 1 || mapping[2] != 2 {
-		t.Fatalf("mapping = %v", mapping)
-	}
-	// Edge 3→4 dropped.
-	sub.Edges(func(e Edge) bool {
-		if mapping[e.From] > 2 || mapping[e.To] > 2 {
-			t.Fatalf("leaked node: %v", e)
-		}
-		return true
-	})
-}
-
-func TestSubgraphKeepNone(t *testing.T) {
-	g := buildTest(t, 3, []Edge{{From: 0, To: 1, P: 1}})
-	sub, mapping, err := Subgraph(g, func(NodeID) bool { return false })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.N() != 0 || len(mapping) != 0 {
-		t.Fatalf("keep-none: n=%d mapping=%v", sub.N(), mapping)
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	g := buildTest(t, 3, []Edge{{From: 0, To: 1, P: 0.5}, {From: 1, To: 2, P: 0.25}})
 	tr, err := Transpose(g)

@@ -227,9 +227,6 @@ func (b *Builder) AddEdge(from, to NodeID, p float32) {
 	b.edges = append(b.edges, Edge{From: from, To: to, P: p})
 }
 
-// LenEdges returns the number of edges added so far.
-func (b *Builder) LenEdges() int { return len(b.edges) }
-
 // ErrInvalidEdge reports an edge referencing a node outside [0, N), a
 // self-loop, or a probability outside [0, 1].
 var ErrInvalidEdge = errors.New("graph: invalid edge")

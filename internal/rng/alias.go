@@ -101,15 +101,6 @@ func (a *Alias) Sample(src *Source) int32 {
 	return a.alias[col]
 }
 
-// CompactAlias is a memory-lean alias table over float32 probabilities,
-// intended to be packed per graph node: for a node with d in-neighbors it
-// stores 8·d bytes. Tables for all nodes share two backing arrays; see
-// graph.LTSampler.
-type CompactAlias struct {
-	Prob  []float32
-	Alias []int32
-}
-
 // BuildCompactInto fills prob/alias (each of length len(weights)) with the
 // alias table of the distribution proportional to weights, using scratch
 // space small/large (each must have capacity ≥ len(weights)). It reports

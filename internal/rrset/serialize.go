@@ -18,9 +18,10 @@ import (
 // The per-set γ block is the state Repair needs to patch the cumulative
 // edges-examined count exactly when individual RR sets are regenerated
 // after a graph mutation. The CRC trailer catches what length checks
-// cannot: an in-range bit flip in the pool, which matters once
+// cannot: an in-range bit flip in the pool, which matters because
 // collections travel over a network between fleet workers and their
-// coordinator, or sit in checkpoints for days. OPIMR3 is the only frame
+// coordinator. Session checkpoints carry no collection: they store the
+// session's recipe and regenerate its sets. OPIMR3 is the only frame
 // written or read.
 const collectionMagic = "OPIMR3\n"
 
@@ -104,10 +105,10 @@ func (c *Collection) encodeBody(emit func([]byte) error) error {
 
 // ReadCollection deserializes an OPIMR3 frame, rebuilding the inverted
 // index; a flipped bit anywhere between magic and trailer is
-// ErrBadCollection. It reads exactly
-// the collection's bytes from r beyond any internal buffering shared with
-// the caller, so collections embedded in a larger stream (session
-// checkpoints) decode back to back.
+// ErrBadCollection. It reads exactly the collection's bytes from r beyond
+// any internal buffering shared with the caller, so frames in one stream
+// decode back to back. The fleet coordinator decodes each worker's lease
+// response with it.
 func ReadCollection(r io.Reader) (*Collection, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(collectionMagic))

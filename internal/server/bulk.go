@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 )
 
 // bulkMaxOps bounds the total operations in one bulk request; a frontend
@@ -106,23 +107,18 @@ func (s *Server) handleSessionsBulk(w http.ResponseWriter, r *http.Request) {
 		resp.Results = append(resp.Results, res)
 	}
 
-	// Phase 2: start. Each entry pays the session's admission token, like
-	// POST /sessions/{id}/start would.
+	// Phase 2: start. Each entry runs through runEngine, paying the
+	// session's admission token like POST /sessions/{id}/start.
 	for _, id := range req.Start {
-		resp.Results = append(resp.Results, s.bulkGated("start", id, func(sess *Session) BulkResult {
-			res := BulkResult{Op: "start", ID: id, Status: http.StatusOK}
-			if status, msg := s.startSession(sess); status != 0 {
-				res.Status = status
-				res.Error = msg
-			}
-			return res
-		}))
+		resp.Results = append(resp.Results, s.bulkEngine(r.Context(), "start", id, 0))
 	}
 
-	// Phase 3: advance, under bounded parallelism — results land at their
-	// input index, so the response order is deterministic. The request
-	// context (plus the configured request deadline) covers the whole
-	// phase; a deadline answers 503 with partial progress kept per session.
+	// Phase 3: advance, under bounded parallelism: bulkAdvanceWorkers
+	// workers take the entries in input order, and each result lands at its
+	// input index, so the response order is deterministic. One context —
+	// the request's, bounded once by the configured deadline — covers the
+	// whole phase, so the call cannot outlive it: an entry that starts past
+	// the deadline answers 503, with partial progress kept per session.
 	if len(req.Advance) > 0 {
 		ctx := r.Context()
 		if s.cfg.RequestTimeout > 0 {
@@ -131,31 +127,16 @@ func (s *Server) handleSessionsBulk(w http.ResponseWriter, r *http.Request) {
 			defer cancel()
 		}
 		results := make([]BulkResult, len(req.Advance))
+		var next atomic.Int64
 		var wg sync.WaitGroup
-		sem := make(chan struct{}, bulkAdvanceWorkers)
-		for i, adv := range req.Advance {
+		for range min(bulkAdvanceWorkers, len(req.Advance)) {
 			wg.Add(1)
-			go func(i int, adv BulkAdvance) {
+			go func() {
 				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				results[i] = s.bulkGated("advance", adv.ID, func(sess *Session) BulkResult {
-					res := BulkResult{Op: "advance", ID: adv.ID, Status: http.StatusOK}
-					switch status, msg := s.advanceSession(ctx, sess, adv.Count); status {
-					case 0:
-						res.NumRR = sess.statNumRR.Load()
-					case statusClientGone:
-						// The bulk connection is gone; the response will never
-						// be read, but fill honest per-op state anyway.
-						res.Status = http.StatusServiceUnavailable
-						res.Error = "request cancelled"
-					default:
-						res.Status = status
-						res.Error = msg
-					}
-					return res
-				})
-			}(i, adv)
+				for i := next.Add(1) - 1; i < int64(len(results)); i = next.Add(1) - 1 {
+					results[i] = s.bulkEngine(ctx, "advance", req.Advance[i].ID, req.Advance[i].Count)
+				}
+			}()
 		}
 		wg.Wait()
 		resp.Results = append(resp.Results, results...)
@@ -182,20 +163,31 @@ func (s *Server) handleSessionsBulk(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// bulkGated resolves a session id and charges its admission token, then
-// runs op. Unknown ids answer 404, rate-limited tenants 429 with the
-// token wait as Retry-After semantics folded into the per-op result.
-func (s *Server) bulkGated(opName, id string, op func(*Session) BulkResult) BulkResult {
+// bulkEngine runs one start or advance entry (op "start", or "advance"
+// of count RR sets) through runEngine and answers what the per-session
+// endpoint would have: 404 for an unknown id, 400 for an advance count
+// refused before any token is charged, else the critical section's
+// status. A per-op 429 carries no header, so its message names the rate
+// and the wait.
+func (s *Server) bulkEngine(ctx context.Context, op, id string, count int) BulkResult {
+	res := BulkResult{Op: op, ID: id, Status: http.StatusOK}
 	sess := s.lookup(id)
 	if sess == nil {
-		return BulkResult{Op: opName, ID: id, Status: http.StatusNotFound,
-			Error: fmt.Sprintf("unknown session %q", id)}
+		res.Status, res.Error = http.StatusNotFound, fmt.Sprintf("unknown session %q", id)
+		return res
 	}
-	if ok, wait := takeSessionToken(sess); !ok {
-		mAdmissionRatelimited.Inc()
-		sess.mShed.Inc()
-		return BulkResult{Op: opName, ID: id, Status: http.StatusTooManyRequests,
-			Error: fmt.Sprintf("session %q over its request rate; retry in %ds", id, ceilSeconds(wait))}
+	critical := func(context.Context) (int, string) { s.startLocked(sess); return 0, "" }
+	if op == "advance" {
+		if err := checkCount(sess, count); err != nil {
+			res.Status, res.Error = http.StatusBadRequest, err.Error()
+			return res
+		}
+		critical = func(ctx context.Context) (int, string) { return s.advanceLocked(ctx, sess, count) }
 	}
-	return op(sess)
+	if status, msg, _ := s.runEngine(ctx, sess, critical); status != 0 {
+		res.Status, res.Error = status, msg
+	} else if op == "advance" {
+		res.NumRR = sess.statNumRR.Load()
+	}
+	return res
 }

@@ -489,7 +489,7 @@ func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if status, err := s.removeGraph(name); err != nil {
-		s.replyError(w, status, err.Error())
+		http.Error(w, err.Error(), status)
 		return
 	}
 	writeJSON(w, map[string]string{"deleted": name})

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -73,7 +74,8 @@ func TestChaosAdvanceClientCancel(t *testing.T) {
 
 // TestChaosAdvanceDeadline503: the -request-timeout deadline turns an
 // over-long advance into a prompt 503 with Retry-After, keeping partial
-// progress.
+// progress. A learning round past its deadline answers the same and rolls
+// its campaign back, and one deadline covers a bulk advance phase.
 func TestChaosAdvanceDeadline503(t *testing.T) {
 	before := obs.Default().Snapshot()
 	_, ts := newSlowServer(t, Config{Batch: 500, RequestTimeout: 150 * time.Millisecond})
@@ -105,6 +107,94 @@ func TestChaosAdvanceDeadline503(t *testing.T) {
 	if d := after.Counters["server_advance_deadline_total"] - before.Counters["server_advance_deadline_total"]; d != 1 {
 		t.Fatalf("server_advance_deadline_total advanced by %d, want 1", d)
 	}
+
+	const timeout = 150 * time.Millisecond
+	t.Run("round", func(t *testing.T) {
+		srv, ts := newCkServer(t, robustSampler(t), Config{Batch: 500, RequestTimeout: timeout})
+		c := NewClient(ts.URL).Session("learner")
+		if _, err := c.CreateSession(SessionSpec{ID: "learner", K: 3, Learn: &LearnSpec{Seed: 2, RoundRR: 256}}); err != nil {
+			t.Fatal(err)
+		}
+		// The realization's repair sweep must lock the default session; hold
+		// it until the round's deadline has passed, so the round's
+		// generation starts past its deadline.
+		def := srv.lookup(DefaultSessionID)
+		def.mu.Lock()
+		go func() {
+			for srv.lookupGraph(DefaultGraphName).ident.Load().epoch == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(2 * timeout)
+			def.mu.Unlock()
+		}()
+		resp, err := http.Post(ts.URL+"/sessions/learner/rounds", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := make([]byte, 512)
+		n, _ := resp.Body.Read(body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("round past its deadline: status %d, Retry-After %q (%s); want 503 with a hint",
+				resp.StatusCode, resp.Header.Get("Retry-After"), body[:n])
+		}
+		// The campaign was rolled back: the retry serves the same round, on
+		// the realization the graph already carries.
+		r, err := c.StartRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Round != 1 || r.Applied != 0 || r.Replay {
+			t.Fatalf("retried round: %+v, want round 1 with applied 0", r)
+		}
+	})
+
+	t.Run("bulk", func(t *testing.T) {
+		srv, ts := newCkServer(t, robustSampler(t), Config{Batch: 500, RequestTimeout: timeout})
+		c := NewClient(ts.URL)
+		var adv []BulkAdvance
+		for i := 0; i <= bulkAdvanceWorkers; i++ {
+			id := fmt.Sprintf("b%d", i)
+			if _, err := c.CreateSession(SessionSpec{ID: id, K: 3}); err != nil {
+				t.Fatal(err)
+			}
+			adv = append(adv, BulkAdvance{ID: id, Count: 100})
+		}
+		// Hold the first bulkAdvanceWorkers entries' sessions past the
+		// deadline: every worker waits on one, so the last entry starts only
+		// after the deadline.
+		srv.smu.Lock()
+		touched := srv.touchSeq
+		srv.smu.Unlock()
+		held := make([]*Session, bulkAdvanceWorkers)
+		for i := range held {
+			held[i] = srv.lookup(adv[i].ID)
+			held[i].mu.Lock()
+		}
+		go func() {
+			for { // each worker touches its session before it locks it
+				srv.smu.Lock()
+				waiting := srv.touchSeq - touched
+				srv.smu.Unlock()
+				if waiting >= bulkAdvanceWorkers {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(2 * timeout)
+			for _, sess := range held {
+				sess.mu.Unlock()
+			}
+		}()
+		resp, err := c.BulkSessions(BulkSessionsRequest{Advance: adv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := resp.Results[len(resp.Results)-1]
+		if last.Status != http.StatusServiceUnavailable || !strings.Contains(last.Error, "deadline exceeded") {
+			t.Fatalf("entry starting past the phase deadline: %+v, want 503", last)
+		}
+	})
 }
 
 // TestChaosInflightCap: with MaxInflight=1 and the admission queue

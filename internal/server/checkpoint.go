@@ -14,6 +14,7 @@ package server
 // θ₁, θ₂, δ accounting) an uninterrupted one would have.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -132,25 +133,22 @@ type CheckpointResponse struct {
 }
 
 // handleCheckpoint forces a checkpoint write now — the durability point a
-// client can demand before it stops polling for a while.
+// client can demand before it stops polling for a while. It writes the
+// engine under the session lock — engine-touching work, so it pays a
+// token like /advance does.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, sess *Session) {
 	if sess.ckPath == "" {
 		http.Error(w, "checkpointing not configured (start opimd with -checkpoint-dir)", http.StatusNotFound)
 		return
 	}
-	// A forced checkpoint writes the engine under the session lock —
-	// engine-touching work, so it pays a token like /advance does.
-	if !s.admitSession(w, sess) {
-		return
-	}
-	if status, msg := s.lockEngine(sess); status != 0 {
-		s.replyError(w, status, msg)
-		return
-	}
-	n, err := s.checkpointLocked(sess)
-	sess.mu.Unlock()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	var n int64
+	if !s.serveEngine(w, r, sess, func(context.Context) (int, string) {
+		var err error
+		if n, err = s.checkpointLocked(sess); err != nil {
+			return http.StatusInternalServerError, err.Error()
+		}
+		return 0, ""
+	}) {
 		return
 	}
 	writeJSON(w, CheckpointResponse{

@@ -53,7 +53,8 @@ var defaultHTTPClient = &http.Client{Timeout: defaultClientTimeout}
 //     token-bucket rejections) and 409 (a concurrent mutation batch, a
 //     learning round's realization included) are retried for idempotent
 //     requests only — Status, Metrics, Start, Stop, PeekSnapshot,
-//     ListSessions;
+//     ListSessions, StartRound, Observe for a round > 0, ListGraphs and
+//     GetGraph;
 //   - transport errors (connection refused/reset, timeouts) likewise are
 //     retried for idempotent requests only;
 //   - Advance and Snapshot are never auto-retried: a lost response may
@@ -62,13 +63,15 @@ var defaultHTTPClient = &http.Client{Timeout: defaultClientTimeout}
 //     budget corruption the resume guarantees exist to prevent;
 //   - any other non-200 status is a semantic failure and never retried.
 //
-// A 503/429/409 Retry-After header, when present, is a floor on the
-// backoff delay, never the delay itself: the client waits the hint plus
-// its own jitter (see backoffDelay). Every shed client received the same
+// A 503 or 429 carries a Retry-After header, a floor on the backoff
+// delay, never the delay itself: the client waits the hint plus its own
+// jitter (see backoffDelay). Every shed client received the same
 // whole-second hint — retrying exactly then would re-synchronize the
-// herd the server just spread out. Jitter comes from a per-client source
-// seeded by RetrySeed, so retry timing is reproducible in tests and
-// never contends on (or is perturbed by) the global math/rand state.
+// herd the server just spread out. A 409 carries none: the batch it met
+// lasts milliseconds, so the retry waits the RetryBase backoff alone.
+// Jitter comes from a per-client source seeded by RetrySeed, so retry
+// timing is reproducible in tests and never contends on (or is perturbed
+// by) the global math/rand state.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://localhost:8080".
 	BaseURL string
@@ -253,9 +256,10 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		err := fmt.Errorf("opimd: %s %s: %s: %s", method, path, resp.Status, body)
 		// 503: advance deadline. 429: admission queue or per-session token
-		// bucket. 409: a concurrent batch on the graph or round on the
-		// session, over once it finishes. In each case an idempotent retry
-		// after the server's honest Retry-After (plus jitter) wins.
+		// bucket. 409: a concurrent batch on the graph, over once it
+		// finishes. In each case an idempotent retry wins, after the
+		// server's honest Retry-After (503, 429; plus jitter) or, with no
+		// hint (409), after the backoff alone.
 		switch resp.StatusCode {
 		case http.StatusServiceUnavailable, http.StatusTooManyRequests, http.StatusConflict:
 			if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs > 0 {

@@ -126,28 +126,11 @@ func (sess *Session) restoreCampaignLocked(prev []byte) {
 // it and then replays it, and no other learner's batch can land between
 // this round's realization and its seeds.
 func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request, sess *Session) {
-	if !s.admitSession(w, sess) {
+	var resp RoundResponse
+	if !s.serveEngine(w, r, sess, func(ctx context.Context) (int, string) { return s.roundLocked(ctx, sess, &resp) }) {
 		return
 	}
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	if status, msg := s.lockEngine(sess); status != 0 {
-		s.replyError(w, status, msg)
-		return
-	}
-	resp, status, msg := s.roundLocked(ctx, sess)
-	sess.mu.Unlock()
-	switch {
-	case status == statusClientGone:
-		return
-	case status != 0:
-		s.replyError(w, status, msg)
-		return
-	case !resp.Replay:
+	if !resp.Replay {
 		obs.Emit(s.cfg.Events, "learn_round", map[string]any{
 			"session": sess.ID,
 			"round":   resp.Round,
@@ -161,28 +144,27 @@ func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request, sess *Sess
 	writeJSON(w, resp)
 }
 
-// roundLocked runs handleRounds' critical section; callers hold sess.mu
-// with the engine resident. It returns 0, statusClientGone, or the HTTP
-// status and message of the failure.
-func (s *Server) roundLocked(ctx context.Context, sess *Session) (RoundResponse, int, string) {
+// roundLocked is handleRounds' critical section, filling resp; callers
+// hold sess.mu with the engine resident. It returns 0 or the HTTP status
+// and message of the failure.
+func (s *Server) roundLocked(ctx context.Context, sess *Session, resp *RoundResponse) (int, string) {
 	if sess.campaign == nil {
-		return RoundResponse{}, http.StatusBadRequest, fmt.Sprintf("session %q is not a learning session (create it with a learn spec)", sess.ID)
+		return http.StatusBadRequest, fmt.Sprintf("session %q is not a learning session (create it with a learn spec)", sess.ID)
 	}
-	var resp RoundResponse
 	if sess.campaign.Awaiting() {
 		// The current round's observation is outstanding: re-serve its
 		// seeds (at-least-once delivery of the round itself). The
 		// checkpoint below re-establishes durability for a client retrying
 		// precisely because the previous attempt's checkpoint failed.
-		resp = s.roundResponseLocked(sess, 0, true)
+		*resp = s.roundResponseLocked(sess, 0, true)
 	} else {
 		prev, err := sess.campaign.MarshalBinary()
 		if err != nil {
-			return resp, http.StatusInternalServerError, err.Error()
+			return http.StatusInternalServerError, err.Error()
 		}
 		ms, _, err := sess.campaign.StartRound(sess.online.Sampler().Graph())
 		if err != nil {
-			return resp, http.StatusInternalServerError, fmt.Sprintf("starting round: %v", err)
+			return http.StatusInternalServerError, fmt.Sprintf("starting round: %v", err)
 		}
 		// Apply the realization as an ordinary weight-only mutation epoch:
 		// journaled, visible to every session on the graph, and swept
@@ -194,27 +176,27 @@ func (s *Server) roundLocked(ctx context.Context, sess *Session) (RoundResponse,
 		if len(ms) > 0 {
 			if _, status, err := s.mutateGraph(sess.graph, ms, sess); err != nil {
 				sess.restoreCampaignLocked(prev)
-				return resp, status, fmt.Sprintf("applying round realization: %v", err)
+				return status, fmt.Sprintf("applying round realization: %v", err)
 			}
 		}
 		if status, msg := s.advanceLocked(ctx, sess, cmp.Or(sess.spec.RoundRR, defaultRoundRR)); status != 0 {
 			sess.restoreCampaignLocked(prev)
-			return resp, status, msg
+			return status, msg
 		}
 		snap := sess.online.Snapshot()
 		sess.campaign.ServeSeeds(snap.Seeds)
 		sess.syncExtLocked()
 		s.setLearnGaugesLocked(sess)
-		resp = s.roundResponseLocked(sess, len(ms), false)
+		*resp = s.roundResponseLocked(sess, len(ms), false)
 		resp.Alpha = snap.Alpha
 	}
 	// Seeds leave the server only after the awaiting round is durable: a
 	// kill −9 after this write resumes with the window open and the same
 	// stored seeds.
 	if _, err := s.checkpointLocked(sess); err != nil {
-		return resp, http.StatusInternalServerError, fmt.Sprintf("round state not durable: %v; retry", err)
+		return http.StatusInternalServerError, fmt.Sprintf("round state not durable: %v; retry", err)
 	}
-	return resp, 0, ""
+	return 0, ""
 }
 
 // roundResponseLocked assembles the rounds response from the campaign's
@@ -249,17 +231,8 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request, sess
 		http.Error(w, "invalid JSON body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if !s.admitSession(w, sess) {
-		return
-	}
-	if status, msg := s.lockEngine(sess); status != 0 {
-		s.replyError(w, status, msg)
-		return
-	}
-	resp, status, msg := s.observeLocked(sess, req)
-	sess.mu.Unlock()
-	if status != 0 {
-		s.replyError(w, status, msg)
+	var resp ObservationResponse
+	if !s.serveEngine(w, r, sess, func(context.Context) (int, string) { return s.observeLocked(sess, req, &resp) }) {
 		return
 	}
 	if resp.Applied {
@@ -273,31 +246,31 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request, sess
 	writeJSON(w, resp)
 }
 
-// observeLocked runs handleObservations' critical section; callers hold
-// sess.mu with the engine resident. It returns 0 or the HTTP status and
-// message of the failure.
-func (s *Server) observeLocked(sess *Session, req ObservationRequest) (ObservationResponse, int, string) {
-	resp := ObservationResponse{Session: sess.ID, Round: req.Round, Attempts: len(req.Attempts)}
+// observeLocked is handleObservations' critical section, filling resp;
+// callers hold sess.mu with the engine resident. It returns 0 or the HTTP
+// status and message of the failure.
+func (s *Server) observeLocked(sess *Session, req ObservationRequest, resp *ObservationResponse) (int, string) {
+	*resp = ObservationResponse{Session: sess.ID, Round: req.Round, Attempts: len(req.Attempts)}
 	if sess.campaign == nil {
-		return resp, http.StatusBadRequest, fmt.Sprintf("session %q is not a learning session (create it with a learn spec)", sess.ID)
+		return http.StatusBadRequest, fmt.Sprintf("session %q is not a learning session (create it with a learn spec)", sess.ID)
 	}
 	prev, err := sess.campaign.MarshalBinary()
 	if err != nil {
-		return resp, http.StatusInternalServerError, err.Error()
+		return http.StatusInternalServerError, err.Error()
 	}
 	if resp.Applied, err = sess.campaign.Observe(req.Round, req.Attempts); err != nil {
-		return resp, http.StatusBadRequest, err.Error()
+		return http.StatusBadRequest, err.Error()
 	}
 	if resp.Applied {
 		sess.syncExtLocked()
 		if _, err := s.checkpointLocked(sess); err != nil {
 			sess.restoreCampaignLocked(prev)
-			return resp, http.StatusInternalServerError, fmt.Sprintf("observation not durable: %v; retry (it was not applied)", err)
+			return http.StatusInternalServerError, fmt.Sprintf("observation not durable: %v; retry (it was not applied)", err)
 		}
 		s.setLearnGaugesLocked(sess)
 	}
 	resp.Observations, resp.Entropy = sess.campaign.Posterior().Observations(), sess.campaign.Entropy()
-	return resp, 0, ""
+	return 0, ""
 }
 
 // EnableLearning turns an existing session into a learning session — the

@@ -121,7 +121,7 @@ func (s *Server) handleGraphUpdates(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, status, err := s.mutateGraph(e, ms, nil)
 	if err != nil {
-		s.replyError(w, status, err.Error())
+		http.Error(w, err.Error(), status)
 		return
 	}
 	writeJSON(w, *resp)

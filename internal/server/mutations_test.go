@@ -374,6 +374,43 @@ func TestMutationConflict409(t *testing.T) {
 	}
 }
 
+// TestBatchConflictCarriesNoRetryAfter: a 409 carries no Retry-After. The
+// batch it met lasts milliseconds, so the client's own backoff is the
+// right wait, not a whole-second hint. With a batch mid-application on the
+// default graph, a second batch, a learning round whose realization meets
+// it, and DELETE of the graph while sessions reference it each answer 409
+// with no hint.
+func TestBatchConflictCarriesNoRetryAfter(t *testing.T) {
+	srv, ts := newTestServer(t, 0)
+	if _, err := NewClient(ts.URL).CreateSession(SessionSpec{ID: "learner", K: 3, Learn: &LearnSpec{Seed: 1, RoundRR: 64}}); err != nil {
+		t.Fatal(err)
+	}
+	e := srv.lookupGraph(DefaultGraphName)
+	e.mutating.Store(true)
+	defer e.mutating.Store(false)
+	for _, tc := range []struct{ method, path, body string }{
+		{http.MethodPost, "/graphs/default/updates", `{"updates":[{"op":"node_add"}]}`},
+		{http.MethodPost, "/sessions/learner/rounds", ""},
+		{http.MethodDelete, "/graphs/default", ""},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict {
+			t.Fatalf("%s %s: status %d, want 409", tc.method, tc.path, resp.StatusCode)
+		}
+		if hint := resp.Header.Get("Retry-After"); hint != "" {
+			t.Fatalf("%s %s: 409 carries Retry-After %q", tc.method, tc.path, hint)
+		}
+	}
+}
+
 // TestDeleteGraphExcludesBatch: a batch that resolved its graph before a
 // DELETE removed it must not apply to the removed entry — its journal
 // would outlive the graph and break the next registration under the name.

@@ -7,11 +7,12 @@ package server
 //
 //   - Per-session token buckets gate admission of engine-touching
 //     requests (/advance, /snapshot, /start, /checkpoint, /rounds,
-//     /observations): a tenant over its configured rate gets 429 + an
-//     honest Retry-After equal to the time until its next token, so one
-//     chatty client cannot monopolize the request path. Rates come from
-//     SessionSpec.Rate/Burst, defaulted by Config.DefaultRate/DefaultBurst
-//     (0 = unlimited).
+//     /observations, bulk start and advance; runEngine charges them): a
+//     tenant over its configured rate gets 429 + an honest Retry-After
+//     equal to the time until its next token, so one chatty client cannot
+//     monopolize the request path. A request refused for its input pays
+//     no token. Rates come from SessionSpec.Rate/Burst, defaulted by
+//     Config.DefaultRate/DefaultBurst (0 = unlimited).
 //
 //   - A bounded admission queue replaces the old hard inflight shed:
 //     above Config.MaxInflight a request briefly queues for a slot
@@ -19,9 +20,11 @@ package server
 //     the server could serve a moment later; when the queue is full, or
 //     the estimated wait — queue depth × measured service time — already
 //     exceeds the wait budget, the request is rejected immediately with
-//     429 + a Retry-After computed from that same estimate. Every hint
-//     the server emits (429, 503, 409) is derived from live queue depth
-//     and the service-time EWMA, never a constant.
+//     429 + a Retry-After computed from that same estimate. Only 429 and
+//     503 carry a hint, each derived from live state, never a constant:
+//     the token wait for a rate-limited tenant, else live queue depth and
+//     the service-time EWMA. A 409 carries none: the batch it met lasts
+//     milliseconds, so the client's own backoff is the right wait.
 //
 //   - Deficit-weighted round-robin background sampling: each visit of the
 //     sampler loop credits a running session weight × Batch RR sets of
@@ -184,26 +187,11 @@ func ceilSeconds(d time.Duration) int {
 	return secs
 }
 
-// setRetryAfter stamps an honest Retry-After derived from queue/latency
-// state and returns the chosen value.
-func (s *Server) setRetryAfter(w http.ResponseWriter) int {
-	secs := s.retryAfterSeconds()
+// setRetryAfter stamps a Retry-After of secs and publishes it in
+// server_admission_retry_after_seconds.
+func setRetryAfter(w http.ResponseWriter, secs int) {
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	gAdmissionRetryAfter.Set(float64(secs))
-	return secs
-}
-
-// replyError writes an error status. Backpressure statuses (409 for a
-// concurrent mutation batch, 429 admission, 503
-// deadlines) carry an honest Retry-After so well-behaved clients back off
-// proportionally to actual server load instead of hammering a fixed
-// cadence.
-func (s *Server) replyError(w http.ResponseWriter, status int, msg string) {
-	switch status {
-	case http.StatusConflict, http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		s.setRetryAfter(w)
-	}
-	http.Error(w, msg, status)
 }
 
 // admitQueue is the global bounded admission queue: it acquires an
@@ -250,7 +238,7 @@ func (s *Server) admitQueue(w http.ResponseWriter, r *http.Request) bool {
 
 func (s *Server) rejectAdmission(w http.ResponseWriter, msg string) {
 	mAdmissionRejected.Inc()
-	s.setRetryAfter(w)
+	setRetryAfter(w, s.retryAfterSeconds())
 	http.Error(w, msg, http.StatusTooManyRequests)
 }
 
@@ -297,34 +285,6 @@ func (s *Server) applySessionSpec(sess *Session, spec servingSpec) {
 		sess.rate = rate
 		sess.burst = sess.bucket.burst
 	}
-}
-
-// takeSessionToken consumes one token from the session's admission bucket
-// (nil bucket = unlimited). On refusal it reports the per-tenant wait.
-func takeSessionToken(sess *Session) (ok bool, wait time.Duration) {
-	if sess.bucket == nil {
-		return true, 0
-	}
-	return sess.bucket.take(time.Now())
-}
-
-// admitSession gates an engine-touching request on the session's token
-// bucket, answering a tenant over its rate with 429 + the exact time its
-// next token accrues. Monitoring reads (/status, snapshot?peek) are never
-// gated — a throttled tenant can still observe its session.
-func (s *Server) admitSession(w http.ResponseWriter, sess *Session) bool {
-	ok, wait := takeSessionToken(sess)
-	if ok {
-		return true
-	}
-	secs := ceilSeconds(wait)
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	gAdmissionRetryAfter.Set(float64(secs))
-	mAdmissionRatelimited.Inc()
-	sess.mShed.Inc()
-	http.Error(w, fmt.Sprintf("session %q over its request rate (%g/s, burst %g)",
-		sess.ID, sess.rate, sess.burst), http.StatusTooManyRequests)
-	return false
 }
 
 // creditServed settles a DWRR visit: the served RR sets are debited from

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -190,47 +191,116 @@ func TestAdmissionQueueSmoothsBursts(t *testing.T) {
 	}
 }
 
-// TestSessionRateLimit: a session created with a rate answers 429 + the
-// per-tenant Retry-After once its bucket empties, while monitoring
-// (/status, peek) and /stop stay reachable.
+// TestSessionRateLimit: every token-charged operation answers a tenant
+// over its rate with 429 — a per-session route with the token wait as
+// Retry-After, a bulk entry with a message naming the rate — while
+// monitoring (/status, peek) and /stop stay free, and an advance refused
+// for its count pays no token.
 func TestSessionRateLimit(t *testing.T) {
-	_, ts := newTestServer(t, 1<<20)
-	postSpec(t, ts.URL, SessionSpec{ID: "throttled", K: 3, Rate: 0.5, Burst: 1})
-
-	if resp, err := http.Post(ts.URL+"/sessions/throttled/advance?count=100", "", nil); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("first advance inside burst: status %d", resp.StatusCode)
+	_, ts := newCkServer(t, robustSampler(t), Config{Batch: 500, MaxRR: 1 << 20, CheckpointDir: t.TempDir()})
+	call := func(method, path, body string) (*http.Response, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp, string(msg)
+	}
+	// Each operation gets its own session, rate 0.5/s and burst 1: the
+	// first call spends the one token, the second is refused. Rounds come
+	// first: a realization's repair sweep clears the peek snapshot of every
+	// session on the graph.
+	throttled := func(id string) {
+		t.Helper()
+		postSpec(t, ts.URL, SessionSpec{ID: id, K: 3, MaxRR: 4096, Rate: 0.5, Burst: 1, Learn: &LearnSpec{Seed: 1, RoundRR: 64}})
+	}
+	for _, op := range []struct{ name, method, path, body string }{
+		{"rounds", http.MethodPost, "/rounds", ""},
+		{"observations", http.MethodPost, "/observations", `{"round":0,"attempts":[]}`},
+		{"snapshot", http.MethodGet, "/snapshot", ""},
+		{"advance", http.MethodPost, "/advance?count=100", ""},
+		{"start", http.MethodPost, "/start", ""},
+		{"checkpoint", http.MethodPost, "/checkpoint", ""},
+	} {
+		session := "/sessions/" + op.name
+		throttled(op.name)
+		if resp, msg := call(op.method, session+op.path, op.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("first %s inside burst: status %d (%s)", op.name, resp.StatusCode, msg)
+		}
+		resp, msg := call(op.method, session+op.path, op.body)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("over-rate %s: status %d, want 429 (%s)", op.name, resp.StatusCode, msg)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("rate-limited %s: 429 without Retry-After", op.name)
+		}
+		if !strings.Contains(msg, "over its request rate") {
+			t.Fatalf("%s: 429 body %q does not name the rate limit", op.name, msg)
+		}
+		// A throttled tenant can still observe and stop its session.
+		if resp, msg := call(http.MethodGet, session+"/status", ""); resp.StatusCode != http.StatusOK {
+			t.Fatalf("/status blocked for a throttled tenant: status %d (%s)", resp.StatusCode, msg)
+		}
+		if st := postJSON[Status](t, ts.URL+session+"/stop"); st.Running {
+			t.Fatalf("/stop blocked for a throttled tenant after %s", op.name)
 		}
 	}
-	resp, err := http.Post(ts.URL+"/sessions/throttled/advance?count=100", "", nil)
-	if err != nil {
-		t.Fatal(err)
+	if resp, msg := call(http.MethodGet, "/sessions/snapshot/snapshot?peek=1", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("peek blocked for a throttled tenant: status %d (%s)", resp.StatusCode, msg)
 	}
-	body := make([]byte, 256)
-	n, _ := resp.Body.Read(body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-rate advance: status %d, want 429 (%s)", resp.StatusCode, body[:n])
+	if st := getJSON[Status](t, ts.URL+"/sessions/advance/status"); st.NumRR != 100 {
+		t.Fatalf("/status wrong for a throttled tenant: %+v", st)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("rate-limited 429 without Retry-After")
+
+	// Bulk start and advance entries pay the token too; a per-op 429
+	// carries no header, so its message names the rate.
+	c := NewClient(ts.URL)
+	for _, op := range []struct {
+		name string
+		req  BulkSessionsRequest
+	}{
+		{"bulk-start", BulkSessionsRequest{Start: []string{"bulk-start"}}},
+		{"bulk-advance", BulkSessionsRequest{Advance: []BulkAdvance{{ID: "bulk-advance", Count: 100}}}},
+	} {
+		throttled(op.name)
+		for i, want := range []int{http.StatusOK, http.StatusTooManyRequests} {
+			resp, err := c.BulkSessions(op.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resp.Results[0]; got.Status != want || (want == http.StatusTooManyRequests && !strings.Contains(got.Error, "0.5/s")) {
+				t.Fatalf("%s call %d: result %+v, want status %d naming the rate 0.5/s", op.name, i+1, got, want)
+			}
+		}
+		if resp, err := c.BulkSessions(BulkSessionsRequest{Stop: []string{op.name}}); err != nil || resp.Failed != 0 {
+			t.Fatalf("bulk stop blocked for a throttled tenant: %+v, %v", resp, err)
+		}
 	}
-	if !strings.Contains(string(body[:n]), "over its request rate") {
-		t.Fatalf("429 body %q does not name the rate limit", body[:n])
+
+	// An advance refused for its count pays no token: the next call still
+	// finds the one the bucket holds.
+	throttled("counted")
+	for _, count := range []int{0, 4097} {
+		if resp, msg := call(http.MethodPost, fmt.Sprintf("/sessions/counted/advance?count=%d", count), ""); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("advance count=%d: status %d, want 400 (%s)", count, resp.StatusCode, msg)
+		}
 	}
-	// A throttled tenant can still observe and stop its session.
-	if st := getJSON[Status](t, ts.URL+"/sessions/throttled/status"); st.NumRR != 100 {
-		t.Fatalf("/status blocked or wrong for a throttled tenant: %+v", st)
+	if resp, err := c.BulkSessions(BulkSessionsRequest{Advance: []BulkAdvance{{ID: "counted", Count: 0}}}); err != nil || resp.Results[0].Status != http.StatusBadRequest {
+		t.Fatalf("bulk advance count=0: %+v, %v; want a per-op 400", resp, err)
 	}
-	if st := postJSON[Status](t, ts.URL+"/sessions/throttled/stop"); st.Running {
-		t.Fatal("/stop blocked for a throttled tenant")
+	if resp, msg := call(http.MethodPost, "/sessions/counted/advance?count=100", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("advance after refused counts: status %d, want 200 (%s)", resp.StatusCode, msg)
 	}
-	// The unlimited default session is untouched by the other tenant's
-	// bucket.
-	if _, err := NewClient(ts.URL).Session(DefaultSessionID).Advance(100); err != nil {
+
+	// The unlimited default session is untouched by the other tenants'
+	// buckets.
+	if _, err := c.Session(DefaultSessionID).Advance(100); err != nil {
 		t.Fatalf("default session advance: %v", err)
 	}
 }

@@ -92,8 +92,10 @@ type Config struct {
 	// session from its rotation there (≤ 0 defaults to 2²⁶). Sessions may
 	// choose a smaller budget at creation (SessionSpec.MaxRR).
 	MaxRR int64
-	// RequestTimeout bounds /advance processing; past it the request
-	// returns 503 with progress kept. 0 means no deadline.
+	// RequestTimeout bounds each token-charged engine request (one
+	// deadline per bulk advance phase); an advance past it — /advance, bulk
+	// or a learning round's generation — returns 503 with progress kept. 0
+	// means no deadline.
 	RequestTimeout time.Duration
 	// MaxInflight caps concurrently served HTTP requests; excess requests
 	// enter the bounded admission queue (MaxQueue/MaxQueueWait) and are
@@ -442,6 +444,56 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request, sess *Sess
 	writeJSON(w, s.sessionStatus(sess))
 }
 
+// runEngine is the one path of a token-charged engine request: snapshot,
+// advance, start, checkpoint, rounds, observations, and bulk start and
+// advance. It charges sess's token, bounds ctx by RequestTimeout, takes
+// the session lock through lockEngine (reloading an evicted engine), runs
+// critical under it with the engine resident, and unlocks. It returns
+// critical's status and message (0 on success); a tenant over its rate
+// gets 429 and the wait until its next token, and no work is done.
+// Callers refuse malformed input before calling it, so such input costs
+// no token. A ctx that already carries the deadline keeps it: bulk's
+// advance phase passes one context, so one deadline covers the phase.
+func (s *Server) runEngine(ctx context.Context, sess *Session, critical func(context.Context) (int, string)) (status int, msg string, tokenWait time.Duration) {
+	if sess.bucket != nil {
+		if ok, wait := sess.bucket.take(time.Now()); !ok {
+			mAdmissionRatelimited.Inc()
+			sess.mShed.Inc()
+			return http.StatusTooManyRequests, fmt.Sprintf("session %q over its request rate (%g/s, burst %g); retry in %ds",
+				sess.ID, sess.rate, sess.burst, ceilSeconds(wait)), wait
+		}
+	}
+	if s.cfg.RequestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+		defer cancel()
+	}
+	if status, msg = s.lockEngine(sess); status != 0 {
+		return status, msg, 0
+	}
+	defer sess.mu.Unlock()
+	status, msg = critical(ctx)
+	return status, msg, 0
+}
+
+// serveEngine runs critical through runEngine for r and writes any
+// failure: 429 with the token wait as Retry-After, 503 with the
+// queue-derived one, any other status with no hint. It reports whether
+// critical succeeded, in which case the handler writes the response.
+func (s *Server) serveEngine(w http.ResponseWriter, r *http.Request, sess *Session, critical func(context.Context) (int, string)) bool {
+	status, msg, wait := s.runEngine(r.Context(), sess, critical)
+	switch status {
+	case 0:
+		return true
+	case http.StatusTooManyRequests:
+		setRetryAfter(w, ceilSeconds(wait))
+	case http.StatusServiceUnavailable:
+		setRetryAfter(w, s.retryAfterSeconds())
+	}
+	http.Error(w, msg, status)
+	return false
+}
+
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, sess *Session) {
 	// The mux serves HEAD on GET routes, but a HEAD snapshot would spend δ
 	// budget on an answer whose body is discarded. Refuse it, peek too, so
@@ -452,9 +504,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, sess *Se
 		return
 	}
 	if peek := r.URL.Query().Get("peek"); peek == "1" || peek == "true" {
-		// Budget-free read of the last derived snapshot: no session lock, no
-		// δ spend, no reload — it works (and stays cheap) even while the
-		// session is mid-advance or evicted to disk.
+		// Budget-free read of the last derived snapshot: no token, no
+		// session lock, no δ spend, no reload — it works (and stays cheap)
+		// even while the session is mid-advance or evicted to disk.
 		if p := sess.lastSnap.Load(); p != nil {
 			writeJSON(w, *p)
 			return
@@ -462,66 +514,52 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, sess *Se
 		http.Error(w, fmt.Sprintf("session %q has no derived snapshot yet (GET snapshot without peek derives one)", sess.ID), http.StatusNotFound)
 		return
 	}
-	// A real snapshot touches the engine and spends δ budget — it pays a
-	// token; the peek path above stays free.
-	if !s.admitSession(w, sess) {
-		return
-	}
 	// Snapshot reuses the session's persistent scratch; sess.mu serializes
 	// it against concurrent snapshots and the background sampler.
-	if status, msg := s.lockEngine(sess); status != 0 {
-		s.replyError(w, status, msg)
+	var resp SnapshotResponse
+	if !s.serveEngine(w, r, sess, func(context.Context) (int, string) {
+		snap := sess.online.Snapshot()
+		sess.refreshStatsLocked()
+		resp = SnapshotResponse{
+			Session:    sess.ID,
+			Seeds:      snap.Seeds,
+			Alpha:      snap.Alpha,
+			SigmaLower: snap.SigmaLower,
+			SigmaUpper: snap.SigmaUpper,
+			Theta1:     snap.Theta1,
+			Theta2:     snap.Theta2,
+			DeltaSpent: snap.DeltaSpent,
+			Variant:    snap.Variant.String(),
+			GraphEpoch: sess.online.Sampler().Graph().Epoch(),
+		}
+		return 0, ""
+	}) {
 		return
-	}
-	snap := sess.online.Snapshot()
-	epoch := sess.online.Sampler().Graph().Epoch()
-	sess.refreshStatsLocked()
-	sess.mu.Unlock()
-	resp := SnapshotResponse{
-		Session:    sess.ID,
-		Seeds:      snap.Seeds,
-		Alpha:      snap.Alpha,
-		SigmaLower: snap.SigmaLower,
-		SigmaUpper: snap.SigmaUpper,
-		Theta1:     snap.Theta1,
-		Theta2:     snap.Theta2,
-		DeltaSpent: snap.DeltaSpent,
-		Variant:    snap.Variant.String(),
-		GraphEpoch: epoch,
 	}
 	sess.lastSnap.Store(&resp)
 	writeJSON(w, resp)
 }
 
-// statusClientGone is advanceSession's sentinel for a client cancellation:
-// the connection is gone, so the handler must write nothing at all.
-const statusClientGone = -1
-
-// advanceSession validates count and generates RR sets on sess — the
-// /advance semantics, shared by the per-session handler and the bulk
-// API. It returns 0 on success, statusClientGone when the caller's
-// context was cancelled (write nothing), or the HTTP status and message
-// to answer with. Partial progress is kept in the session on every path.
-func (s *Server) advanceSession(ctx context.Context, sess *Session, count int) (int, string) {
+// checkCount refuses an advance count outside [1, max_rr] before the
+// request pays a token. A count above the session budget is a client
+// error, not a request to be silently clamped; advanceLocked's
+// remaining-budget clamp only trims otherwise-valid requests near
+// exhaustion (see docs/API.md).
+func checkCount(sess *Session, count int) error {
 	if count <= 0 {
-		return http.StatusBadRequest, "count must be a positive integer"
+		return errors.New("count must be a positive integer")
 	}
-	// A count above the session budget is a client error, not a request to
-	// be silently clamped; the remaining-budget clamp below only trims
-	// otherwise-valid requests near exhaustion (see docs/API.md).
 	if int64(count) > sess.maxRR {
-		return http.StatusBadRequest, fmt.Sprintf("count %d exceeds the session RR budget max_rr=%d", count, sess.maxRR)
+		return fmt.Errorf("count %d exceeds the session RR budget max_rr=%d", count, sess.maxRR)
 	}
-	if status, msg := s.lockEngine(sess); status != 0 {
-		return status, msg
-	}
-	defer sess.mu.Unlock()
-	return s.advanceLocked(ctx, sess, count)
+	return nil
 }
 
 // advanceLocked generates count RR sets on sess, clamped to its remaining
-// budget, with advanceSession's results; callers hold sess.mu with the
-// engine resident. Partial progress is kept on every path.
+// budget: the critical section of /advance, bulk advance and a learning
+// round. It returns 0, or 503 when ctx ended first — past its deadline
+// (counted in server_advance_deadline_total) or cancelled by the client.
+// Partial progress is kept on every path.
 func (s *Server) advanceLocked(ctx context.Context, sess *Session, count int) (int, string) {
 	if remaining := sess.maxRR - sess.online.NumRR(); int64(count) > remaining {
 		count = int(remaining)
@@ -535,35 +573,22 @@ func (s *Server) advanceLocked(ctx context.Context, sess *Session, count int) (i
 		mAdvanceDeadline.Inc()
 		return http.StatusServiceUnavailable, fmt.Sprintf("advance deadline exceeded after %d of %d RR sets (progress kept; poll /status)", generated, count)
 	}
-	return statusClientGone, ""
+	return http.StatusServiceUnavailable, fmt.Sprintf("request cancelled after %d of %d RR sets (progress kept)", generated, count)
 }
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, sess *Session) {
-	count, err := strconv.Atoi(r.URL.Query().Get("count"))
-	if err != nil {
-		http.Error(w, "count must be a positive integer", http.StatusBadRequest)
+	// Atoi yields 0 for a non-number and the nearest int for one out of
+	// range; checkCount refuses both.
+	count, _ := strconv.Atoi(r.URL.Query().Get("count"))
+	if err := checkCount(sess, count); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if !s.admitSession(w, sess) {
-		return
-	}
-	// The request context covers both the wait for the session mutex and
-	// the generation itself: AdvanceContext checks it before the first
-	// chunk, so a request whose deadline passed while queueing does no
-	// work at all.
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	switch status, msg := s.advanceSession(ctx, sess, count); status {
-	case 0:
+	// The deadline covers both the wait for the session lock and the
+	// generation itself: AdvanceContext checks it before the first chunk,
+	// so a request whose deadline passed while queueing does no work.
+	if s.serveEngine(w, r, sess, func(ctx context.Context) (int, string) { return s.advanceLocked(ctx, sess, count) }) {
 		writeJSON(w, s.sessionStatus(sess))
-	case statusClientGone:
-		// Client cancellation: the connection is gone, nothing to write.
-	default:
-		s.replyError(w, status, msg)
 	}
 }
 
@@ -589,20 +614,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// startSession adds sess to the background sampling rotation — the
-// /start semantics, shared by the per-session handler and the bulk
-// API. A non-zero return is the HTTP status (and message) of the failure.
-// running flips under sess.mu with the engine resident, and eviction
-// re-checks running under that lock, so a running session is never
-// unloaded behind /start's back.
-func (s *Server) startSession(sess *Session) (int, string) {
-	if status, msg := s.lockEngine(sess); status != 0 {
-		return status, msg
-	}
+// startLocked adds sess to the background sampling rotation: the
+// critical section of /start and bulk start. running flips under sess.mu
+// with the engine resident, and eviction re-checks running under that
+// lock, so a running session is never unloaded behind /start's back.
+func (s *Server) startLocked(sess *Session) {
 	sess.running.Store(true)
-	sess.mu.Unlock()
 	s.sampler.start(s.loop)
-	return 0, ""
 }
 
 // stopSession removes sess from the rotation. The empty critical section
@@ -616,14 +634,9 @@ func (s *Server) stopSession(sess *Session) {
 }
 
 func (s *Server) handleStart(w http.ResponseWriter, r *http.Request, sess *Session) {
-	if !s.admitSession(w, sess) {
-		return
+	if s.serveEngine(w, r, sess, func(context.Context) (int, string) { s.startLocked(sess); return 0, "" }) {
+		writeJSON(w, s.sessionStatus(sess))
 	}
-	if status, msg := s.startSession(sess); status != 0 {
-		s.replyError(w, status, msg)
-		return
-	}
-	writeJSON(w, s.sessionStatus(sess))
 }
 
 func (s *Server) handleStop(w http.ResponseWriter, r *http.Request, sess *Session) {
