@@ -332,9 +332,9 @@ func (c *Coordinator) eligible(want replica) []*workerState {
 type lease struct {
 	lo, hi int
 	// All below guarded by run.mu.
-	attempts int               // takes from the queue; speculative copies do not count
-	due      time.Time         // when the lease, in flight, passes LeaseTTL
-	result   *rrset.Collection // the first delivery; set once the lease is done
+	attempts int           // takes from the queue; speculative copies do not count
+	due      time.Time     // when the lease, in flight, passes LeaseTTL
+	result   []rrset.Batch // the first delivery; set once the lease is done
 }
 
 // run is one Generate's lease table. A lease is queued (in queue), in
@@ -424,13 +424,12 @@ func (c *Coordinator) Generate(coll *rrset.Collection, s *rrset.Sampler, count i
 		}
 	}
 
-	// Merge in lease order: byte-identical to the single-process run.
+	// Merge in lease order, once: byte-identical to the single-process run.
+	var batches []rrset.Batch
 	for _, l := range r.leases {
-		if err := coll.AppendCollection(l.result); err != nil {
-			// Unreachable: every chunk was generated for coll's graph.
-			panic(fmt.Sprintf("fleet: merge: %v", err))
-		}
+		batches = append(batches, l.result...)
 	}
+	coll.Append(workers, batches...)
 }
 
 // degrade reports a Generate that no worker can serve; the caller samples
@@ -476,9 +475,9 @@ func (r *run) dispatch(w *workerState) {
 		if !ok {
 			return
 		}
-		cc, err := r.generateRPC(w, r.leases[idx])
+		batches, err := r.generateRPC(w, r.leases[idx])
 		if err == nil {
-			r.markDone(idx, cc, w)
+			r.markDone(idx, batches, w)
 			continue
 		}
 		if r.ctx.Err() != nil {
@@ -609,7 +608,7 @@ func (r *run) backoff(attempt int) {
 // duplicates (speculative reassignment racing the original) are counted
 // and discarded, keeping the merge exactly-once. The last lease done
 // cancels the run.
-func (r *run) markDone(idx int, cc *rrset.Collection, w *workerState) {
+func (r *run) markDone(idx int, batches []rrset.Batch, w *workerState) {
 	l := r.leases[idx]
 	r.mu.Lock()
 	if l.result != nil {
@@ -617,7 +616,7 @@ func (r *run) markDone(idx int, cc *rrset.Collection, w *workerState) {
 		mDuplicates.Inc()
 		return
 	}
-	l.result = cc
+	l.result = batches
 	delete(r.inFlight, idx)
 	r.remaining--
 	last := r.remaining == 0
@@ -630,22 +629,21 @@ func (r *run) markDone(idx int, cc *rrset.Collection, w *workerState) {
 	}
 }
 
-// sampleLocally reproduces lease idx's exact chunk in-process and
-// delivers it.
+// sampleLocally reproduces lease idx's exact sets in-process and
+// delivers them.
 func (r *run) sampleLocally(idx int, why string) {
 	l := r.leases[idx]
 	mLeasesLocal.Inc()
 	r.c.cfg.Logf("fleet: lease [%d,%d): %s; sampling locally", l.lo, l.hi, why)
-	cc := rrset.NewCollection(r.sampler.Graph().N())
-	rrset.GenerateAt(cc, r.sampler, l.hi-l.lo, r.base, r.req.StartID+uint64(l.lo), r.req.Workers)
-	r.markDone(idx, cc, nil)
+	r.markDone(idx, rrset.SampleAt(r.sampler, l.hi-l.lo, r.base, r.req.StartID+uint64(l.lo), r.req.Workers), nil)
 }
 
-// generateRPC ships one lease to w and decodes the returned chunk. Any
-// transport error, non-200 status, or CRC/format failure is returned for
-// the caller to retry elsewhere; a 412 additionally evicts the worker
-// (its replica is the wrong instance — no retry can help).
-func (r *run) generateRPC(w *workerState, l *lease) (*rrset.Collection, error) {
+// generateRPC ships one lease to w and decodes the returned frame. Any
+// transport error, non-200 status, CRC/format failure, or a frame for
+// another node count or width is returned for the caller to retry
+// elsewhere; a 412 additionally evicts the worker (its replica is the
+// wrong instance — no retry can help).
+func (r *run) generateRPC(w *workerState, l *lease) ([]rrset.Batch, error) {
 	lr := r.req
 	lr.StartID += uint64(l.lo)
 	lr.Count = l.hi - l.lo
@@ -684,16 +682,18 @@ func (r *run) generateRPC(w *workerState, l *lease) (*rrset.Collection, error) {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("fleet: %s%s: status %d: %s", w.url, pathGenerate, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	cc, err := rrset.ReadCollection(resp.Body)
+	b, err := rrset.ReadBatch(resp.Body)
 	if err != nil {
 		// Torn or corrupted transfer; the OPIMR3 CRC trailer turns it
 		// into a clean retryable error instead of silent bad data.
 		return nil, fmt.Errorf("fleet: %s: chunk decode: %w", w.url, err)
 	}
-	if got := cc.Count(); got != l.hi-l.lo {
-		return nil, fmt.Errorf("fleet: %s returned %d RR sets for a lease of %d", w.url, got, l.hi-l.lo)
+	// A frame for another graph size cannot join the collection: refuse it
+	// the way a torn one is refused.
+	if n := r.sampler.Graph().N(); b.N != n || len(b.Exam) != l.hi-l.lo {
+		return nil, fmt.Errorf("fleet: %s returned %d RR sets on %d nodes for a lease of %d on %d", w.url, len(b.Exam), b.N, l.hi-l.lo, n)
 	}
-	return cc, nil
+	return []rrset.Batch{b}, nil
 }
 
 // workerFailed records an RPC failure; crossing FailThreshold evicts the

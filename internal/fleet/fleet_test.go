@@ -190,8 +190,8 @@ func TestDuplicateDeliverySuppressed(t *testing.T) {
 	r.ctx, r.cancel = context.WithCancel(context.Background())
 	r.remaining = len(r.leases)
 
-	first := rrset.NewCollection(s.Graph().N())
-	second := rrset.NewCollection(s.Graph().N())
+	first := rrset.SampleAt(s, 10, rng.New(1), 0, 1)
+	second := rrset.SampleAt(s, 10, rng.New(1), 0, 1)
 	dupBefore := mDuplicates.Value()
 	r.markDone(0, first, nil)
 	if r.remaining != 1 {
@@ -201,7 +201,7 @@ func TestDuplicateDeliverySuppressed(t *testing.T) {
 	if r.remaining != 1 {
 		t.Fatalf("remaining = %d after duplicate delivery, want 1 — duplicate was merged", r.remaining)
 	}
-	if r.leases[0].result != first {
+	if &r.leases[0].result[0] != &first[0] {
 		t.Fatal("duplicate delivery replaced the winning chunk")
 	}
 	if mDuplicates.Value() != dupBefore+1 {
@@ -313,6 +313,40 @@ func TestTornResponsesRetriedViaCRC(t *testing.T) {
 	}
 	if mRPCFailures.Value() == failBefore {
 		t.Fatal("no RPC failures recorded; the torn-body injector never fired")
+	}
+}
+
+// TestLeaseFrameForOtherGraphRetried: a worker that passes the replica
+// probe but answers leases with well-formed frames for another node count
+// fails those leases like torn ones; the run completes byte-identically
+// instead of panicking in the merge.
+func TestLeaseFrameForOtherGraphRetried(t *testing.T) {
+	s := testSampler(t, 200, 5)
+	want := localBytes(t, s, 300, 3)
+	honest := NewWorker(s)
+	other := testSampler(t, 300, 5)
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != pathGenerate {
+			honest.ServeHTTP(rw, r)
+			return
+		}
+		var req generateRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(rw, err.Error(), http.StatusBadRequest)
+			return
+		}
+		rrset.WriteBatch(rw, rrset.SampleAt(other, req.Count, rng.New(3), req.StartID, 1)...)
+	}))
+	t.Cleanup(srv.Close)
+
+	failBefore := mRPCFailures.Value()
+	c := rrset.NewCollection(s.Graph().N())
+	NewCoordinator(quietConfig([]string{srv.URL})).Generate(c, s, 300, rng.New(3), 0)
+	if !bytes.Equal(collBytes(t, c), want) {
+		t.Fatal("frames for another graph size corrupted the merged collection")
+	}
+	if mRPCFailures.Value() == failBefore {
+		t.Fatal("frames for another graph size were not counted as failed leases")
 	}
 }
 
@@ -918,12 +952,15 @@ func TestWorkerClampsLeaseWorkers(t *testing.T) {
 
 // BenchmarkFleetGenerate times one batch of 16,384 RR sets on a
 // 5,000-node graph generated locally and leased to two in-process workers
-// (64 leases of 256), one sampling worker on each side. Each lease adds
-// JSON, a loopback round trip, an OPIMR3 encode with CRC and index builds
-// on both ends, so local:fleet reads well below 1; CI gates the ratio to
-// catch a dispatch loop that stalls, not to track the overhead.
+// (64 leases of 256), one sampling worker on each side, and the
+// coordinator's share of the fleet run alone: decoding the 64 lease frames
+// from memory and appending them. Each lease adds JSON, a loopback round
+// trip and an OPIMR3 encode and decode with CRC, so local:fleet reads below
+// 1; CI gates it to catch a dispatch loop that stalls, and gates
+// local:merge above 1, the condition for the fleet to pay: a leased set
+// must merge for less than it costs to sample.
 func BenchmarkFleetGenerate(b *testing.B) {
-	const count = 16384
+	const count, width = 16384, 256
 	s := testSampler(b, 5000, 42)
 	b.Run("local", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -933,7 +970,7 @@ func BenchmarkFleetGenerate(b *testing.B) {
 	})
 	b.Run("fleet", func(b *testing.B) {
 		cfg := quietConfig(nil)
-		cfg.ChunkSize = 256
+		cfg.ChunkSize = width
 		for i := 0; i < 2; i++ {
 			srv := httptest.NewServer(NewWorker(testSampler(b, 5000, 42)))
 			b.Cleanup(srv.Close)
@@ -947,6 +984,28 @@ func BenchmarkFleetGenerate(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c := rrset.NewCollection(s.Graph().N())
 			coord.Generate(c, s, count, rng.New(7), 1)
+		}
+	})
+	b.Run("merge", func(b *testing.B) {
+		var frames [][]byte
+		for lo := 0; lo < count; lo += width {
+			var buf bytes.Buffer
+			if err := rrset.WriteBatch(&buf, rrset.SampleAt(s, width, rng.New(7), uint64(lo), 1)...); err != nil {
+				b.Fatal(err)
+			}
+			frames = append(frames, buf.Bytes())
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			batches := make([]rrset.Batch, len(frames))
+			for j, f := range frames {
+				var err error
+				if batches[j], err = rrset.ReadBatch(bytes.NewReader(f)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			c := rrset.NewCollection(s.Graph().N())
+			c.Append(1, batches...)
 		}
 	})
 }

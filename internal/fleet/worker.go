@@ -8,9 +8,10 @@
 // driven by base.Split(startID+i), and Split depends only on the parent's
 // seeding snapshot (rng.Key), never its position. The coordinator therefore
 // partitions a batch into contiguous seed-range leases, ships each lease as
-// (key, startID, count) to a worker, and merges the returned chunk
-// collections in lease order. Which machine computed a chunk is
-// unobservable in the output.
+// (key, startID, count) to a worker, which samples it (rrset.SampleAt) and
+// answers with one index-free OPIMR3 frame, and appends the leases'
+// rrset.Batches in lease order once the last has arrived. Which machine
+// sampled a lease is unobservable in the output.
 //
 // Delivery is at-least-once (failed or slow leases are reassigned, possibly
 // racing the original), merge is exactly-once (first completed delivery of
@@ -171,18 +172,16 @@ func (w *Worker) handleGenerate(rw http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	cc := rrset.NewCollection(w.sampler.Graph().N())
-	base := rng.NewFromKey(k0, k1)
 	// More shards than this process can run only cost memory: each one
 	// allocates n-entry scratch arrays.
-	rrset.GenerateAt(cc, w.sampler, req.Count, base, req.StartID, min(req.Workers, runtime.GOMAXPROCS(0)))
+	batches := rrset.SampleAt(w.sampler, req.Count, rng.NewFromKey(k0, k1), req.StartID, min(req.Workers, runtime.GOMAXPROCS(0)))
 	mWorkerGenTimer.Observe(time.Since(start))
 
 	// Serialize to memory first so the response carries a Content-Length;
 	// a truncated transfer is then detectable at the TCP layer as well as
 	// by the OPIMR3 CRC trailer.
 	var buf bytes.Buffer
-	if err := rrset.WriteCollection(&buf, cc); err != nil {
+	if err := rrset.WriteBatch(&buf, batches...); err != nil {
 		http.Error(rw, "serialize: "+err.Error(), http.StatusInternalServerError)
 		return
 	}

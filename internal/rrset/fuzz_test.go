@@ -2,12 +2,13 @@ package rrset
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
-// FuzzReadCollection checks the collection decoder never panics and that
-// anything it accepts round-trips.
-func FuzzReadCollection(f *testing.F) {
+// FuzzReadBatch checks the frame decoder never panics and that whatever it
+// accepts re-encodes to a frame that decodes to the same batch.
+func FuzzReadBatch(f *testing.F) {
 	c := NewCollection(4)
 	c.Add([]int32{0, 2}, 3)
 	c.Add([]int32{1}, 1)
@@ -19,20 +20,20 @@ func FuzzReadCollection(f *testing.F) {
 	f.Add([]byte("OPIMR1\n"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, in []byte) {
-		got, err := ReadCollection(bytes.NewReader(in))
+		got, err := ReadBatch(bytes.NewReader(in))
 		if err != nil {
 			return
 		}
 		var out bytes.Buffer
-		if err := WriteCollection(&out, got); err != nil {
-			t.Fatalf("accepted collection failed to serialize: %v", err)
+		if err := WriteBatch(&out, got); err != nil {
+			t.Fatalf("accepted batch failed to serialize: %v", err)
 		}
-		again, err := ReadCollection(&out)
+		again, err := ReadBatch(&out)
 		if err != nil {
 			t.Fatalf("writer output rejected: %v", err)
 		}
-		if again.Count() != got.Count() || again.TotalSize() != got.TotalSize() {
-			t.Fatal("round trip changed shape")
+		if !reflect.DeepEqual(again, got) {
+			t.Fatal("round trip changed the batch")
 		}
 	})
 }

@@ -129,16 +129,22 @@ func (c *Collection) Repair(s *Sampler, base *rng.Source, invalid []int32, worke
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	regenPool, regenOffs, regenExam := resampleIDs(s, base, invalid, workers)
-
 	// γ refreshes for every regenerated set; only sets whose bytes differ
-	// (k indexes invalid) move the pool and index.
-	var changed []int
-	for k, id := range invalid {
-		c.edgesExamined += regenExam[k] - c.exam[id]
-		c.exam[id] = regenExam[k]
-		if !slices.Equal(c.Set(id), regenPool[regenOffs[k]:regenOffs[k+1]]) {
-			changed = append(changed, k)
+	// move the pool and index. changed[j] is such a set's id, fresh[j] its
+	// resampled members, ascending like invalid.
+	var changed []int32
+	var fresh [][]int32
+	k := 0
+	for _, b := range sampleShards(s, base, len(invalid), workers, func(i int) uint64 { return uint64(invalid[i]) }) {
+		for j, e := range b.Exam {
+			id := invalid[k]
+			k++
+			c.edgesExamined += e - c.exam[id]
+			c.exam[id] = e
+			if set := b.Set(j); !slices.Equal(c.Set(id), set) {
+				changed = append(changed, id)
+				fresh = append(fresh, set)
+			}
 		}
 	}
 	mRepairUnchanged.Add(int64(len(invalid) - len(changed)))
@@ -149,9 +155,8 @@ func (c *Collection) Repair(s *Sampler, base *rng.Source, invalid []int32, worke
 	// Splice: the untouched run before each changed set moves with one
 	// copy, its offsets shifted by the size change of the sets before it.
 	size := int64(len(c.pool))
-	for _, k := range changed {
-		id := invalid[k]
-		size += regenOffs[k+1] - regenOffs[k] - (c.offs[id+1] - c.offs[id])
+	for j, id := range changed {
+		size += int64(len(fresh[j])) - (c.offs[id+1] - c.offs[id])
 	}
 	pool := make([]int32, 0, size)
 	offs := make([]int64, len(c.offs))
@@ -163,10 +168,9 @@ func (c *Collection) Repair(s *Sampler, base *rng.Source, invalid []int32, worke
 			offs[j] = c.offs[j] + shift
 		}
 	}
-	for _, k := range changed {
-		id := invalid[k]
+	for j, id := range changed {
 		moveRun(id)
-		pool = append(pool, regenPool[regenOffs[k]:regenOffs[k+1]]...)
+		pool = append(pool, fresh[j]...)
 		shift = int64(len(pool)) - c.offs[id+1]
 		lo = id + 1
 	}
@@ -176,43 +180,6 @@ func (c *Collection) Repair(s *Sampler, base *rng.Source, invalid []int32, worke
 	c.index = make([][]int32, c.n)
 	c.indexFrom(0, workers)
 	return len(invalid)
-}
-
-// resampleIDs regenerates the given set ids on up to workers (≥ 1)
-// shards, each id driven by base.Split(id) — the stream position Generate
-// used originally. Outputs concatenate in invalid order:
-// regenOffs[k]..regenOffs[k+1] frames id invalid[k]'s nodes in regenPool,
-// regenExam[k] its examined-edge count.
-func resampleIDs(s *Sampler, base *rng.Source, invalid []int32, workers int) (regenPool []int32, regenOffs, regenExam []int64) {
-	if workers > len(invalid) {
-		workers = len(invalid)
-	}
-	shards := make([]chunk, workers)
-	runShards(workers, func(w int) {
-		lo, hi := len(invalid)*w/workers, len(invalid)*(w+1)/workers
-		sc := s.NewScratch()
-		sh := chunk{offs: make([]int64, 1, hi-lo+1)}
-		for _, id := range invalid[lo:hi] {
-			src := base.Split(uint64(id))
-			nodes, examined := s.Sample(src, sc)
-			sh.pool = append(sh.pool, nodes...)
-			sh.offs = append(sh.offs, int64(len(sh.pool)))
-			sh.exam = append(sh.exam, examined)
-			sh.examined += examined
-		}
-		shards[w] = sh
-	})
-	regenOffs = make([]int64, 1, len(invalid)+1)
-	regenExam = make([]int64, 0, len(invalid))
-	for _, sh := range shards {
-		off := int64(len(regenPool))
-		regenPool = append(regenPool, sh.pool...)
-		for _, o := range sh.offs[1:] {
-			regenOffs = append(regenOffs, off+o)
-		}
-		regenExam = append(regenExam, sh.exam...)
-	}
-	return regenPool, regenOffs, regenExam
 }
 
 // allIDs returns the full id range of c, the widest invalidation set.

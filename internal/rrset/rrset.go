@@ -4,13 +4,13 @@
 // (Appendix A), and an indexed Collection that supports the coverage
 // queries of Algorithm 1 and the bound computations of §§4–5.
 //
-// Collection construction is sharded: Generate samples RR sets on parallel
-// workers into per-shard pools and merges pools, offsets and the inverted
-// node→set index with parallel phase barriers, so there is no
-// single-threaded merge loop between sampling and selection. The layout is
-// byte-identical for every worker count (see Generate), which is the
-// invariant the determinism and persistence guarantees of the whole
-// library rest on.
+// Collection construction is sharded: one shard loop samples RR sets on
+// parallel workers into index-free Batches, and Append merges their pools,
+// offsets and the inverted node→set index with parallel phase barriers, so
+// there is no single-threaded merge loop between sampling and selection.
+// The layout is byte-identical for every worker count and for every split
+// of the ids into batches (see Generate and Append), which is the invariant
+// the determinism and persistence guarantees of the whole library rest on.
 package rrset
 
 import (
@@ -26,8 +26,8 @@ import (
 )
 
 // Generation metrics (obs.Default(), see docs/OBSERVABILITY.md). Updated
-// once per Generate call / per worker / per shard — never per RR set — so
-// the cost is a handful of atomics per batch.
+// once per Generate or Append call / per sampling or index shard — never per
+// RR set — so the cost is a handful of atomics per batch.
 var (
 	mGenerated      = obs.Default().Counter("rrset_generated_total")
 	mNodes          = obs.Default().Counter("rrset_nodes_total")
@@ -270,8 +270,8 @@ func (s *Sampler) sampleLT(root int32, src *rng.Source, sc *Scratch) ([]int32, i
 // supporting the coverage computations of Algorithm 1. The zero value is an
 // empty collection for a graph with 0 nodes; use NewCollection.
 //
-// A Collection is safe for concurrent reads; writes (Add, Generate) must
-// not overlap with each other or with reads.
+// A Collection is safe for concurrent reads; writes (Add, Append, Generate,
+// Repair) must not overlap with each other or with reads.
 type Collection struct {
 	n    int32
 	offs []int64 // len = Count()+1; set i occupies pool[offs[i]:offs[i+1]]
@@ -311,7 +311,7 @@ func (c *Collection) Count() int { return len(c.offs) - 1 }
 // TotalSize returns Σ|R| over all stored sets.
 func (c *Collection) TotalSize() int64 { return int64(len(c.pool)) }
 
-// EdgesExamined returns the cumulative γ across all Add calls.
+// EdgesExamined returns the cumulative γ of every stored set.
 func (c *Collection) EdgesExamined() int64 { return c.edgesExamined }
 
 // Add appends one RR set (copying nodes) and credits edgesExamined to γ.
@@ -328,22 +328,6 @@ func (c *Collection) Add(nodes []int32, edgesExamined int64) int32 {
 	return id
 }
 
-// AppendCollection appends every set of src, in src id order, to c and
-// credits src's cumulative γ — the deterministic merge step of distributed
-// generation. Appending chunk collections for id ranges [0,a), [a,b), … in
-// range order produces pool, offsets and index bytes identical to having
-// generated the whole batch locally, no matter which process produced each
-// chunk or how many times a chunk was re-produced before one copy won.
-func (c *Collection) AppendCollection(src *Collection) error {
-	if src.n != c.n {
-		return fmt.Errorf("rrset: appending a collection for n=%d onto n=%d", src.n, c.n)
-	}
-	for id := int32(0); int(id) < src.Count(); id++ {
-		c.Add(src.Set(id), src.exam[id])
-	}
-	return nil
-}
-
 // Set returns the member nodes of set id. The slice aliases internal
 // storage and must not be modified.
 func (c *Collection) Set(id int32) []int32 {
@@ -352,8 +336,9 @@ func (c *Collection) Set(id int32) []int32 {
 
 // SetsCovering returns the ids of sets containing v, ascending. The slice
 // is a copy the caller owns: mutating it cannot corrupt the index, and it
-// stays valid across later Add/Generate/Repair calls. Hot paths that query
-// coverage lists in inner loops should use SetsCoveringShared instead.
+// stays valid across later Add/Append/Generate/Repair calls. Hot paths
+// that query coverage lists in inner loops should use SetsCoveringShared
+// instead.
 func (c *Collection) SetsCovering(v int32) []int32 {
 	ids := c.index[v]
 	if len(ids) == 0 {
@@ -368,9 +353,9 @@ func (c *Collection) SetsCovering(v int32) []int32 {
 // read paths (the greedy kernels in maxcover). The returned slice aliases
 // the live index: it is strictly read-only — writing through it corrupts
 // the collection — and it is invalidated by the next write to c (Add,
-// Generate, Repair); repair never mutates the array a previously returned
-// slice points at, so a stale reference still reads the pre-repair ids
-// rather than garbage.
+// Append, Generate, Repair); repair never mutates the array a previously
+// returned slice points at, so a stale reference still reads the
+// pre-repair ids rather than garbage.
 func (c *Collection) SetsCoveringShared(v int32) []int32 { return c.index[v] }
 
 // Degree returns the number of stored sets containing v, i.e. Λ({v}).
@@ -437,43 +422,32 @@ func (c *Collection) Coverage(seeds []int32) int64 {
 	return covered
 }
 
-// chunk is one shard's private output of parallel generation: a local pool
-// with local offsets (offs[0] == 0). Offsets are int64 — a shard whose
-// pooled nodes exceed 2^31 must rebase without truncation (regression:
-// these were int32 once, silently corrupting large chunks).
-type chunk struct {
-	pool     []int32
-	offs     []int64
-	exam     []int64 // per-set edges-examined, len == len(offs)-1
-	examined int64
+// Batch is a run of sampled RR sets that no collection indexes yet: the
+// unit in which sets travel from the shard loop, or over the wire as one
+// OPIMR3 frame, into a collection (Append). Set j occupies
+// Pool[Offs[j]:Offs[j+1]] (Offs[0] == 0) and examined Exam[j] edges; N is
+// the node count of the graph it was sampled on. Offsets are int64 — a
+// batch whose pooled nodes exceed 2^31 must rebase without truncation
+// (regression: these were int32 once, silently corrupting large shards).
+type Batch struct {
+	N    int32
+	Pool []int32
+	Offs []int64
+	Exam []int64
 }
+
+// Set returns the member nodes of set j; the slice aliases b.Pool.
+func (b Batch) Set(j int) []int32 { return b.Pool[b.Offs[j]:b.Offs[j+1]] }
 
 // Generate draws count RR sets with s and appends them to c, splitting work
-// across workers (≤ 0 means GOMAXPROCS). Each RR set i is driven by the
-// split stream base.Split(startID+i) where startID is the collection size
-// before the call, and shard outputs are merged at deterministic positions,
-// so the resulting collection — pool bytes, offsets, and inverted index —
-// is byte-identical for any worker count, and growing a collection
-// incrementally matches generating it in one shot.
-//
-// Construction is fully sharded: workers sample into per-shard pools, the
-// pool/offset merge copies each shard into its pre-computed extent, and
-// the node→set index is built by a two-pass counting build (count per
-// shard, prefix per node partition, parallel fill) with no single-threaded
-// merge loop.
+// across workers (≤ 0 means GOMAXPROCS). RR set i of the call is driven by
+// the split stream base.Split(c.Count()+i) and shard outputs are merged at
+// deterministic positions, so the resulting collection — pool bytes,
+// offsets, and inverted index — is byte-identical for any worker count,
+// growing a collection incrementally matches generating it in one shot,
+// and the same ids sampled anywhere else (SampleAt) append to the same
+// bytes.
 func Generate(c *Collection, s *Sampler, count int, base *rng.Source, workers int) {
-	GenerateAt(c, s, count, base, uint64(c.Count()), workers)
-}
-
-// GenerateAt is Generate with an explicit stream origin: RR set i of the
-// batch is driven by base.Split(startID+i) regardless of how many sets c
-// already holds. It is the primitive distributed generation builds on — a
-// remote worker reproduces the exact sets ids [lo, hi) of a coordinator's
-// batch by calling GenerateAt on an empty collection with startID+lo,
-// and the coordinator merges the chunks back in id order
-// (AppendCollection), yielding bytes identical to a local Generate.
-// Generate(c, …) is GenerateAt(c, …, startID=c.Count()).
-func GenerateAt(c *Collection, s *Sampler, count int, base *rng.Source, startID uint64, workers int) {
 	if count <= 0 {
 		return
 	}
@@ -482,80 +456,105 @@ func GenerateAt(c *Collection, s *Sampler, count int, base *rng.Source, startID 
 	}
 	t0 := time.Now()
 	nodesBefore, edgesBefore := c.TotalSize(), c.EdgesExamined()
-	defer func() {
-		mGenerated.Add(int64(count))
-		mNodes.Add(c.TotalSize() - nodesBefore)
-		mEdgesExamined.Add(c.EdgesExamined() - edgesBefore)
-		mGenerateTime.Observe(time.Since(t0))
-	}()
+	startID := uint64(c.Count())
 	if workers == 1 || count < 64 {
+		// One shard Adds each set as it is drawn: no batch copy, and no
+		// counting build, whose n-entry array a small batch need not pay.
 		sc := s.NewScratch()
 		for i := 0; i < count; i++ {
-			src := base.Split(startID + uint64(i))
-			nodes, examined := s.Sample(src, sc)
-			c.Add(nodes, examined)
+			c.Add(s.Sample(base.Split(startID+uint64(i)), sc))
 		}
 		mWorkerTime.Observe(time.Since(t0))
-		return
+	} else {
+		c.Append(workers, SampleAt(s, count, base, startID, workers)...)
 	}
-	if workers > count {
-		workers = count
-	}
-
-	// Phase 1 — sampling: each shard draws a contiguous id range into a
-	// private chunk; no shared state, no locks.
-	chunks := make([]chunk, workers)
-	runShards(workers, func(w int) {
-		wt0 := time.Now()
-		defer func() { mWorkerTime.Observe(time.Since(wt0)) }()
-		lo, hi := count*w/workers, count*(w+1)/workers
-		sc := s.NewScratch()
-		ck := chunk{offs: make([]int64, 1, hi-lo+1)}
-		for i := lo; i < hi; i++ {
-			src := base.Split(startID + uint64(i))
-			nodes, examined := s.Sample(src, sc)
-			ck.pool = append(ck.pool, nodes...)
-			ck.offs = append(ck.offs, int64(len(ck.pool)))
-			ck.exam = append(ck.exam, examined)
-			ck.examined += examined
-		}
-		chunks[w] = ck
-	})
-	c.mergeChunks(chunks)
+	mGenerated.Add(int64(count))
+	mNodes.Add(c.TotalSize() - nodesBefore)
+	mEdgesExamined.Add(c.EdgesExamined() - edgesBefore)
+	mGenerateTime.Observe(time.Since(t0))
 }
 
-// mergeChunks appends the shards' sets to the collection at deterministic
-// positions: shard w's sets occupy ids [Count+setBase[w], Count+setBase[w+1])
-// and its pool bytes land at the matching pre-computed extent, so the
-// result is identical to sequential Add calls in id order.
-func (c *Collection) mergeChunks(chunks []chunk) {
-	par := len(chunks)
-	poolBase := make([]int64, par+1)
-	setBase := make([]int, par+1)
-	for w := range chunks {
-		poolBase[w+1] = poolBase[w] + int64(len(chunks[w].pool))
-		setBase[w+1] = setBase[w] + len(chunks[w].offs) - 1
-	}
-	oldPoolLen := int64(len(c.pool))
-	oldCount := c.Count()
+// SampleAt draws count RR sets with s, set i driven by
+// base.Split(startID+i), on up to workers shards (≤ 0 means GOMAXPROCS),
+// and returns each shard's sets as one Batch, in id order. It builds no
+// index. It is the primitive distributed generation builds on: a fleet
+// worker samples the ids [lo, hi) of a coordinator's Generate with
+// startID+lo, and the coordinator Appends the leases' batches in id
+// order, yielding bytes identical to a local Generate.
+func SampleAt(s *Sampler, count int, base *rng.Source, startID uint64, workers int) []Batch {
+	return sampleShards(s, base, count, workers, func(i int) uint64 { return startID + uint64(i) })
+}
 
-	// Phase 2 — pool and offsets: grow once, then copy each shard into its
-	// disjoint extent in parallel.
-	c.pool = growInt32(c.pool, poolBase[par])
-	c.offs = growInt64(c.offs, int64(setBase[par]))
-	runShards(par, func(w int) {
-		ck := &chunks[w]
-		copy(c.pool[oldPoolLen+poolBase[w]:], ck.pool)
-		rebaseOffsets(c.offs[1+oldCount+setBase[w]:], oldPoolLen+poolBase[w], ck.offs)
+// sampleShards is the one sampling loop: it draws count RR sets on up to
+// workers shards (≤ 0 means GOMAXPROCS), set i from base.Split(id(i)), each
+// shard a contiguous run of i with no shared state and no locks.
+func sampleShards(s *Sampler, base *rng.Source, count, workers int, id func(i int) uint64) []Batch {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, count))
+	batches := make([]Batch, workers)
+	runShards(workers, func(w int) {
+		t0 := time.Now()
+		lo, hi := count*w/workers, count*(w+1)/workers
+		sc := s.NewScratch()
+		b := Batch{N: s.g.N(), Offs: make([]int64, 1, hi-lo+1), Exam: make([]int64, 0, hi-lo)}
+		for i := lo; i < hi; i++ {
+			nodes, examined := s.Sample(base.Split(id(i)), sc)
+			b.Pool = append(b.Pool, nodes...)
+			b.Offs = append(b.Offs, int64(len(b.Pool)))
+			b.Exam = append(b.Exam, examined)
+		}
+		batches[w] = b
+		mWorkerTime.Observe(time.Since(t0))
 	})
-	for w := range chunks {
-		c.edgesExamined += chunks[w].examined
-		c.exam = append(c.exam, chunks[w].exam...)
+	return batches
+}
+
+// Append adds the sets of batches to c in order, as sequential Add calls
+// would, and indexes them with a counting build on up to workers shards
+// (≤ 0 means GOMAXPROCS). Pool, offsets, index and γ come out
+// byte-identical however the ids were split into batches and whichever
+// process sampled each one. Apart from Add it is the only way sets join a
+// collection: Generate's parallel path, ReadCollection and the fleet
+// coordinator's merge all go through it. A batch sampled for another node
+// count is a caller's bug and panics.
+func (c *Collection) Append(workers int, batches ...Batch) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	poolBase := make([]int64, len(batches)+1)
+	setBase := make([]int, len(batches)+1)
+	for i, b := range batches {
+		if b.N != c.n {
+			panic(fmt.Sprintf("rrset: appending a batch for n=%d onto n=%d", b.N, c.n))
+		}
+		poolBase[i+1] = poolBase[i] + int64(len(b.Pool))
+		setBase[i+1] = setBase[i] + len(b.Exam)
+	}
+	oldPoolLen, oldCount := int64(len(c.pool)), c.Count()
+
+	// Pool and offsets: grow once, then copy each batch into its disjoint
+	// extent in parallel.
+	c.pool = growInt32(c.pool, poolBase[len(batches)])
+	c.offs = growInt64(c.offs, int64(setBase[len(batches)]))
+	par := min(workers, len(batches))
+	runShards(par, func(w int) {
+		for i := w; i < len(batches); i += par {
+			copy(c.pool[oldPoolLen+poolBase[i]:], batches[i].Pool)
+			rebaseOffsets(c.offs[1+oldCount+setBase[i]:], oldPoolLen+poolBase[i], batches[i].Offs)
+		}
+	})
+	for _, b := range batches {
+		c.exam = append(c.exam, b.Exam...)
+		for _, e := range b.Exam {
+			c.edgesExamined += e
+		}
 	}
 
-	// Phases 3–4 — inverted index.
+	// Inverted index.
 	it0 := time.Now()
-	for _, d := range c.indexFrom(oldCount, par) {
+	for _, d := range c.indexFrom(oldCount, workers) {
 		mIndexShardTime.Observe(d)
 		mIndexShards.Inc()
 	}
@@ -627,10 +626,10 @@ func (c *Collection) indexFrom(from, par int) []time.Duration {
 	return fill
 }
 
-// rebaseOffsets writes the global end-offset of each chunk set into dst:
-// dst[i] = base + local[i+1], where local are chunk-local offsets starting
-// at 0 and base is the chunk's global pool start. All arithmetic is int64;
-// chunks whose pooled nodes exceed 2^31 rebase without truncation.
+// rebaseOffsets writes the global end-offset of each batch set into dst:
+// dst[i] = base + local[i+1], where local are batch-local offsets starting
+// at 0 and base is the batch's global pool start. All arithmetic is int64;
+// batches whose pooled nodes exceed 2^31 rebase without truncation.
 func rebaseOffsets(dst []int64, base int64, local []int64) {
 	for i, o := range local[1:] {
 		dst[i] = base + o

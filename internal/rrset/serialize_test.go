@@ -249,7 +249,7 @@ func TestReadCollectionTruncationAtEveryBoundary(t *testing.T) {
 	}
 }
 
-// TestGenerateAtMatchesGenerate: GenerateAt with an explicit origin must
+// TestGenerateAtMatchesGenerate: SampleAt with an explicit origin must
 // reproduce the id range of a local Generate exactly — the worker-side
 // primitive of distributed generation.
 func TestGenerateAtMatchesGenerate(t *testing.T) {
@@ -257,7 +257,7 @@ func TestGenerateAtMatchesGenerate(t *testing.T) {
 	base := rng.New(3)
 	lo, hi := 120, 240
 	cc := NewCollection(c.N())
-	GenerateAt(cc, s, hi-lo, base, uint64(lo), 3)
+	cc.Append(3, SampleAt(s, hi-lo, base, uint64(lo), 3)...)
 	for i := lo; i < hi; i++ {
 		a, b := c.Set(int32(i)), cc.Set(int32(i-lo))
 		if len(a) != len(b) {
@@ -271,41 +271,65 @@ func TestGenerateAtMatchesGenerate(t *testing.T) {
 	}
 }
 
-// TestAppendCollectionByteIdentical: chunked generate + AppendCollection
-// merge must serialize byte-identically to one local Generate — the
+// TestAppendLeasesByteIdentical: leases sampled with SampleAt, sent through
+// the wire format and merged with one Append must equal one local Generate
+// — pool, offsets, index and γ, and the serialized bytes — the
 // coordinator-side merge invariant.
-func TestAppendCollectionByteIdentical(t *testing.T) {
+func TestAppendLeasesByteIdentical(t *testing.T) {
 	c, s := sampleCollection(t)
 	var want bytes.Buffer
 	if err := WriteCollection(&want, c); err != nil {
 		t.Fatal(err)
 	}
 	base := rng.New(3)
-	merged := NewCollection(c.N())
+	var leases []Batch
 	for _, r := range [][2]int{{0, 77}, {77, 150}, {150, 300}} {
-		cc := NewCollection(c.N())
-		GenerateAt(cc, s, r[1]-r[0], base, uint64(r[0]), 2)
-		// Round-trip the chunk through the wire format, as the fleet does.
+		// Round-trip the lease through the wire format, as the fleet does.
 		var wire bytes.Buffer
-		if err := WriteCollection(&wire, cc); err != nil {
+		if err := WriteBatch(&wire, SampleAt(s, r[1]-r[0], base, uint64(r[0]), 2)...); err != nil {
 			t.Fatal(err)
 		}
-		decoded, err := ReadCollection(&wire)
+		b, err := ReadBatch(&wire)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := merged.AppendCollection(decoded); err != nil {
+		leases = append(leases, b)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		merged := NewCollection(c.N())
+		merged.Append(workers, leases...)
+		requireIdentical(t, c, merged, "workers="+itoa(workers))
+		var got bytes.Buffer
+		if err := WriteCollection(&got, merged); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Fatal("leased merge not byte-identical to local generation")
+		}
+	}
+}
+
+// TestFramesDecodeBackToBack: the decoder reads exactly one frame, so
+// frames written one after another into one stream decode one after
+// another.
+func TestFramesDecodeBackToBack(t *testing.T) {
+	c, s := sampleCollection(t)
+	other := NewCollection(c.N())
+	Generate(other, s, 40, rng.New(5), 2)
+	var stream bytes.Buffer
+	for _, w := range []*Collection{c, other} {
+		if err := WriteCollection(&stream, w); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var got bytes.Buffer
-	if err := WriteCollection(&got, merged); err != nil {
-		t.Fatal(err)
+	for i, want := range []*Collection{c, other} {
+		got, err := ReadCollection(&stream)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		requireIdentical(t, want, got, "frame "+itoa(i))
 	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Fatal("chunked merge not byte-identical to local generation")
-	}
-	if merged.AppendCollection(NewCollection(c.N()+1)) == nil {
-		t.Fatal("mismatched n accepted")
+	if stream.Len() != 0 {
+		t.Fatalf("%d bytes left after two frames", stream.Len())
 	}
 }

@@ -206,7 +206,6 @@ func (s *Server) mutateGraph(e *graphEntry, ms []graph.Mutation, held *Session) 
 				regen = int(sess.online.NumRR())
 			}
 			sess.refreshStatsLocked()
-			sess.lastSnap.Store(nil)
 			repaired = append(repaired, SessionRepair{Session: sess.ID, Regenerated: regen})
 			mSessionsRepaired.Inc()
 		}

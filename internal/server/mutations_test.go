@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -484,6 +485,37 @@ func TestSnapshotLabelsGraphEpoch(t *testing.T) {
 	}
 	if peek, err := c.PeekSnapshot(); err != nil || peek.GraphEpoch != 1 {
 		t.Fatalf("peek after one batch: %+v (%v), want graph_epoch 1", peek, err)
+	}
+}
+
+// TestPeekSurvivesBatch: a batch on the graph keeps the last derived
+// snapshot for peek. It still names the epoch its RR sets were sampled on,
+// which a client compares with /status's graph_epoch to see that a batch
+// has landed since.
+func TestPeekSurvivesBatch(t *testing.T) {
+	sampler := robustSampler(t)
+	_, ts := newCkServer(t, sampler, Config{Batch: 500})
+	c := NewClient(ts.URL).Session(DefaultSessionID)
+	if _, err := c.Advance(1000); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := firstEdge(t, sampler.Graph())
+	if _, err := c.UpdateGraph(DefaultGraphName, []GraphUpdate{{Op: "edge_delete", From: e.From, To: e.To}}); err != nil {
+		t.Fatal(err)
+	}
+	peek, err := c.PeekSnapshot()
+	if err != nil {
+		t.Fatalf("peek after a batch: %v", err)
+	}
+	if !slices.Equal(peek.Seeds, snap.Seeds) || peek.Alpha != snap.Alpha || peek.GraphEpoch != 0 {
+		t.Fatalf("peek after a batch = %+v, want the derived snapshot %+v at graph_epoch 0", peek, snap)
+	}
+	if st, err := c.Status(); err != nil || st.GraphEpoch != 1 {
+		t.Fatalf("status after a batch: %+v (%v), want graph_epoch 1", st, err)
 	}
 }
 

@@ -213,9 +213,7 @@ func TestSessionRateLimit(t *testing.T) {
 		return resp, string(msg)
 	}
 	// Each operation gets its own session, rate 0.5/s and burst 1: the
-	// first call spends the one token, the second is refused. Rounds come
-	// first: a realization's repair sweep clears the peek snapshot of every
-	// session on the graph.
+	// first call spends the one token, the second is refused.
 	throttled := func(id string) {
 		t.Helper()
 		postSpec(t, ts.URL, SessionSpec{ID: id, K: 3, MaxRR: 4096, Rate: 0.5, Burst: 1, Learn: &LearnSpec{Seed: 1, RoundRR: 64}})
